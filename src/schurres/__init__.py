@@ -44,7 +44,9 @@ from .complexes import ChainComplex, Matrix
 from .homology import (
     HomologyGroup,
     SmithForm,
+    dense_smith_normal_form,
     homology,
+    homology_groups,
     rank,
     rank_mod_p,
     smith_normal_form,

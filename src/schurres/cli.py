@@ -23,8 +23,8 @@ from .combinatorics import (
     is_upper_triangular,
     max_chain_length,
 )
-from .complexes import Matrix
-from .homology import homology, verify_exactness
+from .complexes import ChainComplex, Matrix
+from .homology import HomologyGroup, homology_groups, verify_exactness
 from .oracles import (
     compose,
     decode,
@@ -172,11 +172,8 @@ def complex_document(cx, lam, variant):
     if cx.homotopies:
         doc["homotopies"] = {str(k): _matrix_doc(cx.homotopy(k))
                              for k in sorted(cx.homotopies)}
-    doc["homology"] = {}
-    for k in cx.degrees():
-        h = homology(cx, k)
-        doc["homology"][str(k)] = {"free_rank": h.free_rank,
-                                   "torsion": list(h.torsion)}
+    doc["homology"] = {str(k): {"free_rank": h.free_rank, "torsion": list(h.torsion)}
+                       for k, h in homology_groups(cx).items()}
     return doc
 
 
@@ -196,14 +193,18 @@ def cmd_resolve(args):
 # verify
 
 def _maybe_corrupt(cx, directive):
+    """A copy of cx with delta added to entry (i, j) of the differential at
+    degree k, for the directive "k,i,j,delta"; cx itself is left as it is."""
     if not directive:
         return cx
     k, i, j, delta = (int(x) for x in directive.split(","))
-    if cx.lo + 1 <= k <= cx.hi:
-        mat = cx.differential(k)
-        if i < mat.nrows and j < mat.ncols:
-            mat.rows[i][j] += delta
-    return cx
+    mat = cx.differential(k)
+    if not (cx.lo < k <= cx.hi and i < mat.nrows and j < mat.ncols):
+        return cx
+    mat = mat.copy()
+    mat.rows[i][j] += delta
+    return ChainComplex(cx.labels, {**cx.differentials, k: mat}, cx.homotopies,
+                        modulus=cx.modulus, meta=cx.meta)
 
 
 def _fail(record):
@@ -215,7 +216,7 @@ def _check_exactness(n, r, lams, primes, corrupt):
     ok = True
     for lam in lams:
         borel = _maybe_corrupt(build_borel_resolution(lam), corrupt)
-        report = verify_exactness(borel, list(borel.degrees()))
+        report = verify_exactness(borel)
         if not report.ok:
             ok = _fail({"check": "exactness", "variant": "borel",
                         "lambda": list(lam),
@@ -223,20 +224,19 @@ def _check_exactness(n, r, lams, primes, corrupt):
         if not is_partition(lam):
             continue
         weyl = _maybe_corrupt(build_weyl_resolution(lam), corrupt)
-        report = verify_exactness(weyl, list(range(1, weyl.hi + 1)))
-        h0 = homology(weyl, 0)
         expected = semistandard_tableau_count(lam, n)
-        if not (report.ok and h0.is_free and h0.free_rank == expected):
+        h0 = HomologyGroup(expected, ())
+        report = verify_exactness(weyl, expected={0: h0})
+        if not report.ok:
             ok = _fail({"check": "exactness", "variant": "weyl",
-                        "lambda": list(lam), "h0": str(h0),
-                        "expected_rank": expected,
+                        "lambda": list(lam), "expected_rank": expected,
                         "failures": [str(entry) for entry in report.failures()]})
             continue
         for p in primes:
-            modp = reduce_mod(weyl, p)
-            bad = [k for k in range(1, modp.hi + 1)
-                   if not homology(modp, k).is_trivial]
-            if bad or homology(modp, 0).free_rank != expected:
+            groups = homology_groups(reduce_mod(weyl, p))
+            bad = [k for k, h in groups.items()
+                   if h != (h0 if k == 0 else HomologyGroup(0, ()))]
+            if bad:
                 ok = _fail({"check": "exactness", "variant": "weyl",
                             "lambda": list(lam), "mod": p, "degrees": bad})
     return ok
@@ -320,8 +320,6 @@ def _check_filtration(n, r):
 
 def _check_embedding(n, r):
     ok = True
-    if n < r:
-        return ok
     for sigma in all_permutations(r):
         ws = permutation_weight_matrix(sigma, n)
         for tau in all_permutations(r):
@@ -371,6 +369,8 @@ def _check_divided(n, r, lams, seed=0):
 
 CHECKS = ("exactness", "homotopy", "oracle", "associativity", "filtration",
           "embedding", "boltje", "divided")
+# checks that compare with permutations of r letters, which need n >= r
+NEEDS_N_GE_R = ("embedding", "boltje")
 
 
 def cmd_verify(args):
@@ -388,6 +388,9 @@ def cmd_verify(args):
         lams = list(enumerate_partitions(n, r))
     ok = True
     for name in checks:
+        if name in NEEDS_N_GE_R and n < r:
+            print(f"skipped {name} (n < r)")
+            continue
         if name == "exactness":
             good = _check_exactness(n, r, lams, primes, args.corrupt)
         elif name == "homotopy":

@@ -7,6 +7,8 @@ degree below; optional homotopy matrices map one degree up.  A modulus of p
 marks a complex with entries reduced mod p.
 """
 
+from itertools import compress
+
 
 class Matrix:
     """Dense integer matrix with explicit shape."""
@@ -74,16 +76,13 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
         out = Matrix(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            row = self.rows[i]
-            acc = out.rows[i]
-            for k in range(self.ncols):
+        inner, outer = range(self.ncols), range(other.ncols)
+        other_nonzero = [[(j, orow[j]) for j in compress(outer, orow)] for orow in other.rows]
+        for row, acc in zip(self.rows, out.rows):
+            for k in compress(inner, row):
                 a = row[k]
-                if a:
-                    orow = other.rows[k]
-                    for j in range(other.ncols):
-                        if orow[j]:
-                            acc[j] += a * orow[j]
+                for j, v in other_nonzero[k]:
+                    acc[j] += a * v
         return out
 
     def transpose(self):
@@ -95,14 +94,20 @@ class Matrix:
                       [[self.rows[i][j] for j in col_idx] for i in row_idx])
 
     def mod(self, p):
-        return Matrix(self.nrows, self.ncols, [[v % p for v in row] for row in self.rows])
+        out = Matrix(self.nrows, self.ncols, self.rows)
+        cols = range(self.ncols)
+        for row in out.rows:
+            for j in compress(cols, row):
+                row[j] %= p
+        return out
 
     def is_zero(self):
-        return all(v == 0 for row in self.rows for v in row)
+        return not any(map(any, self.rows))
 
     def entries(self):
         """Nonzero entries as (row, col, value) triplets, row-major order."""
-        return [(i, j, v) for i, row in enumerate(self.rows) for j, v in enumerate(row) if v]
+        cols = range(self.ncols)
+        return [(i, j, row[j]) for i, row in enumerate(self.rows) for j in compress(cols, row)]
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

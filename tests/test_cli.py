@@ -1,6 +1,7 @@
 import json
 
-from schurres.cli import main
+from schurres.barcomplex import build_weyl_resolution
+from schurres.cli import _maybe_corrupt, main
 
 
 def run(capsys, *argv):
@@ -131,3 +132,25 @@ def test_verify_unknown_check(capsys):
                        "--checks", "nonsense")
     assert code == 2
     assert "unknown check" in err
+
+
+def test_corrupt_builds_a_copy():
+    cx = build_weyl_resolution((1, 1))
+    before = cx.differential(1).copy()
+    bad = _maybe_corrupt(cx, "1,0,0,1")
+    assert cx.differential(1) == before
+    assert bad.differential(1).rows[0][0] == before.rows[0][0] + 1
+    assert bad.labels == cx.labels
+
+
+def test_verify_skips_embedding_when_n_below_r(capsys):
+    code, out, _ = run(capsys, "verify", "-n", "2", "-r", "3", "--checks", "embedding")
+    assert code == 0
+    assert out.splitlines() == ["skipped embedding (n < r)"]
+
+
+def test_verify_skips_boltje_when_n_below_r(capsys):
+    code, out, _ = run(capsys, "verify", "-n", "2", "-r", "3",
+                       "--checks", "boltje,exactness")
+    assert code == 0
+    assert out.splitlines() == ["skipped boltje (n < r)", "ok exactness (n=2, r=3)"]

@@ -2,11 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from schurres.barcomplex import build_borel_resolution, build_weyl_resolution
+from schurres.combinatorics import enumerate_partitions
 from schurres.complexes import ChainComplex, Matrix
 from schurres.homology import (
     HomologyGroup,
+    dense_smith_normal_form,
     homology,
+    homology_groups,
     is_prime,
     prime_power_factors,
     rank,
@@ -14,6 +19,39 @@ from schurres.homology import (
     smith_normal_form,
     verify_exactness,
 )
+
+NON_UNITS = (-4, -3, -2, 0, 2, 3, 4)
+
+
+@st.composite
+def int_matrices(draw, max_dim=8):
+    """Integer matrices of shape up to max_dim, entries in [-4, 4]; half of
+    them have no entry +-1, so unit elimination leaves a residual."""
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    entries = st.sampled_from(draw(st.sampled_from((range(-4, 5), NON_UNITS))))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return Matrix(m, n, rows)
+
+
+def dense_rank_mod_p(mat, p):
+    """Rank over F_p by dense modular row reduction (test oracle)."""
+    rows = [[v % p for v in row] for row in mat.rows]
+    rk = 0
+    for col in range(mat.ncols):
+        pivot = next((i for i in range(rk, mat.nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        inv = pow(rows[rk][col], p - 2, p)
+        rows[rk] = [v * inv % p for v in rows[rk]]
+        for i in range(mat.nrows):
+            if i != rk and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk
 
 
 def fraction_det(mat):
@@ -41,6 +79,59 @@ def test_smith_form_examples():
     assert smith_normal_form(Matrix.identity(3)).factors == (1, 1, 1)
     assert smith_normal_form(Matrix.from_rows([[2, 0], [0, 3]])).factors == (1, 6)
     assert smith_normal_form(Matrix.zeros(3, 2)).factors == ()
+    # one unit pivot, then a residual [[2, 4], [6, 8]] with factors 2, 4
+    residual = Matrix.from_rows([[0, 2, 4], [1, 5, -3], [0, 6, 8]])
+    assert smith_normal_form(residual).factors == (1, 2, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_sparse_smith_matches_dense(mat):
+    assert smith_normal_form(mat).factors == dense_smith_normal_form(mat).factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(max_dim=6), st.data())
+def test_sparse_smith_invariant_under_unimodular_ops(mat, data):
+    reference = smith_normal_form(mat).factors
+    m = mat.copy()
+    for _ in range(data.draw(st.integers(0, 8))):
+        on_rows = data.draw(st.booleans())
+        size = m.nrows if on_rows else m.ncols
+        if size < 2:
+            continue
+        i, j = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2,
+                                  unique=True))
+        c = data.draw(st.integers(-3, 3))
+        if on_rows:
+            m.rows[i] = [a + c * b for a, b in zip(m.rows[i], m.rows[j])]
+            m.rows[i], m.rows[j] = m.rows[j], [-a for a in m.rows[i]]
+        else:
+            for row in m.rows:
+                row[i] += c * row[j]
+                row[i], row[j] = row[j], -row[i]
+    assert smith_normal_form(m).factors == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(), st.sampled_from((2, 3, 5, 7)))
+def test_rank_mod_p_matches_dense_elimination(mat, p):
+    assert rank_mod_p(mat, p) == dense_rank_mod_p(mat, p)
+
+
+def test_sparse_and_dense_smith_agree_on_resolutions():
+    seen = 0
+    for r in range(1, 5):
+        for lam in enumerate_partitions(3, r):
+            for cx in (build_borel_resolution(lam), build_weyl_resolution(lam)):
+                for k in range(cx.lo + 1, cx.hi + 1):
+                    d = cx.differential(k)
+                    assert (smith_normal_form(d).factors
+                            == dense_smith_normal_form(d).factors), (lam, k)
+                    for p in (2, 3, 5):
+                        assert rank_mod_p(d, p) == dense_rank_mod_p(d, p), (lam, k, p)
+                    seen += 1
+    assert seen > 20
 
 
 def test_smith_form_divisibility_chain():
@@ -97,6 +188,16 @@ def test_homology_examples():
         homology(doubling, 2)
 
 
+def test_homology_groups_match_single_degrees():
+    w = build_weyl_resolution((2, 1, 0))
+    groups = homology_groups(w)
+    assert list(groups) == list(w.degrees())
+    assert groups == {k: homology(w, k) for k in w.degrees()}
+    assert homology_groups(w, [1]) == {1: groups[1]}
+    with pytest.raises(ValueError):
+        homology_groups(w, [w.hi + 1])
+
+
 def test_homology_of_weyl_sized_matrix():
     from schurres.barcomplex import build_weyl_resolution
     w = build_weyl_resolution((1, 1))
@@ -136,6 +237,14 @@ def test_verify_exactness_and_negative_control():
     report = verify_exactness(corrupted, [0, 1])
     assert not report.ok
     assert report.failures()
+
+
+def test_verify_exactness_with_expected_groups():
+    w = build_weyl_resolution((1, 1))
+    assert not verify_exactness(w).ok
+    assert verify_exactness(w, expected={0: HomologyGroup(1, ())}).ok
+    report = verify_exactness(w, expected={0: HomologyGroup(2, ())})
+    assert [k for k, _ in report.failures()] == [0]
 
 
 def test_verify_exactness_reports_complex_axiom():
