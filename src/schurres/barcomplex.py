@@ -19,7 +19,6 @@ from functools import lru_cache
 from .combinatorics import (
     diagonal_matrix,
     enumerate_weight_matrices,
-    flatten,
     is_diagonal,
     matrix_marginal,
     max_chain_length,
@@ -39,11 +38,12 @@ def _normalize(lam):
 
 
 @lru_cache(maxsize=None)
-def _bar_basis(lam, k, variant):
+def _bar_basis(lam, k, variant, nu):
     n, r = len(lam), sum(lam)
+    upper = variant == "borel"
     if k == 0:
-        heads = enumerate_weight_matrices(n, r, col_sums=lam,
-                                          upper_triangular=(variant == "borel"))
+        heads = enumerate_weight_matrices(n, r, col_sums=lam, row_sums=nu,
+                                          upper_triangular=upper)
         return tuple((w0,) for w0 in heads)
     tails = []
 
@@ -60,32 +60,48 @@ def _bar_basis(lam, k, variant):
     tuples = []
     for tail in tails:
         mu = matrix_marginal(tail[0], 2)
-        for w0 in enumerate_weight_matrices(n, r, col_sums=mu,
-                                            upper_triangular=(variant == "borel")):
+        for w0 in enumerate_weight_matrices(n, r, col_sums=mu, row_sums=nu,
+                                            upper_triangular=upper):
             tuples.append((w0,) + tail)
-    return tuple(sorted(tuples, key=lambda tup: tuple(flatten(w) for w in tup),
-                        reverse=True))
+    # tuples of equally sized matrices compare like their row-major flattenings
+    return tuple(sorted(tuples, reverse=True))
 
 
-def enumerate_bar_basis(lam, k, variant="borel"):
-    """Degree-k tuple basis, canonical order; empty above the chain bound."""
+def _basis(lam, k, variant, nu):
+    # differential reads its bases here, so that a trace of
+    # enumerate_bar_basis counts each basis a builder asks for once
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if k < 0:
         raise ValueError("degree must be non-negative")
     lam = _normalize(lam)
+    if nu is not None:
+        nu = tuple(nu)
     if k >= max_chain_length(len(lam), sum(lam)):
         return ()
-    return _bar_basis(lam, k, variant)
+    return _bar_basis(lam, k, variant, nu)
 
 
-def differential(lam, k, variant="borel"):
-    """Matrix of the degree-k differential (k >= 1) on tuple bases."""
+def enumerate_bar_basis(lam, k, variant="borel", nu=None):
+    """Degree-k tuple basis, canonical order; empty above the chain bound.
+
+    With nu, only the weight block: the tuples whose leading matrix has row
+    sums nu, in the order they have in the whole basis.
+    """
+    return _basis(lam, k, variant, nu)
+
+
+def differential(lam, k, variant="borel", nu=None):
+    """Matrix of the degree-k differential (k >= 1) on tuple bases.
+
+    Products keep the row sums of the left factor, so the differential
+    preserves the leading row sums; with nu it is the diagonal block of the
+    whole differential on the nu weight block.
+    """
     if k < 1:
         raise ValueError("the tuple differential starts at degree 1")
-    lam = _normalize(lam)
-    cur = enumerate_bar_basis(lam, k, variant)
-    prev = enumerate_bar_basis(lam, k - 1, variant)
+    cur = _basis(lam, k, variant, nu)
+    prev = _basis(lam, k - 1, variant, nu)
     index = {lab: i for i, lab in enumerate(prev)}
     mat = Matrix.zeros(len(prev), len(cur))
     for col, tup in enumerate(cur):
@@ -130,21 +146,22 @@ def homotopy(lam, k):
     return mat
 
 
-def _top_degree(lam, variant):
+def _bases(lam, variant, nu=None):
+    """Bases of every nonempty degree; the first empty degree ends them."""
+    labels = {}
     k = 0
-    while enumerate_bar_basis(lam, k + 1, variant):
+    while basis := enumerate_bar_basis(lam, k, variant, nu):
+        labels[k] = basis
         k += 1
-    return k
+    return labels
 
 
 def build_borel_resolution(lam):
     """Augmented bar resolution of the rank-one module over the Borel
     subalgebra, with differentials and contracting homotopies."""
     lam = _normalize(lam)
-    hi = _top_degree(lam, "borel")
-    labels = {-1: ((),)}
-    for k in range(hi + 1):
-        labels[k] = enumerate_bar_basis(lam, k, "borel")
+    labels = {-1: ((),), **_bases(lam, "borel")}
+    hi = max(labels)
     diffs = {0: augmentation_row(lam)}
     for k in range(1, hi + 1):
         diffs[k] = differential(lam, k, "borel")
@@ -155,18 +172,20 @@ def build_borel_resolution(lam):
     return cx
 
 
-def build_weyl_resolution(lam):
+def build_weyl_resolution(lam, nu=None):
     """Induced resolution over the full algebra, degrees >= 0.
 
     The resolved module is not given a stored basis; it is the degree-0
     cokernel, with exactness guaranteed when the composition is a partition.
+    With nu, only the nu weight block, a direct summand of the complex.
     """
     lam = _normalize(lam)
-    hi = _top_degree(lam, "full")
-    labels = {k: enumerate_bar_basis(lam, k, "full") for k in range(hi + 1)}
-    diffs = {k: differential(lam, k, "full") for k in range(1, hi + 1)}
-    cx = ChainComplex(labels, diffs,
-                      meta={"n": len(lam), "r": sum(lam), "lam": lam, "variant": "weyl"})
+    labels = _bases(lam, "full", nu)
+    diffs = {k: differential(lam, k, "full", nu) for k in range(1, max(labels) + 1)}
+    meta = {"n": len(lam), "r": sum(lam), "lam": lam, "variant": "weyl"}
+    if nu is not None:
+        meta.update(variant="weyl-block", nu=tuple(nu))
+    cx = ChainComplex(labels, diffs, meta=meta)
     cx.check_complex()
     return cx
 

@@ -13,7 +13,9 @@ Conventions used across the package:
 
 All values are plain immutable tuples and all functions are pure, so they
 are safe to share and cache.  Enumerations come back in a fixed canonical
-order: descending lexicographic on the row-major flattened entries.  Every
+order: descending lexicographic on the row-major flattened entries.  For
+nested tuples of one shape that is Python's own tuple comparison, so
+canonical sorts compare the values themselves and never flatten them.  Every
 matrix assembled downstream inherits its row/column order from here, which
 keeps serialized output reproducible byte for byte.
 """
@@ -34,8 +36,8 @@ def flatten(nested):
 
 
 def canonical_sort(items):
-    """Sort into the canonical order: descending lex on flattened entries."""
-    return tuple(sorted(items, key=flatten, reverse=True))
+    """Sort equally shaped nested tuples into the canonical order."""
+    return tuple(sorted(items, reverse=True))
 
 
 def multinomial(parts):

@@ -108,9 +108,9 @@ def orbit(omega):
 
 
 def orbit_size(omega):
-    r = sum(flatten(omega))
-    size = factorial(r)
-    for v in flatten(omega):
+    entries = flatten(omega)
+    size = factorial(sum(entries))
+    for v in entries:
         size //= factorial(v)
     return size
 
@@ -118,7 +118,7 @@ def orbit_size(omega):
 def endo_of_basis(omega):
     """The basis element as a sum of matrix units over its orbit."""
     n = len(omega)
-    r = sum(flatten(omega))
+    r = sum(map(sum, omega))
     _guard(n, r)
     return TensorEndomorphism(n, r, {pair: 1 for pair in orbit(omega)})
 
@@ -162,8 +162,8 @@ def green_convolution(omega, pi):
     (i, j) of tau; the count is independent of the representative.
     """
     n = len(omega)
-    r = sum(flatten(omega))
-    if len(pi) != n or sum(flatten(pi)) != r:
+    r = sum(map(sum, omega))
+    if len(pi) != n or sum(map(sum, pi)) != r:
         raise ValueError("algebra size mismatch")
     _guard(n, r)
     if matrix_marginal(omega, 1) != matrix_marginal(pi, 2):

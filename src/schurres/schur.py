@@ -19,7 +19,6 @@ from .combinatorics import (
     enumerate_compositions,
     enumerate_weight_matrices,
     filtration_degree,
-    flatten,
     is_upper_triangular,
     matrix_marginal,
     multinomial,
@@ -69,7 +68,7 @@ def structure_constants(omega, pi):
             key.append(tuple(row))
         key = tuple(key)
         acc[key] = acc.get(key, 0) + coeff
-    return tuple(sorted(acc.items(), key=lambda kv: flatten(kv[0]), reverse=True))
+    return tuple(sorted(acc.items(), reverse=True))
 
 
 class AlgebraElement:
@@ -82,7 +81,7 @@ class AlgebraElement:
         self.r = r
         clean = {}
         for key, c in (terms or {}).items():
-            if len(key) != n or sum(flatten(key)) != r:
+            if len(key) != n or sum(map(sum, key)) != r:
                 raise ValueError("basis key does not match the algebra sizes")
             if c:
                 clean[key] = c
@@ -93,8 +92,9 @@ class AlgebraElement:
             raise ValueError("algebra size mismatch")
 
     def items(self):
-        """Terms in canonical (descending flattened-key) order."""
-        return tuple(sorted(self.terms.items(), key=lambda kv: flatten(kv[0]), reverse=True))
+        """Terms in canonical (descending key) order; keys are distinct, so
+        coefficients are never compared."""
+        return tuple(sorted(self.terms.items(), reverse=True))
 
     def __bool__(self):
         return bool(self.terms)
@@ -144,7 +144,7 @@ class AlgebraElement:
 def basis_element(omega):
     """The basis element attached to a weight matrix."""
     n = len(omega)
-    return AlgebraElement(n, sum(flatten(omega)), {omega: 1})
+    return AlgebraElement(n, sum(map(sum, omega)), {omega: 1})
 
 
 def zero(n, r):
@@ -153,9 +153,9 @@ def zero(n, r):
 
 def multiply_basis(omega, pi):
     """Product of two basis elements as an algebra element."""
-    if len(omega) != len(pi) or sum(flatten(omega)) != sum(flatten(pi)):
+    if len(omega) != len(pi) or sum(map(sum, omega)) != sum(map(sum, pi)):
         raise ValueError("algebra size mismatch")
-    n, r = len(omega), sum(flatten(omega))
+    n, r = len(omega), sum(map(sum, omega))
     return AlgebraElement(n, r, dict(structure_constants(omega, pi)))
 
 

@@ -13,6 +13,7 @@ compose right factor first.
 
 from itertools import permutations as _permutations
 
+from .barcomplex import build_weyl_resolution
 from .combinatorics import matrix_marginal
 from .complexes import ChainComplex
 
@@ -105,36 +106,11 @@ def apply_schur_functor(cx):
 
 
 def truncated_resolution(lam):
-    """The same truncated complex assembled directly from kept tuples,
-    skipping the ambient resolution (whose ranks dwarf the truncation)."""
-    from .barcomplex import enumerate_bar_basis
-    from .complexes import Matrix
-    from .schur import structure_constants
-
+    """The same truncated complex, built as the multilinear weight block of
+    the induced resolution: only tuples whose leading matrix has row sums
+    delta = (1^r, 0^(n-r)) are enumerated, and the differential is assembled
+    on them alone, never on the ambient resolution (whose ranks dwarf it)."""
     lam = tuple(lam)
-    n, r = len(lam), sum(lam)
-    delta = multilinear_weight(n, r)
-    labels = {}
-    k = 0
-    while True:
-        basis = tuple(tup for tup in enumerate_bar_basis(lam, k, "full")
-                      if matrix_marginal(tup[0], 2) == delta)
-        if not basis:
-            break
-        labels[k] = basis
-        k += 1
-    diffs = {}
-    for k in range(1, max(labels) + 1):
-        index = {lab: i for i, lab in enumerate(labels[k - 1])}
-        mat = Matrix.zeros(len(labels[k - 1]), len(labels[k]))
-        for col, tup in enumerate(labels[k]):
-            for t in range(k):
-                sign = -1 if t % 2 else 1
-                for key, c in structure_constants(tup[t], tup[t + 1]):
-                    target = tup[:t] + (key,) + tup[t + 2:]
-                    mat.rows[index[target]][col] += sign * c
-        diffs[k] = mat
-    out = ChainComplex(labels, diffs,
-                       meta={"n": n, "r": r, "lam": lam, "variant": "schur-functor"})
-    out.check_complex()
-    return out
+    cx = build_weyl_resolution(lam, multilinear_weight(len(lam), sum(lam)))
+    return ChainComplex(cx.labels, cx.differentials,
+                        meta={**cx.meta, "variant": "schur-functor"})

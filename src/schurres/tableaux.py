@@ -342,17 +342,19 @@ def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
         fb.rank(k) == bh.rank(k) for k in fb.degrees())
     matrices_equal = {}
     if degree_match:
-        position = {}
+        # under bijective relabelling, equal nonzero entries mean equal matrices
+        position, bijective = {}, {}
         for k in fb.degrees():
             bh_index = {lab: i for i, lab in enumerate(bh.labels[k])}
             position[k] = [bh_index[bh_label_of_bar_tuple(tup)]
                            for tup in fb.labels[k]]
+            bijective[k] = len(set(position[k])) == bh.rank(k)
         for k in range(fb.lo + 1, fb.hi + 1):
-            fmat = fb.differential(k)
-            bmat = bh.differential(k)
-            matrices_equal[k] = all(
-                fmat.rows[i][j] == bmat.rows[position[k - 1][i]][position[k][j]]
-                for i in range(fmat.nrows) for j in range(fmat.ncols))
+            pr, pc = position[k - 1], position[k]
+            matrices_equal[k] = (
+                bijective[k - 1] and bijective[k]
+                and {(pr[i], pc[j], v) for i, j, v in fb.differential(k).entries()}
+                == set(bh.differential(k).entries()))
 
     def cokernel_rank(cx):
         d1 = cx.differential(cx.lo + 1)

@@ -14,6 +14,7 @@ from schurres.combinatorics import (
     enumerate_dominance_chains,
     enumerate_partitions,
     enumerate_weight_matrices,
+    flatten,
     matrix_marginal,
     max_chain_length,
 )
@@ -50,6 +51,55 @@ def test_bar_basis_vanishes_beyond_chain_bound():
             for k in range(bound, bound + 3):
                 assert enumerate_bar_basis(lam, k, "borel") == ()
                 assert enumerate_bar_basis(lam, k, "full") == ()
+
+
+def test_bar_basis_in_flattened_lex_order():
+    for lam in [(2, 1, 0), (1, 1, 1), (2, 1, 1)]:
+        for k in range(3):
+            for variant in ("borel", "full"):
+                basis = enumerate_bar_basis(lam, k, variant)
+                assert list(basis) == sorted(
+                    basis, key=lambda tup: tuple(flatten(w) for w in tup), reverse=True)
+
+
+def test_weight_blocks_partition_the_full_basis():
+    # every partition at n=3, r<=4, every composition as the block weight
+    for r in range(5):
+        comps = enumerate_compositions(3, r)
+        for lam in enumerate_partitions(3, r):
+            for k in range(max_chain_length(3, r)):
+                full = enumerate_bar_basis(lam, k, "full")
+                blocks = {nu: enumerate_bar_basis(lam, k, "full", nu) for nu in comps}
+                for nu, block in blocks.items():
+                    assert block == tuple(tup for tup in full
+                                          if matrix_marginal(tup[0], 2) == nu)
+                merged = [tup for block in blocks.values() for tup in block]
+                assert sorted(merged, reverse=True) == list(full)
+
+
+def test_block_differential_is_a_submatrix_of_the_full_one():
+    for r in range(1, 5):
+        comps = enumerate_compositions(3, r)
+        for lam in enumerate_partitions(3, r):
+            for k in range(1, max_chain_length(3, r)):
+                full_d = differential(lam, k, "full")
+                position = [{tup: i for i, tup in enumerate(enumerate_bar_basis(lam, j, "full"))}
+                            for j in (k - 1, k)]
+                for nu in comps:
+                    rows, cols = ([position[j][tup]
+                                   for tup in enumerate_bar_basis(lam, k - 1 + j, "full", nu)]
+                                  for j in (0, 1))
+                    assert differential(lam, k, "full", nu) == full_d.submatrix(rows, cols)
+
+
+def test_weyl_block_resolution():
+    lam, nu = (2, 1, 1), (1, 2, 1)
+    block = build_weyl_resolution(lam, nu)
+    assert block.meta["variant"] == "weyl-block" and block.meta["nu"] == nu
+    assert all(block.labels[k] == enumerate_bar_basis(lam, k, "full", nu)
+               for k in block.degrees())
+    assert enumerate_bar_basis(lam, block.hi + 1, "full", nu) == ()
+    assert verify_exactness(block, list(range(1, block.hi + 1))).ok
 
 
 def test_direct_sum_shape():

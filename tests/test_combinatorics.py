@@ -12,6 +12,7 @@ from schurres.combinatorics import (
     enumerate_weight_matrices,
     enumerate_weight_tensors,
     filtration_degree,
+    flatten,
     is_diagonal,
     is_upper_triangular,
     matrix_marginal,
@@ -132,6 +133,36 @@ def test_weight_matrix_canonical_order():
     mats = enumerate_weight_matrices(2, 2)
     flat = [tuple(v for row in m for v in row) for m in mats]
     assert flat == sorted(flat, reverse=True)
+
+
+def nested_tuples(shape, leaf):
+    if not shape:
+        return leaf
+    return st.tuples(*[nested_tuples(shape[1:], leaf)] * shape[0])
+
+
+@st.composite
+def same_shape_tuples(draw):
+    """Nested tuples of one shape: weight matrices are 2-deep, tensors,
+    bar tuples and dominance chains 2- or 3-deep."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return draw(st.lists(nested_tuples(shape, st.integers(0, 3)), max_size=12))
+
+
+@given(same_shape_tuples())
+def test_native_order_is_flattened_lex_order(items):
+    assert sorted(items, reverse=True) == sorted(items, key=flatten, reverse=True)
+
+
+def test_enumerations_come_in_flattened_lex_order():
+    omega, pi = ((1, 1, 0), (1, 0, 1), (0, 1, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 0))
+    for items in (enumerate_weight_matrices(3, 3),
+                  enumerate_weight_matrices(3, 4, col_sums=(2, 1, 1)),
+                  enumerate_weight_tensors(omega, pi),
+                  enumerate_dominance_chains((1, 1, 1), 2),
+                  enumerate_dominance_chains((2, 1, 1, 0), 3)):
+        assert len(items) > 1
+        assert list(items) == sorted(items, key=flatten, reverse=True)
 
 
 def test_weight_tensor_enumeration_examples():

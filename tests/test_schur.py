@@ -8,6 +8,7 @@ from schurres.combinatorics import (
     enumerate_weight_matrices,
     enumerate_weight_tensors,
     filtration_degree,
+    flatten,
     is_upper_triangular,
     matrix_marginal,
     max_chain_length,
@@ -77,6 +78,20 @@ def test_multiply_basis_matches_tensor_enumeration():
                                       for q in range(n)) for s in range(n))
                     acc[key] = acc.get(key, 0) + tensor_multiplicity(th)
                 assert dict(structure_constants(om, pi)) == acc
+
+
+def test_expansions_come_in_flattened_key_order():
+    def by_flat_key(pairs):
+        return sorted(pairs, key=lambda kv: flatten(kv[0]), reverse=True)
+
+    mats = enumerate_weight_matrices(3, 3)
+    for om in mats[::7]:
+        for pi in mats[::5]:
+            terms = structure_constants(om, pi)
+            assert list(terms) == by_flat_key(terms)
+    x = sum((c * basis_element(m) for c, m in zip(range(1, 40), mats[::-3])), zero(3, 3))
+    assert len(x.items()) == 39
+    assert list(x.items()) == by_flat_key(x.terms.items())
 
 
 def test_multiply_bilinear():

@@ -12,6 +12,7 @@ from schurres.complexes import ChainComplex, Matrix
 from schurres.homology import smith_normal_form
 from schurres.schur import structure_constants
 from schurres.schurfunctor import (
+    truncated_resolution,
     all_permutations,
     compose_permutations,
     invert_permutation,
@@ -20,6 +21,7 @@ from schurres.schurfunctor import (
 )
 from schurres.tableaux import (
     act,
+    bh_label_of_bar_tuple,
     build_bh_complex,
     canonical_tableau,
     compare_with_schur_functor,
@@ -226,6 +228,53 @@ def test_compare_negative_control():
     report = compare_with_schur_functor(lam, bh=hacked)
     assert not report.ok
     assert not all(report.matrices_equal.values())
+
+
+def test_compare_detects_an_extra_nonzero():
+    lam = (2, 1, 1, 0)
+    fb = truncated_resolution(lam)
+    bh = build_bh_complex(lam)
+    assert compare_with_schur_functor(lam, fb=fb, bh=bh).ok
+    # a zero of the truncation's d_2 maps to a zero of the BH d_2
+    position = [{lab: i for i, lab in enumerate(bh.labels[k])} for k in (1, 2)]
+    d2 = fb.differential(2)
+    i, j = next((i, j) for i in range(d2.nrows) for j in range(d2.ncols)
+                if d2.rows[i][j] == 0)
+    hacked_d2 = bh.differential(2).copy()
+    row = position[0][bh_label_of_bar_tuple(fb.labels[1][i])]
+    col = position[1][bh_label_of_bar_tuple(fb.labels[2][j])]
+    assert hacked_d2.rows[row][col] == 0
+    hacked_d2.rows[row][col] = 1
+    hacked = ChainComplex(bh.labels, {**bh.differentials, 2: hacked_d2}, meta=bh.meta)
+    report = compare_with_schur_functor(lam, fb=fb, bh=hacked)
+    assert not report.ok
+    assert report.degree_match and report.matrices_equal[1]
+    assert not report.matrices_equal[2]
+
+
+def test_compare_detects_a_non_bijective_relabelling():
+    # two top-degree labels name one BH basis element, and the columns are
+    # arranged so that the mapped nonzero entries still agree as sets
+    lam = (2, 1, 1, 0)
+    fb = truncated_resolution(lam)
+    bh = build_bh_complex(lam)
+    top = fb.hi
+    lost = bh.labels[top].index(bh_label_of_bar_tuple(fb.labels[top][1]))
+    labels = list(fb.labels[top])
+    labels[1] = labels[0]
+    fb_d = fb.differential(top).copy()
+    bh_d = bh.differential(top).copy()
+    for i in range(fb_d.nrows):
+        fb_d.rows[i][1] = fb_d.rows[i][0]
+        bh_d.rows[i][lost] = 0
+    fb_hacked = ChainComplex({**fb.labels, top: tuple(labels)},
+                             {**fb.differentials, top: fb_d}, meta=fb.meta)
+    bh_hacked = ChainComplex(bh.labels, {**bh.differentials, top: bh_d}, meta=bh.meta)
+    report = compare_with_schur_functor(lam, fb=fb_hacked, bh=bh_hacked)
+    assert report.degree_match
+    assert not report.ok
+    assert not report.matrices_equal[top]
+    assert all(report.matrices_equal[k] for k in range(1, top))
 
 
 def test_tableau_counters_match_hook_formulas():
