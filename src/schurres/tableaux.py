@@ -20,7 +20,14 @@ matrices.  The differential composes adjacent factors with alternating
 signs; compositions are re-expanded in the tableau basis by evaluating at
 the canonical (row-filling) tableau, with no reference to the weight-matrix
 structure constants, so the comparison with the idempotent-truncated
-resolution is a genuine two-route check.
+resolution is a genuine two-route check.  Only that one column of a
+composition is formed (the left homomorphism applied to the right one's
+column at the canonical tableau), and each distinct adjacent pair is
+composed, checked and expanded once per build of a complex; the expansions
+live in a dict owned by that build.
+
+Homomorphism matrices are cached as immutable tuples; `tableau_hom` hands
+out a fresh `Matrix` on every call.
 """
 
 from functools import lru_cache
@@ -132,21 +139,23 @@ def tableau_hom(tab):
     """Matrix of the homomorphism attached to a row-semistandard tableau.
 
     Columns run over the multilinear tableaux of the content shape, rows
-    over those of the tableau's shape; every entry is 0 or 1.
+    over those of the tableau's shape; every entry is 0 or 1.  Each call
+    returns a fresh matrix, so changing it changes no later result.
     """
-    omega = matrix_of_tableau(tab)
-    return _tableau_hom_of_matrix(omega)
+    return Matrix.from_rows(_tableau_hom_rows(matrix_of_tableau(tab)))
 
 
 @lru_cache(maxsize=None)
-def _tableau_hom_of_matrix(omega):
+def _tableau_hom_rows(omega):
+    """Rows of the homomorphism attached to a weight matrix, as an immutable
+    tuple of tuples (the codomain is never empty)."""
     n = len(omega)
     lam = matrix_marginal(omega, 2)
     mu = matrix_marginal(omega, 1)
     domain = multilinear_tableaux(mu)
     codomain = multilinear_tableaux(lam)
     cod_index = {tab: i for i, tab in enumerate(codomain)}
-    mat = Matrix.zeros(len(codomain), len(domain))
+    mat = [[0] * len(domain) for _ in codomain]
     for col, source in enumerate(domain):
         # independently split row t of the source into blocks of sizes
         # omega[.][t]; row s of the image collects the s-blocks
@@ -159,8 +168,8 @@ def _tableau_hom_of_matrix(omega):
                 for t in range(n):
                     merged.extend(split[t][s])
                 rows.append(tuple(sorted(merged)))
-            mat.rows[cod_index[tuple(rows)]][col] += 1
-    return mat
+            mat[cod_index[tuple(rows)]][col] += 1
+    return tuple(map(tuple, mat))
 
 
 def _intersection_profile(tab, blocks):
@@ -181,19 +190,30 @@ def expand_in_tableau_basis(mat, target_shape, source_shape):
     """Write an equivariant map between permutation modules as a combination
     of tableau homomorphisms.
 
-    Evaluates the matrix at the canonical tableau of the source shape and
-    groups image coefficients by their intersection profile with its rows;
-    equivariance forces each profile class to carry one coefficient, which is
-    asserted.  Returns {weight matrix of the tableau: coefficient}.
+    Reads the matrix's column at the canonical tableau of the source shape
+    and expands it with `expand_canonical_column`.  Returns {weight matrix
+    of the tableau: coefficient}.
     """
-    source = multilinear_tableaux(source_shape)
+    col = multilinear_tableaux(source_shape).index(canonical_tableau(source_shape))
+    return expand_canonical_column([row[col] for row in mat.rows],
+                                   target_shape, source_shape)
+
+
+def expand_canonical_column(column, target_shape, source_shape):
+    """Expand an equivariant map from its image of the canonical tableau.
+
+    `column` lists that image's coefficients on the multilinear tableaux of
+    the target shape.  They are grouped by their intersection profile with
+    the rows of the canonical tableau of the source shape; equivariance
+    forces each profile class to carry one coefficient, which is asserted.
+    Returns {weight matrix of the tableau: coefficient}.
+    """
     codomain = multilinear_tableaux(target_shape)
-    col = source.index(canonical_tableau(source_shape))
     blocks = canonical_tableau(source_shape)
     by_profile = {}
-    for i, image_tab in enumerate(codomain):
+    for image_tab, c in zip(codomain, column, strict=True):
         profile = _intersection_profile(image_tab, blocks)
-        by_profile.setdefault(profile, []).append(mat.rows[i][col])
+        by_profile.setdefault(profile, []).append(c)
     out = {}
     for profile, coeffs in by_profile.items():
         if len(set(coeffs)) != 1:
@@ -202,6 +222,21 @@ def expand_in_tableau_basis(mat, target_shape, source_shape):
         if coeffs[0]:
             out[profile] = coeffs[0]
     return out
+
+
+def _composition_at_canonical_column(left, right, n):
+    """Expansion of hom(left) o hom(right) over tableau homomorphisms.
+
+    Only the product's column at the canonical tableau of the source shape
+    is formed: hom(left) applied to that one column of hom(right).
+    """
+    source_shape = tableau_content(right, n)
+    col = multilinear_tableaux(source_shape).index(canonical_tableau(source_shape))
+    right_rows = _tableau_hom_rows(matrix_of_tableau(right))
+    support = [(k, row[col]) for k, row in enumerate(right_rows) if row[col]]
+    column = [sum(row[k] * v for k, v in support)
+              for row in _tableau_hom_rows(matrix_of_tableau(left))]
+    return expand_canonical_column(column, tableau_shape(left), source_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -224,38 +259,37 @@ def _basis_labels(lam, n, k):
     return tuple(labels)
 
 
-def _bh_differential(labels_k, labels_km1, k, n):
+def _bh_differential(labels_k, labels_km1, k, n, compositions):
+    """Degree-k differential.  `compositions` maps each adjacent pair (left,
+    right) of hom tableaux already composed in this build to its expansion,
+    a tuple of (merged tableau, coefficient)."""
     index = {lab: i for i, lab in enumerate(labels_km1)}
     mat = Matrix.zeros(len(labels_km1), len(labels_k))
     for col, lab in enumerate(labels_k):
         functional, homs = lab[0], lab[1:]
         # t = 0: precompose the functional with the first homomorphism
-        hom1 = tableau_hom(homs[0])
+        hom1 = _tableau_hom_rows(matrix_of_tableau(homs[0]))
         fun_index = multilinear_tableaux(tableau_shape(functional)).index(functional)
-        next_domain = multilinear_tableaux(_content_shape(homs[0], n))
-        for j, target_fun in enumerate(next_domain):
-            c = hom1.rows[fun_index][j]
+        next_domain = multilinear_tableaux(tableau_content(homs[0], n))
+        for target_fun, c in zip(next_domain, hom1[fun_index]):
             if c:
                 target = (target_fun,) + homs[1:]
                 mat.rows[index[target]][col] += c
         # t >= 1: compose adjacent homomorphisms, re-expanded over tableaux
         for t in range(1, k):
             sign = -1 if t % 2 else 1
-            left, right = homs[t - 1], homs[t]
-            product_matrix = tableau_hom(left) @ tableau_hom(right)
-            expansion = expand_in_tableau_basis(
-                product_matrix, tableau_shape(left), _content_shape(right, n))
-            for omega, c in expansion.items():
-                if not is_upper_triangular(omega):
+            pair = homs[t - 1], homs[t]
+            terms = compositions.get(pair)
+            if terms is None:
+                expansion = _composition_at_canonical_column(*pair, n)
+                if not all(map(is_upper_triangular, expansion)):
                     raise ValueError("composition left the upper-triangular span")
-                merged = tableau_of_matrix(omega)
+                terms = compositions[pair] = tuple(
+                    (tableau_of_matrix(omega), c) for omega, c in expansion.items())
+            for merged, c in terms:
                 target = (functional,) + homs[:t - 1] + (merged,) + homs[t + 1:]
                 mat.rows[index[target]][col] += sign * c
     return mat
-
-
-def _content_shape(tab, n):
-    return tableau_content(tab, n)
 
 
 def build_bh_complex(lam, n=None):
@@ -283,9 +317,10 @@ def build_bh_complex(lam, n=None):
         labels[k] = basis
         k += 1
     hi = k - 1
+    compositions = {}
     diffs = {}
     for k in range(1, hi + 1):
-        diffs[k] = _bh_differential(labels[k], labels[k - 1], k, n)
+        diffs[k] = _bh_differential(labels[k], labels[k - 1], k, n, compositions)
     cx = ChainComplex(labels, diffs,
                       meta={"n": n, "r": r, "lam": lam, "variant": "bh"})
     cx.check_complex()
@@ -301,6 +336,17 @@ def bh_label_of_bar_tuple(tup):
     tableaux."""
     head = tableau_of_matrix(transpose_matrix(tup[0]))
     return (head,) + tuple(tableau_of_matrix(w) for w in tup[1:])
+
+
+def _bh_relabelling():
+    """`bh_label_of_bar_tuple` converting each distinct weight matrix once,
+    for as long as the returned function lives."""
+    head = lru_cache(maxsize=None)(lambda w: tableau_of_matrix(transpose_matrix(w)))
+    tail = lru_cache(maxsize=None)(tableau_of_matrix)
+
+    def label(tup):
+        return (head(tup[0]),) + tuple(map(tail, tup[1:]))
+    return label
 
 
 class ComparisonReport:
@@ -344,10 +390,10 @@ def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
     if degree_match:
         # under bijective relabelling, equal nonzero entries mean equal matrices
         position, bijective = {}, {}
+        relabel = _bh_relabelling()
         for k in fb.degrees():
             bh_index = {lab: i for i, lab in enumerate(bh.labels[k])}
-            position[k] = [bh_index[bh_label_of_bar_tuple(tup)]
-                           for tup in fb.labels[k]]
+            position[k] = [bh_index[relabel(tup)] for tup in fb.labels[k]]
             bijective[k] = len(set(position[k])) == bh.rank(k)
         for k in range(fb.lo + 1, fb.hi + 1):
             pr, pc = position[k - 1], position[k]

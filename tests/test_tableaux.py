@@ -2,11 +2,14 @@ from math import factorial
 
 import pytest
 
+from schurres import tableaux
 from schurres.combinatorics import (
     enumerate_compositions,
     enumerate_partitions,
     enumerate_weight_matrices,
+    is_upper_triangular,
     matrix_marginal,
+    transpose_matrix,
 )
 from schurres.complexes import ChainComplex, Matrix
 from schurres.homology import smith_normal_form
@@ -35,6 +38,7 @@ from schurres.tableaux import (
     tableau_content,
     tableau_hom,
     tableau_of_matrix,
+    tableau_shape,
 )
 
 
@@ -177,6 +181,122 @@ def test_expand_detects_non_equivariant():
         expand_in_tableau_basis(bad, (1, 1), (2, 0))
 
 
+def reference_bh_differential(labels_k, labels_km1, k, n):
+    """The per-column differential: every column multiplies the full matrices
+    of each adjacent pair and expands the product afresh."""
+    index = {lab: i for i, lab in enumerate(labels_km1)}
+    mat = Matrix.zeros(len(labels_km1), len(labels_k))
+    for col, lab in enumerate(labels_k):
+        functional, homs = lab[0], lab[1:]
+        hom1 = tableau_hom(homs[0])
+        fun_index = multilinear_tableaux(tableau_shape(functional)).index(functional)
+        next_domain = multilinear_tableaux(tableau_content(homs[0], n))
+        for j, target_fun in enumerate(next_domain):
+            c = hom1.rows[fun_index][j]
+            if c:
+                target = (target_fun,) + homs[1:]
+                mat.rows[index[target]][col] += c
+        for t in range(1, k):
+            sign = -1 if t % 2 else 1
+            left, right = homs[t - 1], homs[t]
+            product_matrix = tableau_hom(left) @ tableau_hom(right)
+            expansion = expand_in_tableau_basis(
+                product_matrix, tableau_shape(left), tableau_content(right, n))
+            for omega, c in expansion.items():
+                if not is_upper_triangular(omega):
+                    raise ValueError("composition left the upper-triangular span")
+                merged = tableau_of_matrix(omega)
+                target = (functional,) + homs[:t - 1] + (merged,) + homs[t + 1:]
+                mat.rows[index[target]][col] += sign * c
+    return mat
+
+
+def adjacent_pairs(cx):
+    return {(lab[t - 1], lab[t]) for k in cx.degrees() for lab in cx.labels[k]
+            for t in range(2, len(lab))}
+
+
+@pytest.mark.parametrize("lam, n", [
+    *((lam, r) for r in range(1, 5) for lam in enumerate_partitions(r, r)),
+    ((2, 1, 1, 1, 0), 5),
+])
+def test_bh_differential_matches_the_per_column_reference(lam, n):
+    cx = build_bh_complex(lam, n)
+    for k in range(cx.lo + 1, cx.hi + 1):
+        expected = reference_bh_differential(cx.labels[k], cx.labels[k - 1], k, n)
+        assert cx.differential(k) == expected, (lam, k)
+
+
+def test_canonical_column_expansion_matches_the_full_product():
+    for n, r in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
+        mats = enumerate_weight_matrices(n, r)
+        for om in mats:
+            left = tableau_of_matrix(om)
+            for pi in mats:
+                if matrix_marginal(om, 1) != matrix_marginal(pi, 2):
+                    continue
+                right = tableau_of_matrix(pi)
+                full = expand_in_tableau_basis(
+                    tableau_hom(left) @ tableau_hom(right),
+                    matrix_marginal(om, 2), matrix_marginal(pi, 1))
+                assert tableaux._composition_at_canonical_column(left, right, n) == full
+
+
+def test_bh_build_expands_each_adjacent_pair_once(monkeypatch):
+    calls = []
+    expand = tableaux.expand_canonical_column
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(tableaux, "expand_canonical_column", counted)
+    cx = build_bh_complex((2, 1, 1, 1, 0), 5)
+    assert len(calls) == len(adjacent_pairs(cx)) == 262
+    calls.clear()
+    build_bh_complex((2, 1, 1, 1, 0), 5)
+    assert len(calls) == 262  # the cache lives for one build only
+
+
+def test_bh_build_detects_a_non_equivariant_hom(monkeypatch):
+    # the hom of a left factor of a composition in the complex sends every
+    # source tableau to the last basis tableau alone, which is not equivariant
+    lam = (2, 1, 1, 0)
+    left, _ = min(adjacent_pairs(build_bh_complex(lam)))
+    corrupt = matrix_of_tableau(left)
+    rows_of = tableaux._tableau_hom_rows
+
+    def patched(omega):
+        rows = rows_of(omega)
+        if omega != corrupt:
+            return rows
+        last = len(rows) - 1
+        return tuple(tuple(int(i == last) for _ in row) for i, row in enumerate(rows))
+
+    monkeypatch.setattr(tableaux, "_tableau_hom_rows", patched)
+    with pytest.raises(ValueError, match="not equivariant"):
+        build_bh_complex(lam)
+
+
+def test_bh_build_detects_a_composition_outside_the_triangular_span(monkeypatch):
+    compose = tableaux._composition_at_canonical_column
+
+    def transposed(*args):
+        return {transpose_matrix(omega): c for omega, c in compose(*args).items()}
+
+    monkeypatch.setattr(tableaux, "_composition_at_canonical_column", transposed)
+    with pytest.raises(ValueError, match="upper-triangular"):
+        build_bh_complex((1, 1, 1))
+
+
+def test_tableau_hom_returns_a_fresh_matrix():
+    tab = ((1, 2), ())
+    d1 = build_bh_complex((1, 1)).differential(1)
+    tableau_hom(tab).rows[0][0] = 99
+    assert tableau_hom(tab).rows == [[1, 1]]
+    assert build_bh_complex((1, 1)).differential(1) == d1
+
+
 def test_bh_complex_small():
     cx = build_bh_complex((1, 1))
     assert [cx.rank(k) for k in cx.degrees()] == [2, 1]
@@ -275,6 +395,27 @@ def test_compare_detects_a_non_bijective_relabelling():
     assert not report.ok
     assert not report.matrices_equal[top]
     assert all(report.matrices_equal[k] for k in range(1, top))
+
+
+def test_relabelling_matches_the_oracle_and_converts_each_matrix_once(monkeypatch):
+    lam = (2, 1, 1, 0)
+    fb = truncated_resolution(lam)
+    labels = [tup for k in fb.degrees() for tup in fb.labels[k]]
+    converted = []
+    to_tableau = tableaux.tableau_of_matrix
+
+    def counted(omega):
+        converted.append(omega)
+        return to_tableau(omega)
+
+    monkeypatch.setattr(tableaux, "tableau_of_matrix", counted)
+    relabel = tableaux._bh_relabelling()
+    got = [relabel(tup) for tup in labels]
+    heads = {tup[0] for tup in labels}
+    tails = {w for tup in labels for w in tup[1:]}
+    assert len(converted) == len(heads) + len(tails) < sum(map(len, labels))
+    monkeypatch.undo()
+    assert got == [bh_label_of_bar_tuple(tup) for tup in labels]
 
 
 def test_tableau_counters_match_hook_formulas():
