@@ -82,7 +82,6 @@ from .dividedpowers import (
     divided_power_of_vector,
     divided_product,
     gl_action,
-    gl_action_expanded,
     to_algebra_element,
     verify_equivariance,
 )

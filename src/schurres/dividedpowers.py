@@ -9,24 +9,21 @@ indexed by weight matrices whose column sums give the factor degrees, so a
 basis monomial of the composition case is just a weight matrix with fixed
 column marginal.
 
-The action of an integer matrix on a basis monomial expands over weight
-tensors with matching axis-1 marginal: each contributes its multiplicity
-coefficient times the monomial evaluation of its axis-3 marginal, landing on
-the monomial of its axis-2 marginal.  The same action computed through the
-divided-power relations gives an independent route, and the identification
-of monomials with algebra basis elements of fixed column marginal
-(verify_equivariance) closes the triangle.
+An integer matrix acts inside the divided-power algebra: each generator goes
+to its image, a column of the matrix; each factor of a monomial is the
+product of the divided powers of those images, expanded by the relations
+above; and the tensor product of the factors is expanded factor by factor.
+No weight tensor or structure constant is involved, so identifying
+monomials with algebra basis elements of the same matrix and comparing with
+left multiplication by the matrix's image in the algebra
+(verify_equivariance) checks two independent routes against each other.
 """
 
 from itertools import product as _product
 from math import comb
 
-from .combinatorics import (
-    enumerate_compositions,
-    enumerate_weight_matrices,
-    multinomial,
-)
-from .oracles import monomial_eval, tensor_power_action
+from .combinatorics import enumerate_compositions, enumerate_weight_matrices
+from .oracles import tensor_power_action
 from .schur import AlgebraElement, basis_element, multiply
 
 
@@ -71,55 +68,18 @@ def divided_power_of_vector(coeffs, k):
     return out
 
 
-def generator_power(q, k, n):
-    """The basis monomial with the q-th generator raised to the k-th divided
-    power (1-based q)."""
-    return {tuple(k if i == q - 1 else 0 for i in range(n)): 1}
-
-
 # ---------------------------------------------------------------------------
 # the matrix action
 
 def gl_action(g, pi):
-    """Action of a square integer matrix on a basis monomial, via the
-    weight-tensor expansion.  Returns {weight matrix: coefficient}."""
+    """Action of a square integer matrix on a basis monomial, computed in
+    the divided-power algebra: column t of pi is the product over s of the
+    pi[s][t]-th divided powers of the image of generator s (column s of g),
+    and the monomial's image is the product of its columns' images.
+    Returns {weight matrix: coefficient}."""
     n = len(pi)
     if len(g) != n:
         raise ValueError("matrix size mismatch")
-    cells = [(t, q) for t in range(n) for q in range(n)]
-    choices = [enumerate_compositions(n, pi[t][q]) for t, q in cells]
-    out = {}
-    for picks in _product(*choices):
-        theta = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for (t, q), fiber in zip(cells, picks):
-            for s in range(n):
-                theta[s][t][q] = fiber[s]
-        coeff = 1
-        target = []
-        evaluated = []
-        for s in range(n):
-            row2 = []
-            row3 = []
-            for q in range(n):
-                fiber_t = tuple(theta[s][t][q] for t in range(n))
-                coeff *= multinomial(fiber_t)
-                row2.append(sum(fiber_t))
-            for t in range(n):
-                row3.append(sum(theta[s][t][q] for q in range(n)))
-            target.append(tuple(row2))
-            evaluated.append(tuple(row3))
-        coeff *= monomial_eval(tuple(evaluated), g)
-        if coeff:
-            key = tuple(target)
-            out[key] = out.get(key, 0) + coeff
-    return {k: c for k, c in out.items() if c}
-
-
-def gl_action_expanded(g, pi):
-    """The same action computed inside the divided-power algebra: act on
-    each generator, expand the divided powers, and multiply factor by
-    factor.  Independent of the weight-tensor route."""
-    n = len(pi)
     per_column = []
     for t in range(n):
         factor = {tuple([0] * n): 1}
@@ -140,15 +100,6 @@ def gl_action_expanded(g, pi):
         if coeff:
             out[matrix] = out.get(matrix, 0) + coeff
     return {k: c for k, c in out.items() if c}
-
-
-def compose_action(g, h, pi):
-    """Act by h, then by g, extending the action linearly."""
-    out = {}
-    for mid, c in gl_action(h, pi).items():
-        for key, d in gl_action(g, mid).items():
-            out[key] = out.get(key, 0) + c * d
-    return {k: v for k, v in out.items() if v}
 
 
 def matmul(g, h):

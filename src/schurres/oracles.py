@@ -20,6 +20,7 @@ override with the SCHURRES_ORACLE_LIMIT environment variable).
 """
 
 import os
+from functools import lru_cache
 from itertools import product as _product
 from math import factorial
 
@@ -90,8 +91,10 @@ def _distinct_arrangements(items):
     return out
 
 
+@lru_cache(maxsize=1024)  # holds every orbit up to n=3, r=4 (495 matrices)
 def orbit(omega):
-    """All multi-index pairs whose pair weight equals omega."""
+    """All multi-index pairs whose pair weight equals omega, as an immutable
+    tuple of (i, j) pairs."""
     n = len(omega)
     pairs = []
     for s in range(n):
@@ -104,7 +107,7 @@ def orbit(omega):
         else:
             i = j = ()
         out.append((tuple(i), tuple(j)))
-    return out
+    return tuple(out)
 
 
 def orbit_size(omega):
@@ -166,16 +169,21 @@ def green_convolution(omega, pi):
     if len(pi) != n or sum(map(sum, pi)) != r:
         raise ValueError("algebra size mismatch")
     _guard(n, r)
-    if matrix_marginal(omega, 1) != matrix_marginal(pi, 2):
+    content = matrix_marginal(omega, 1)
+    if content != matrix_marginal(pi, 2):
         return AlgebraElement(n, r, {})
     candidates = enumerate_weight_matrices(
         n, r, col_sums=matrix_marginal(pi, 1), row_sums=matrix_marginal(omega, 2))
-    indices = enumerate_multi_indices(n, r)
+    # pair weight (i, k) = omega forces k to hold each value t + 1 exactly as
+    # often as column t of omega sums to, so only those middle indices are
+    # scanned; each is still tested against both pair weights
+    middles = _distinct_arrangements(
+        [t + 1 for t, c in enumerate(content) for _ in range(c)])
     terms = {}
     for tau in candidates:
         i, j = orbit(tau)[0]
         count = 0
-        for k in indices:
+        for k in middles:
             if pair_weight(i, k, n) == omega and pair_weight(k, j, n) == pi:
                 count += 1
         if count:

@@ -24,7 +24,9 @@ resolution is a genuine two-route check.  Only that one column of a
 composition is formed (the left homomorphism applied to the right one's
 column at the canonical tableau), and each distinct adjacent pair is
 composed, checked and expanded once per build of a complex; the expansions
-live in a dict owned by that build.
+live in a dict owned by that build.  Likewise each distinct first
+homomorphism's matrix is looked up once per build, and each functional's
+row in it is found through a dict.
 
 Homomorphism matrices are cached as immutable tuples; `tableau_hom` hands
 out a fresh `Matrix` on every call.
@@ -259,19 +261,30 @@ def _basis_labels(lam, n, k):
     return tuple(labels)
 
 
-def _bh_differential(labels_k, labels_km1, k, n, compositions):
+def _resolve_first_hom(hom, n):
+    """Rows of hom(`hom`), one per functional on its codomain, and the
+    multilinear tableaux its columns run over."""
+    return (_tableau_hom_rows(matrix_of_tableau(hom)),
+            multilinear_tableaux(tableau_content(hom, n)))
+
+
+def _bh_differential(labels_k, labels_km1, k, n, compositions, first_homs):
     """Degree-k differential.  `compositions` maps each adjacent pair (left,
     right) of hom tableaux already composed in this build to its expansion,
-    a tuple of (merged tableau, coefficient)."""
+    a tuple of (merged tableau, coefficient); `first_homs` maps each first
+    hom tableau already resolved in this build to `_resolve_first_hom`."""
     index = {lab: i for i, lab in enumerate(labels_km1)}
+    position = {fun: multilinear_tableaux(tableau_shape(fun)).index(fun)
+                for fun in {lab[0] for lab in labels_k}}
     mat = Matrix.zeros(len(labels_km1), len(labels_k))
     for col, lab in enumerate(labels_k):
         functional, homs = lab[0], lab[1:]
         # t = 0: precompose the functional with the first homomorphism
-        hom1 = _tableau_hom_rows(matrix_of_tableau(homs[0]))
-        fun_index = multilinear_tableaux(tableau_shape(functional)).index(functional)
-        next_domain = multilinear_tableaux(tableau_content(homs[0], n))
-        for target_fun, c in zip(next_domain, hom1[fun_index]):
+        first = first_homs.get(homs[0])
+        if first is None:
+            first = first_homs[homs[0]] = _resolve_first_hom(homs[0], n)
+        rows, next_domain = first
+        for target_fun, c in zip(next_domain, rows[position[functional]]):
             if c:
                 target = (target_fun,) + homs[1:]
                 mat.rows[index[target]][col] += c
@@ -318,9 +331,11 @@ def build_bh_complex(lam, n=None):
         k += 1
     hi = k - 1
     compositions = {}
+    first_homs = {}
     diffs = {}
     for k in range(1, hi + 1):
-        diffs[k] = _bh_differential(labels[k], labels[k - 1], k, n, compositions)
+        diffs[k] = _bh_differential(labels[k], labels[k - 1], k, n, compositions,
+                                    first_homs)
     cx = ChainComplex(labels, diffs,
                       meta={"n": n, "r": r, "lam": lam, "variant": "bh"})
     cx.check_complex()

@@ -1,5 +1,6 @@
 import json
 
+from schurres import dividedpowers
 from schurres.barcomplex import build_weyl_resolution
 from schurres.cli import _maybe_corrupt, main
 
@@ -125,6 +126,23 @@ def test_verify_corrupt_flips_exit(capsys):
     records = [json.loads(line) for line in out.splitlines()
                if line.startswith("{")]
     assert any(rec["check"] == "exactness" for rec in records)
+
+
+def test_verify_divided_passes(capsys):
+    code, out, _ = run(capsys, "verify", "-n", "3", "-r", "3", "--checks", "divided")
+    assert code == 0
+    assert out.splitlines() == ["ok divided (n=3, r=3)"]
+
+
+def test_verify_divided_fails_on_a_wrong_action(capsys, monkeypatch):
+    real = dividedpowers.gl_action
+    monkeypatch.setattr(dividedpowers, "gl_action",
+                        lambda g, pi: {k: c + 1 for k, c in real(g, pi).items()})
+    code, out, _ = run(capsys, "verify", "-n", "3", "-r", "3", "--checks", "divided")
+    assert code != 0
+    assert "FAIL divided (n=3, r=3)" in out.splitlines()
+    records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    assert records and all(rec["check"] == "divided" for rec in records)
 
 
 def test_verify_unknown_check(capsys):

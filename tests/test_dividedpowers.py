@@ -1,17 +1,20 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from schurres.combinatorics import enumerate_compositions, enumerate_weight_matrices
+from schurres.combinatorics import (
+    enumerate_compositions,
+    enumerate_weight_matrices,
+    multinomial,
+)
 from schurres.dividedpowers import (
-    compose_action,
     divided_basis,
     divided_power_of_vector,
     divided_product,
-    generator_power,
     gl_action,
-    gl_action_expanded,
     matmul,
     to_algebra_element,
     verify_equivariance,
@@ -22,6 +25,72 @@ from schurres.schur import basis_element, multiply, structure_constants, zero
 
 def random_matrix(rng, n, lo=-3, hi=3):
     return tuple(tuple(rng.randrange(lo, hi + 1) for _ in range(n)) for _ in range(n))
+
+
+def generator_power(q, k, n):
+    """The basis monomial with the q-th generator raised to the k-th divided
+    power (1-based q)."""
+    return {tuple(k if i == q - 1 else 0 for i in range(n)): 1}
+
+
+def compose_action(g, h, pi):
+    """Act by h, then by g, extending the action linearly."""
+    out = {}
+    for mid, c in gl_action(h, pi).items():
+        for key, d in gl_action(g, mid).items():
+            out[key] = out.get(key, 0) + c * d
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_gl_action(g, pi):
+    """The action through the weight-tensor expansion: every weight tensor
+    with axis-1 marginal pi contributes its multiplicity times the monomial
+    evaluation of its axis-3 marginal at g, on the monomial of its axis-2
+    marginal."""
+    n = len(pi)
+    if len(g) != n:
+        raise ValueError("matrix size mismatch")
+    cells = [(t, q) for t in range(n) for q in range(n)]
+    choices = [enumerate_compositions(n, pi[t][q]) for t, q in cells]
+    out = {}
+    for picks in product(*choices):
+        theta = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for (t, q), fiber in zip(cells, picks):
+            for s in range(n):
+                theta[s][t][q] = fiber[s]
+        coeff = 1
+        target = []
+        evaluated = []
+        for s in range(n):
+            row2 = []
+            row3 = []
+            for q in range(n):
+                fiber_t = tuple(theta[s][t][q] for t in range(n))
+                coeff *= multinomial(fiber_t)
+                row2.append(sum(fiber_t))
+            for t in range(n):
+                row3.append(sum(theta[s][t][q] for q in range(n)))
+            target.append(tuple(row2))
+            evaluated.append(tuple(row3))
+        coeff *= monomial_eval(tuple(evaluated), g)
+        if coeff:
+            key = tuple(target)
+            out[key] = out.get(key, 0) + coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def singular_and_random_matrices(rng, n):
+    """The zero matrix, a rank-one matrix, a matrix whose last row repeats
+    the first (singular for n > 1), and three random matrices."""
+    u = [rng.randrange(-3, 4) for _ in range(n)]
+    v = [rng.randrange(-3, 4) for _ in range(n)]
+    repeated = random_matrix(rng, n)
+    return [
+        tuple(tuple(0 for _ in range(n)) for _ in range(n)),
+        tuple(tuple(a * b for b in v) for a in u),
+        repeated[:-1] + repeated[:1],
+        *(random_matrix(rng, n) for _ in range(3)),
+    ]
 
 
 def test_divided_basis_counts():
@@ -59,12 +128,29 @@ def test_gl_action_identity_and_shear():
 
 def test_gl_action_routes_agree():
     rng = random.Random(2)
-    for lam in [(2, 0), (1, 1), (2, 1), (1, 1, 1), (3, 0, 0)]:
-        n = len(lam)
-        for _ in range(10):
-            g = random_matrix(rng, n)
-            for pi in divided_basis(lam):
-                assert gl_action(g, pi) == gl_action_expanded(g, pi)
+    for n in range(1, 4):
+        for r in range(4):
+            for lam in enumerate_compositions(n, r):
+                for g in singular_and_random_matrices(rng, n):
+                    for pi in divided_basis(lam):
+                        assert gl_action(g, pi) == reference_gl_action(g, pi), (g, pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_gl_action_matches_the_reference_on_any_matrix(n, r, data):
+    g = data.draw(st.tuples(*(st.tuples(*(st.integers(-3, 3),) * n),) * n))
+    lam = data.draw(st.sampled_from(enumerate_compositions(n, r)))
+    for pi in divided_basis(lam):
+        assert gl_action(g, pi) == reference_gl_action(g, pi)
+
+
+def test_gl_action_rejects_a_matrix_of_the_wrong_size():
+    pi = ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="size mismatch"):
+        gl_action(((1, 0, 0), (0, 1, 0), (0, 0, 1)), pi)
+    with pytest.raises(ValueError, match="size mismatch"):
+        gl_action(((1,),), pi)
 
 
 def test_gl_action_composes():

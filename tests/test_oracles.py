@@ -5,8 +5,11 @@ import pytest
 
 from schurres.combinatorics import (
     diagonal_matrix,
+    enumerate_multi_indices,
     enumerate_weight_matrices,
     is_upper_triangular,
+    matrix_marginal,
+    pair_weight,
 )
 from schurres.oracles import (
     TensorEndomorphism,
@@ -17,10 +20,11 @@ from schurres.oracles import (
     green_convolution,
     monomial_eval,
     orbit,
+    orbit_size,
     tensor_action_endo,
     tensor_power_action,
 )
-from schurres.schur import basis_element, identity, multiply, multiply_basis
+from schurres.schur import AlgebraElement, basis_element, identity, multiply, multiply_basis
 from schurres.dividedpowers import matmul
 
 
@@ -39,6 +43,27 @@ def test_orbits_partition_all_pairs():
             assert not seen & set(pairs)
             seen.update(pairs)
         assert len(seen) == n ** (2 * r) == basis_unit_count(n, r)
+
+
+def test_orbit_is_an_immutable_tuple_of_the_orbit_size():
+    for n in range(1, 4):
+        for r in range(4):
+            for om in enumerate_weight_matrices(n, r):
+                pairs = orbit(om)
+                assert isinstance(pairs, tuple)
+                assert all(isinstance(pair, tuple) for pair in pairs)
+                assert len(pairs) == len(set(pairs)) == orbit_size(om)
+                assert all(pair_weight(i, j, n) == om for i, j in pairs)
+
+
+def test_endo_of_basis_results_do_not_share_terms():
+    om = ((1, 1), (0, 1))
+    first = endo_of_basis(om)
+    expected = dict(first.terms)
+    first.terms.clear()
+    first.terms[((1, 1, 1), (1, 1, 1))] = 7
+    assert endo_of_basis(om).terms == expected
+    assert len(orbit(om)) == len(expected)
 
 
 def test_compose_and_decode():
@@ -65,6 +90,35 @@ def test_green_convolution_examples():
     assert not green_convolution(((2, 0), (0, 0)), ((0, 0), (0, 2)))
     lam = diagonal_matrix((2, 1))
     assert green_convolution(lam, lam) == basis_element(lam)
+
+
+def reference_green_convolution(omega, pi):
+    """The convolution product scanning every middle multi-index."""
+    n = len(omega)
+    r = sum(map(sum, omega))
+    if matrix_marginal(omega, 1) != matrix_marginal(pi, 2):
+        return AlgebraElement(n, r, {})
+    candidates = enumerate_weight_matrices(
+        n, r, col_sums=matrix_marginal(pi, 1), row_sums=matrix_marginal(omega, 2))
+    indices = enumerate_multi_indices(n, r)
+    terms = {}
+    for tau in candidates:
+        i, j = orbit(tau)[0]
+        count = 0
+        for k in indices:
+            if pair_weight(i, k, n) == omega and pair_weight(k, j, n) == pi:
+                count += 1
+        if count:
+            terms[tau] = count
+    return AlgebraElement(n, r, terms)
+
+
+def test_green_convolution_matches_the_full_scan():
+    for n, r in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 2)]:
+        mats = enumerate_weight_matrices(n, r)
+        for om in mats:
+            for pi in mats:
+                assert green_convolution(om, pi) == reference_green_convolution(om, pi)
 
 
 def test_triple_agreement_degenerate_sizes():

@@ -258,6 +258,20 @@ def test_bh_build_expands_each_adjacent_pair_once(monkeypatch):
     assert len(calls) == 262  # the cache lives for one build only
 
 
+def test_bh_build_resolves_each_first_hom_once(monkeypatch):
+    calls = []
+    resolve = tableaux._resolve_first_hom
+
+    def counted(hom, n):
+        calls.append(hom)
+        return resolve(hom, n)
+
+    monkeypatch.setattr(tableaux, "_resolve_first_hom", counted)
+    cx = build_bh_complex((2, 1, 1, 1, 0), 5)
+    firsts = {lab[1] for k in cx.degrees() for lab in cx.labels[k] if len(lab) > 1}
+    assert len(calls) == len(set(calls)) == len(firsts)
+
+
 def test_bh_build_detects_a_non_equivariant_hom(monkeypatch):
     # the hom of a left factor of a composition in the complex sends every
     # source tableau to the last basis tableau alone, which is not equivariant
