@@ -103,14 +103,16 @@ def differential(lam, k, variant="borel", nu=None):
     cur = _basis(lam, k, variant, nu)
     prev = _basis(lam, k - 1, variant, nu)
     index = {lab: i for i, lab in enumerate(prev)}
-    mat = Matrix.zeros(len(prev), len(cur))
-    for col, tup in enumerate(cur):
+    columns = []
+    for tup in cur:
+        col = {}
         for t in range(k):
             sign = -1 if t % 2 else 1
             for key, c in structure_constants(tup[t], tup[t + 1]):
-                target = tup[:t] + (key,) + tup[t + 2:]
-                mat.rows[index[target]][col] += sign * c
-    return mat
+                i = index[tup[:t] + (key,) + tup[t + 2:]]
+                col[i] = col.get(i, 0) + sign * c
+        columns.append(col)
+    return Matrix.from_columns(len(prev), columns)
 
 
 def augmentation_row(lam):
@@ -119,11 +121,7 @@ def augmentation_row(lam):
     lam = _normalize(lam)
     basis = enumerate_bar_basis(lam, 0, "borel")
     target = diagonal_matrix(lam)
-    mat = Matrix.zeros(1, len(basis))
-    for col, (w0,) in enumerate(basis):
-        if w0 == target:
-            mat.rows[0][col] = 1
-    return mat
+    return Matrix.from_columns(1, [{0: 1} if w0 == target else {} for (w0,) in basis])
 
 
 def homotopy(lam, k):
@@ -132,18 +130,15 @@ def homotopy(lam, k):
     nxt = enumerate_bar_basis(lam, k + 1, "borel")
     index = {lab: i for i, lab in enumerate(nxt)}
     if k == -1:
-        mat = Matrix.zeros(len(nxt), 1)
-        mat.rows[index[(diagonal_matrix(lam),)]][0] = 1
-        return mat
-    cur = enumerate_bar_basis(lam, k, "borel")
-    mat = Matrix.zeros(len(nxt), len(cur))
-    for col, tup in enumerate(cur):
+        return Matrix.from_columns(len(nxt), [{index[(diagonal_matrix(lam),)]: 1}])
+    columns = []
+    for tup in enumerate_bar_basis(lam, k, "borel"):
         w0 = tup[0]
         if is_diagonal(w0):
-            continue
-        target = (diagonal_matrix(matrix_marginal(w0, 2)),) + tup
-        mat.rows[index[target]][col] = 1
-    return mat
+            columns.append({})
+        else:
+            columns.append({index[(diagonal_matrix(matrix_marginal(w0, 2)),) + tup]: 1})
+    return Matrix.from_columns(len(nxt), columns)
 
 
 def _bases(lam, variant, nu=None):

@@ -193,16 +193,15 @@ def cmd_resolve(args):
 # verify
 
 def _maybe_corrupt(cx, directive):
-    """A copy of cx with delta added to entry (i, j) of the differential at
-    degree k, for the directive "k,i,j,delta"; cx itself is left as it is."""
+    """A new complex, cx with delta added to entry (i, j) of the differential
+    at degree k, for the directive "k,i,j,delta"; cx itself is left as it is."""
     if not directive:
         return cx
     k, i, j, delta = (int(x) for x in directive.split(","))
     mat = cx.differential(k)
     if not (cx.lo < k <= cx.hi and i < mat.nrows and j < mat.ncols):
         return cx
-    mat = mat.copy()
-    mat.rows[i][j] += delta
+    mat = mat + Matrix.from_entries(mat.nrows, mat.ncols, [(i, j, delta)])
     return ChainComplex(cx.labels, {**cx.differentials, k: mat}, cx.homotopies,
                         modulus=cx.modulus, meta=cx.meta)
 

@@ -1,73 +1,114 @@
-"""Dense integer matrices and graded chain complexes of labeled free modules.
+"""Sparse immutable integer matrices and graded chain complexes of labeled
+free modules.
 
-Matrices hold unbounded Python integers; shapes are explicit so rank-zero
-degrees serialize and multiply consistently.  A chain complex stores, per
-degree, an ordered tuple of basis labels and the differential into the
-degree below; optional homotopy matrices map one degree up.  A modulus of p
-marks a complex with entries reduced mod p.
+A matrix is stored by columns: each column is a tuple of (row, value) pairs
+in increasing row order, holding no zero.  Differentials are very sparse, so
+every operation walks these pairs and never a dense cell grid; `rows` builds
+a dense view on request.  Matrices are built once, through `from_columns`,
+`from_entries` or `from_rows`, and no method changes a built matrix, so a
+cached matrix can be handed to every caller.  Entries are unbounded Python
+integers; shapes are explicit so rank-zero degrees serialize and multiply
+consistently.  A chain complex stores, per degree, an ordered tuple of basis
+labels and the differential into the degree below; optional homotopy
+matrices map one degree up.  A modulus of p marks a complex with entries
+reduced mod p.
 """
-
-from itertools import compress
 
 
 class Matrix:
-    """Dense integer matrix with explicit shape."""
+    """Immutable sparse integer matrix with explicit shape, held by columns.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    `columns[j]` is the tuple of (row, value) pairs of column j, rows
+    increasing, no zeros.  The constructor trusts its columns to be in that
+    form; the `from_*` builders produce it.
+    """
 
-    def __init__(self, nrows, ncols, rows=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        if rows is None:
-            self.rows = [[0] * ncols for _ in range(nrows)]
-        else:
-            rows = [list(row) for row in rows]
-            if len(rows) != nrows or any(len(row) != ncols for row in rows):
-                raise ValueError("matrix shape mismatch")
-            self.rows = rows
+    __slots__ = ("nrows", "ncols", "columns")
+
+    def __init__(self, nrows, ncols, columns):
+        columns = tuple(columns)
+        if len(columns) != ncols:
+            raise ValueError("matrix shape mismatch")
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "columns", columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls(nrows, ncols)
+        return cls(nrows, ncols, ((),) * ncols)
 
     @classmethod
     def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.rows[i][i] = 1
-        return m
+        return cls(n, n, tuple(((i, 1),) for i in range(n)))
 
     @classmethod
-    def from_rows(cls, rows, ncols=None):
-        rows = [list(row) for row in rows]
-        if not rows and ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        width = len(rows[0]) if rows else ncols
-        return cls(len(rows), width, rows)
+    def from_columns(cls, nrows, columns):
+        """Matrix whose column j holds the j-th {row: value} dict of the
+        iterable columns; zero values are dropped.  Each dict is converted
+        as it arrives, so a generator of columns keeps one dict alive at a
+        time."""
+        cols = []
+        for col in columns:
+            col = tuple(sorted((i, v) for i, v in col.items() if v))
+            if col and not (0 <= col[0][0] and col[-1][0] < nrows):
+                raise ValueError("row index outside the matrix")
+            cols.append(col)
+        return cls(nrows, len(cols), cols)
 
     @classmethod
     def from_entries(cls, nrows, ncols, entries):
-        m = cls(nrows, ncols)
+        """Matrix from (row, col, value) triplets; a later triplet for the
+        same position replaces an earlier one."""
+        cols = [{} for _ in range(ncols)]
         for i, j, v in entries:
-            m.rows[i][j] = v
-        return m
+            if not 0 <= j < ncols:
+                raise ValueError("column index outside the matrix")
+            cols[j][i] = v
+        return cls.from_columns(nrows, cols)
 
-    def copy(self):
-        return Matrix(self.nrows, self.ncols, [row[:] for row in self.rows])
+    @classmethod
+    def from_rows(cls, rows, ncols=None):
+        rows = [tuple(row) for row in rows]
+        if not rows and ncols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        width = len(rows[0]) if rows else ncols
+        if any(len(row) != width for row in rows) or ncols not in (None, width):
+            raise ValueError("matrix shape mismatch")
+        return cls(len(rows), width,
+                   tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
+                         for j in range(width)))
+
+    @property
+    def rows(self):
+        """Dense read-only view: a fresh tuple of row tuples."""
+        out = [[0] * self.ncols for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                out[i][j] = v
+        return tuple(map(tuple, out))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix)
                 and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-                and self.rows == other.rows)
+                and self.columns == other.columns)
 
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
-        return Matrix(self.nrows, self.ncols,
-                      [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        cols = []
+        for a, b in zip(self.columns, other.columns):
+            acc = dict(a)
+            for i, v in b:
+                acc[i] = acc.get(i, 0) + v
+            cols.append(acc)
+        return Matrix.from_columns(self.nrows, cols)
 
     def __neg__(self):
-        return Matrix(self.nrows, self.ncols, [[-a for a in row] for row in self.rows])
+        return Matrix(self.nrows, self.ncols,
+                      tuple(tuple((i, -v) for i, v in col) for col in self.columns))
 
     def __sub__(self, other):
         return self + (-other)
@@ -75,39 +116,47 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
-        out = Matrix(self.nrows, other.ncols)
-        inner, outer = range(self.ncols), range(other.ncols)
-        other_nonzero = [[(j, orow[j]) for j in compress(outer, orow)] for orow in other.rows]
-        for row, acc in zip(self.rows, out.rows):
-            for k in compress(inner, row):
-                a = row[k]
-                for j, v in other_nonzero[k]:
-                    acc[j] += a * v
-        return out
+        left = self.columns
+
+        def products():
+            for col in other.columns:
+                acc = {}
+                for k, v in col:
+                    for i, a in left[k]:
+                        acc[i] = acc.get(i, 0) + a * v
+                yield acc
+        return Matrix.from_columns(self.nrows, products())
 
     def transpose(self):
-        return Matrix(self.ncols, self.nrows,
-                      [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        cols = [[] for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                cols[i].append((j, v))
+        return Matrix(self.ncols, self.nrows, tuple(map(tuple, cols)))
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(len(row_idx), len(col_idx),
-                      [[self.rows[i][j] for j in col_idx] for i in row_idx])
+        """Rows row_idx and columns col_idx, in the order given."""
+        where = {}
+        for new, old in enumerate(row_idx):
+            where.setdefault(old, []).append(new)
+        cols = []
+        for j in col_idx:
+            cols.append(tuple(sorted((new, v) for i, v in self.columns[j]
+                                     for new in where.get(i, ()))))
+        return Matrix(len(row_idx), len(col_idx), tuple(cols))
 
     def mod(self, p):
-        out = Matrix(self.nrows, self.ncols, self.rows)
-        cols = range(self.ncols)
-        for row in out.rows:
-            for j in compress(cols, row):
-                row[j] %= p
-        return out
+        return Matrix(self.nrows, self.ncols,
+                      tuple(tuple((i, w) for i, v in col if (w := v % p))
+                            for col in self.columns))
 
     def is_zero(self):
-        return not any(map(any, self.rows))
+        return not any(self.columns)
 
     def entries(self):
         """Nonzero entries as (row, col, value) triplets, row-major order."""
-        cols = range(self.ncols)
-        return [(i, j, row[j]) for i, row in enumerate(self.rows) for j in compress(cols, row)]
+        return [(i, j, v) for i, row in enumerate(self.transpose().columns)
+                for j, v in row]
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

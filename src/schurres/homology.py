@@ -2,16 +2,18 @@
 
 Differentials are very sparse and almost all of their pivots are units, so
 the Smith normal form over Z and the rank over a prime field both start by
-reading the matrix once into sparse columns and eliminating on unit pivots:
-entries +-1 over Z, any nonzero entry over F_p.  Eliminating a unit pivot
-splits off an invariant factor 1 and leaves its Schur complement, so the
-factors are unchanged.  Columns are visited shortest first, and in each the
-unit whose row is shortest is taken, which keeps fill-in small; sweeps
-repeat until the matrix stops shrinking.  Over F_p that eliminates
-everything.  Over Z, whatever is left without a unit (the residual) goes to
-the dense Smith reduction, which pivots on a minimal-absolute-value nonzero
-entry and works with unbounded integers, so intermediate growth never loses
-exactness; that dense route alone also produces unimodular transforms.
+copying the matrix's sparse columns into working dicts, touching only its
+nonzero entries, and eliminating on unit pivots: entries +-1 over Z, any
+nonzero entry over F_p.  Eliminating a unit pivot splits off an invariant
+factor 1 and leaves its Schur complement, so the factors are unchanged.
+Columns are visited shortest first, and in each the unit whose row is
+shortest is taken, which keeps fill-in small; sweeps repeat until the
+matrix stops shrinking.  Over F_p that eliminates everything.  Over Z,
+whatever is left without a unit (the residual) goes, through its dense
+`rows` view, to the dense Smith reduction, which pivots on a
+minimal-absolute-value nonzero entry and works with unbounded integers, so
+intermediate growth never loses exactness; that dense route alone also
+produces unimodular transforms.
 Ranks over the rationals use stdlib fractions as an independent elimination
 route.  Homology groups of a chain complex come out as free rank plus a
 multiset of prime-power torsion factors, with each differential reduced once
@@ -20,7 +22,6 @@ per request.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .complexes import Matrix
 
@@ -40,28 +41,22 @@ class SmithForm:
         return len(self.factors)
 
     def diagonal_matrix(self):
-        m = Matrix.zeros(*self.shape)
-        for i, d in enumerate(self.factors):
-            m.rows[i][i] = d
-        return m
+        return Matrix.from_entries(*self.shape,
+                                   ((i, i, d) for i, d in enumerate(self.factors)))
 
 
 def _eliminate_units(mat, p=None):
-    """Eliminate unit pivots of mat, held as sparse columns; entries are
-    reduced mod p when p is given.
+    """Eliminate unit pivots of mat on working copies of its columns;
+    entries are reduced mod p when p is given.
 
-    Returns the number of pivots eliminated and the residual as a dense
-    Matrix over the rows and columns still holding entries.
+    Returns the number of pivots eliminated and the residual, the Matrix
+    over the rows and columns still holding entries.
     """
-    cols = [{} for _ in range(mat.ncols)]
+    cols = [dict(col) for col in (mat.mod(p) if p else mat).columns]
     rows = {}
-    for i, row in enumerate(mat.rows):
-        members = rows[i] = set()
-        for j in compress(range(mat.ncols), row):
-            v = row[j] % p if p else row[j]
-            if v:
-                cols[j][i] = v
-                members.add(j)
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
 
     pivots = 0
     while True:
@@ -96,10 +91,10 @@ def _eliminate_units(mat, p=None):
             pivots += 1
         if pivots == before:
             break
-    live_cols = [col for col in cols if col]
-    live_rows = sorted(r for r, members in rows.items() if members)
-    residual = Matrix(len(live_rows), len(live_cols),
-                      [[col.get(r, 0) for col in live_cols] for r in live_rows])
+    live_rows = {r: i for i, r in enumerate(sorted(r for r, members in rows.items()
+                                                   if members))}
+    residual = Matrix.from_columns(
+        len(live_rows), [{live_rows[r]: v for r, v in col.items()} for col in cols if col])
     return pivots, residual
 
 
@@ -116,9 +111,9 @@ def smith_normal_form(mat, transforms=False):
 def dense_smith_normal_form(mat, transforms=False):
     """Smith normal form by dense elimination on minimal-absolute-value pivots."""
     m, n = mat.nrows, mat.ncols
-    d = [row[:] for row in mat.rows]
-    left = Matrix.identity(m).rows if transforms else None
-    right = Matrix.identity(n).rows if transforms else None
+    d = [list(row) for row in mat.rows]
+    left = [[int(i == j) for j in range(m)] for i in range(m)] if transforms else None
+    right = [[int(i == j) for j in range(n)] for i in range(n)] if transforms else None
 
     def row_add(i, j, c):
         d[i] = [a + c * b for a, b in zip(d[i], d[j])]
@@ -214,8 +209,8 @@ def dense_smith_normal_form(mat, transforms=False):
     return SmithForm(
         factors=factors,
         shape=(m, n),
-        left=Matrix(m, m, left) if transforms else None,
-        right=Matrix(n, n, right) if transforms else None,
+        left=Matrix.from_rows(left, m) if transforms else None,
+        right=Matrix.from_rows(right, n) if transforms else None,
     )
 
 

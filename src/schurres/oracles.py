@@ -9,8 +9,8 @@ constants:
   n^2 indeterminates, computed by counting middle multi-indices.
 
 The module also realizes the action of an integer n x n matrix g on the
-tensor power: monomial evaluation, the expansion of g as an algebra element,
-and g as an explicit endomorphism.  All formulas are polynomial in the
+tensor power: monomial evaluation and the expansion of g as an algebra
+element.  All formulas are polynomial in the
 entries of g, so arbitrary (not necessarily invertible) matrices are
 accepted.
 
@@ -21,11 +21,9 @@ override with the SCHURRES_ORACLE_LIMIT environment variable).
 
 import os
 from functools import lru_cache
-from itertools import product as _product
 from math import factorial
 
 from .combinatorics import (
-    enumerate_multi_indices,
     enumerate_weight_matrices,
     flatten,
     matrix_marginal,
@@ -217,28 +215,3 @@ def tensor_power_action(g, r):
         if c:
             terms[omega] = c
     return AlgebraElement(n, r, terms)
-
-
-def tensor_action_endo(g, r):
-    """The same action as an explicit endomorphism (for cross-checking)."""
-    n = len(g)
-    _guard(n, r)
-    columns = [[(s + 1, g[s][t]) for s in range(n) if g[s][t]] for t in range(n)]
-    terms = {}
-    for i in enumerate_multi_indices(n, r):
-        for picks in _product(*(columns[v - 1] for v in i)):
-            c = 1
-            for _, gv in picks:
-                c *= gv
-            j = tuple(s for s, _ in picks)
-            key = (j, i)
-            terms[key] = terms.get(key, 0) + c
-    return TensorEndomorphism(n, r, terms)
-
-
-def basis_unit_count(n, r):
-    """Total matrix units across all basis orbits; equals n**(2*r)."""
-    total = 0
-    for omega in enumerate_weight_matrices(n, r):
-        total += orbit_size(omega)
-    return total

@@ -25,29 +25,11 @@ def multilinear_weight(n, r):
     return (1,) * r + (0,) * (n - r)
 
 
-def as_permutation(images):
-    images = tuple(images)
-    if sorted(images) != list(range(1, len(images) + 1)):
-        raise ValueError("not a permutation of 1..r")
-    return images
-
-
-def identity_permutation(r):
-    return tuple(range(1, r + 1))
-
-
 def compose_permutations(a, b):
     """(a * b)(t) = a(b(t)): apply b first."""
     if len(a) != len(b):
         raise ValueError("permutation size mismatch")
     return tuple(a[b[t] - 1] for t in range(len(a)))
-
-
-def invert_permutation(a):
-    inv = [0] * len(a)
-    for t, v in enumerate(a):
-        inv[v - 1] = t + 1
-    return tuple(inv)
 
 
 def all_permutations(r):

@@ -25,11 +25,11 @@ composition is formed (the left homomorphism applied to the right one's
 column at the canonical tableau), and each distinct adjacent pair is
 composed, checked and expanded once per build of a complex; the expansions
 live in a dict owned by that build.  Likewise each distinct first
-homomorphism's matrix is looked up once per build, and each functional's
-row in it is found through a dict.
+homomorphism's matrix is transposed into sparse rows once per build, and
+each functional's row in it is found through a dict.
 
-Homomorphism matrices are cached as immutable tuples; `tableau_hom` hands
-out a fresh `Matrix` on every call.
+Homomorphism matrices are cached; `tableau_hom` hands out the cached
+`Matrix` itself, which no caller can change.
 """
 
 from functools import lru_cache
@@ -141,24 +141,24 @@ def tableau_hom(tab):
     """Matrix of the homomorphism attached to a row-semistandard tableau.
 
     Columns run over the multilinear tableaux of the content shape, rows
-    over those of the tableau's shape; every entry is 0 or 1.  Each call
-    returns a fresh matrix, so changing it changes no later result.
+    over those of the tableau's shape; every entry is 0 or 1.  The matrix
+    is cached and immutable.
     """
-    return Matrix.from_rows(_tableau_hom_rows(matrix_of_tableau(tab)))
+    return _tableau_hom_matrix(matrix_of_tableau(tab))
 
 
 @lru_cache(maxsize=None)
-def _tableau_hom_rows(omega):
-    """Rows of the homomorphism attached to a weight matrix, as an immutable
-    tuple of tuples (the codomain is never empty)."""
+def _tableau_hom_matrix(omega):
+    """Matrix of the homomorphism attached to a weight matrix."""
     n = len(omega)
     lam = matrix_marginal(omega, 2)
     mu = matrix_marginal(omega, 1)
     domain = multilinear_tableaux(mu)
     codomain = multilinear_tableaux(lam)
     cod_index = {tab: i for i, tab in enumerate(codomain)}
-    mat = [[0] * len(domain) for _ in codomain]
-    for col, source in enumerate(domain):
+    columns = []
+    for source in domain:
+        col = {}
         # independently split row t of the source into blocks of sizes
         # omega[.][t]; row s of the image collects the s-blocks
         per_row = [list(_row_splits(source[t], tuple(omega[s][t] for s in range(n))))
@@ -170,8 +170,10 @@ def _tableau_hom_rows(omega):
                 for t in range(n):
                     merged.extend(split[t][s])
                 rows.append(tuple(sorted(merged)))
-            mat[cod_index[tuple(rows)]][col] += 1
-    return tuple(map(tuple, mat))
+            i = cod_index[tuple(rows)]
+            col[i] = col.get(i, 0) + 1
+        columns.append(col)
+    return Matrix.from_columns(len(codomain), columns)
 
 
 def _intersection_profile(tab, blocks):
@@ -197,8 +199,10 @@ def expand_in_tableau_basis(mat, target_shape, source_shape):
     of the tableau: coefficient}.
     """
     col = multilinear_tableaux(source_shape).index(canonical_tableau(source_shape))
-    return expand_canonical_column([row[col] for row in mat.rows],
-                                   target_shape, source_shape)
+    column = [0] * mat.nrows
+    for i, v in mat.columns[col]:
+        column[i] = v
+    return expand_canonical_column(column, target_shape, source_shape)
 
 
 def expand_canonical_column(column, target_shape, source_shape):
@@ -234,10 +238,11 @@ def _composition_at_canonical_column(left, right, n):
     """
     source_shape = tableau_content(right, n)
     col = multilinear_tableaux(source_shape).index(canonical_tableau(source_shape))
-    right_rows = _tableau_hom_rows(matrix_of_tableau(right))
-    support = [(k, row[col]) for k, row in enumerate(right_rows) if row[col]]
-    column = [sum(row[k] * v for k, v in support)
-              for row in _tableau_hom_rows(matrix_of_tableau(left))]
+    left_hom = _tableau_hom_matrix(matrix_of_tableau(left))
+    column = [0] * left_hom.nrows
+    for k, v in _tableau_hom_matrix(matrix_of_tableau(right)).columns[col]:
+        for i, a in left_hom.columns[k]:
+            column[i] += a * v
     return expand_canonical_column(column, tableau_shape(left), source_shape)
 
 
@@ -262,9 +267,10 @@ def _basis_labels(lam, n, k):
 
 
 def _resolve_first_hom(hom, n):
-    """Rows of hom(`hom`), one per functional on its codomain, and the
-    multilinear tableaux its columns run over."""
-    return (_tableau_hom_rows(matrix_of_tableau(hom)),
+    """Rows of hom(`hom`) as sparse (column, value) tuples, one per
+    functional on its codomain, and the multilinear tableaux its columns run
+    over."""
+    return (_tableau_hom_matrix(matrix_of_tableau(hom)).transpose().columns,
             multilinear_tableaux(tableau_content(hom, n)))
 
 
@@ -276,18 +282,18 @@ def _bh_differential(labels_k, labels_km1, k, n, compositions, first_homs):
     index = {lab: i for i, lab in enumerate(labels_km1)}
     position = {fun: multilinear_tableaux(tableau_shape(fun)).index(fun)
                 for fun in {lab[0] for lab in labels_k}}
-    mat = Matrix.zeros(len(labels_km1), len(labels_k))
-    for col, lab in enumerate(labels_k):
+    columns = []
+    for lab in labels_k:
         functional, homs = lab[0], lab[1:]
+        col = {}
         # t = 0: precompose the functional with the first homomorphism
         first = first_homs.get(homs[0])
         if first is None:
             first = first_homs[homs[0]] = _resolve_first_hom(homs[0], n)
         rows, next_domain = first
-        for target_fun, c in zip(next_domain, rows[position[functional]]):
-            if c:
-                target = (target_fun,) + homs[1:]
-                mat.rows[index[target]][col] += c
+        for j, c in rows[position[functional]]:
+            i = index[(next_domain[j],) + homs[1:]]
+            col[i] = col.get(i, 0) + c
         # t >= 1: compose adjacent homomorphisms, re-expanded over tableaux
         for t in range(1, k):
             sign = -1 if t % 2 else 1
@@ -300,9 +306,10 @@ def _bh_differential(labels_k, labels_km1, k, n, compositions, first_homs):
                 terms = compositions[pair] = tuple(
                     (tableau_of_matrix(omega), c) for omega, c in expansion.items())
             for merged, c in terms:
-                target = (functional,) + homs[:t - 1] + (merged,) + homs[t + 1:]
-                mat.rows[index[target]][col] += sign * c
-    return mat
+                i = index[(functional,) + homs[:t - 1] + (merged,) + homs[t + 1:]]
+                col[i] = col.get(i, 0) + sign * c
+        columns.append(col)
+    return Matrix.from_columns(len(labels_km1), columns)
 
 
 def build_bh_complex(lam, n=None):

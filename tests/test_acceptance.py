@@ -266,3 +266,16 @@ def test_criterion_10_determinism_and_negative_control(tmp_path, capsys):
     with capsys.disabled():
         _report(10, "repeated resolve runs byte-identical; corrupted "
                     "differential flips verify to failure", t0)
+
+
+def test_criterion_11_weyl_exactness_at_n4_r4(capsys):
+    t0 = time.time()
+    code = cli_main(["verify", "-n", "4", "-r", "4", "--checks", "exactness",
+                     "--mod", "2,3,5"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.splitlines() == ["ok exactness (n=4, r=4)"]
+    with capsys.disabled():
+        _report(11, "Weyl resolutions of every partition at n=4, r=4 exact "
+                    "over Z and mod 2, 3, 5 with free degree-0 homology of "
+                    "semistandard-tableau rank", t0)

@@ -19,7 +19,7 @@ from schurres.combinatorics import (
     max_chain_length,
 )
 from schurres.complexes import Matrix
-from schurres.homology import homology, verify_exactness
+from schurres.homology import HomologyGroup, homology, homology_groups, verify_exactness
 from schurres.tableaux import semistandard_tableau_count
 
 D20 = ((2, 0), (0, 0))
@@ -102,6 +102,60 @@ def test_weyl_block_resolution():
     assert verify_exactness(block, list(range(1, block.hi + 1))).ok
 
 
+def kostka_number(lam, nu):
+    """Semistandard tableaux of shape lam and content nu (rows weakly
+    increasing, columns strictly increasing), counted by backtracking."""
+    cells = [(s, t) for s, length in enumerate(lam) for t in range(length)]
+    filling = {}
+    left = list(nu)
+
+    def count(idx):
+        if idx == len(cells):
+            return 1
+        s, t = cells[idx]
+        lo = 1
+        if t:
+            lo = max(lo, filling[s, t - 1])
+        if s:
+            lo = max(lo, filling[s - 1, t] + 1)
+        total = 0
+        for v in range(lo, len(nu) + 1):
+            if left[v - 1]:
+                left[v - 1] -= 1
+                filling[s, t] = v
+                total += count(idx + 1)
+                left[v - 1] += 1
+        return total
+
+    return count(0)
+
+
+def test_kostka_number_examples():
+    assert kostka_number((2, 1, 0), (1, 1, 1)) == 2
+    assert kostka_number((2, 1, 0), (2, 1, 0)) == 1
+    assert kostka_number((2, 1, 0), (0, 1, 2)) == 1
+    assert kostka_number((2, 1, 0), (3, 0, 0)) == 0
+    assert kostka_number((2, 1, 1, 0), (1, 1, 1, 1)) == 3
+
+
+@pytest.mark.parametrize("lam", [
+    *(lam for r in range(5) for lam in enumerate_partitions(3, r)),
+    (2, 1, 1, 0),
+])
+def test_weight_block_h0_is_the_kostka_number(lam):
+    # the nu block resolves the nu weight space of the Weyl module
+    n = len(lam)
+    total = 0
+    for nu in enumerate_compositions(n, sum(lam)):
+        block = build_weyl_resolution(lam, nu)
+        kostka = kostka_number(lam, nu)
+        assert homology_groups(block) == {
+            k: HomologyGroup(kostka if k == 0 else 0, ()) for k in block.degrees()
+        }, (lam, nu)
+        total += kostka
+    assert total == semistandard_tableau_count(lam, n)
+
+
 def test_direct_sum_shape():
     # degree-k tuples with given head marginal factor through dominance chains
     lam = (1, 1, 1)
@@ -133,9 +187,7 @@ def test_differential_example():
     d1 = differential((1, 1), 1, "borel")
     basis0 = enumerate_bar_basis((1, 1), 0)
     col_target = basis0.index((U11,))
-    expected = Matrix.zeros(2, 1)
-    expected.rows[col_target][0] = 1
-    assert d1 == expected
+    assert d1 == Matrix.from_entries(2, 1, [(col_target, 0, 1)])
 
 
 def test_differential_squares_to_zero():

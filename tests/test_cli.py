@@ -154,11 +154,24 @@ def test_verify_unknown_check(capsys):
 
 def test_corrupt_builds_a_copy():
     cx = build_weyl_resolution((1, 1))
-    before = cx.differential(1).copy()
+    before = cx.differential(1).rows
     bad = _maybe_corrupt(cx, "1,0,0,1")
-    assert cx.differential(1) == before
-    assert bad.differential(1).rows[0][0] == before.rows[0][0] + 1
+    assert cx.differential(1).rows == before
+    assert bad.differential(1).rows[0][0] == before[0][0] + 1
     assert bad.labels == cx.labels
+
+
+def test_corrupt_leaves_the_built_complex_unchanged():
+    cx = build_weyl_resolution((1, 1, 1))
+    before = {k: mat.rows for k, mat in cx.differentials.items()}
+    i, j, v = cx.differential(2).entries()[0]
+    bad = _maybe_corrupt(cx, f"2,{i},{j},{-v}")
+    assert {k: mat.rows for k, mat in cx.differentials.items()} == before
+    assert isinstance(before[2], tuple)
+    # the cancelled entry is dropped, not stored as a zero
+    assert bad.differential(2).rows[i][j] == 0
+    assert len(bad.differential(2).entries()) == len(cx.differential(2).entries()) - 1
+    assert all(bad.differential(k) is cx.differential(k) for k in before if k != 2)
 
 
 def test_verify_skips_embedding_when_n_below_r(capsys):

@@ -32,7 +32,7 @@ def int_matrices(draw, max_dim=8):
     entries = st.sampled_from(draw(st.sampled_from((range(-4, 5), NON_UNITS))))
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                          min_size=m, max_size=m))
-    return Matrix(m, n, rows)
+    return Matrix.from_rows(rows, n)
 
 
 def dense_rank_mod_p(mat, p):
@@ -94,23 +94,23 @@ def test_sparse_smith_matches_dense(mat):
 @given(int_matrices(max_dim=6), st.data())
 def test_sparse_smith_invariant_under_unimodular_ops(mat, data):
     reference = smith_normal_form(mat).factors
-    m = mat.copy()
+    rows = [list(row) for row in mat.rows]
     for _ in range(data.draw(st.integers(0, 8))):
         on_rows = data.draw(st.booleans())
-        size = m.nrows if on_rows else m.ncols
+        size = mat.nrows if on_rows else mat.ncols
         if size < 2:
             continue
         i, j = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2,
                                   unique=True))
         c = data.draw(st.integers(-3, 3))
         if on_rows:
-            m.rows[i] = [a + c * b for a, b in zip(m.rows[i], m.rows[j])]
-            m.rows[i], m.rows[j] = m.rows[j], [-a for a in m.rows[i]]
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            rows[i], rows[j] = rows[j], [-a for a in rows[i]]
         else:
-            for row in m.rows:
+            for row in rows:
                 row[i] += c * row[j]
                 row[i], row[j] = row[j], -row[i]
-    assert smith_normal_form(m).factors == reference
+    assert smith_normal_form(Matrix.from_rows(rows, mat.ncols)).factors == reference
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,8 +138,8 @@ def test_smith_form_divisibility_chain():
     rng = random.Random(11)
     for _ in range(50):
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
-        mat = Matrix(m, n, [[rng.randrange(-9, 10) for _ in range(n)]
-                            for _ in range(m)])
+        mat = Matrix.from_rows([[rng.randrange(-9, 10) for _ in range(n)]
+                                for _ in range(m)])
         factors = smith_normal_form(mat).factors
         assert all(f > 0 for f in factors)
         assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
@@ -150,8 +150,8 @@ def test_smith_form_transforms_reconstruct():
     rng = random.Random(23)
     for _ in range(30):
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
-        mat = Matrix(m, n, [[rng.randrange(-9, 10) for _ in range(n)]
-                            for _ in range(m)])
+        mat = Matrix.from_rows([[rng.randrange(-9, 10) for _ in range(n)]
+                                for _ in range(m)])
         snf = smith_normal_form(mat, transforms=True)
         assert snf.left @ mat @ snf.right == snf.diagonal_matrix()
         assert abs(fraction_det(snf.left)) == 1
@@ -163,16 +163,16 @@ def test_smith_form_invariant_under_unimodular_ops():
     base = Matrix.from_rows([[6, 4, 2], [2, 8, 0], [0, 0, 5]])
     reference = smith_normal_form(base).factors
     for _ in range(25):
-        m = base.copy()
+        rows = [list(row) for row in base.rows]
         for _ in range(6):
             i, j = rng.sample(range(3), 2)
             c = rng.randrange(-3, 4)
             if rng.random() < 0.5:
-                m.rows[i] = [a + c * b for a, b in zip(m.rows[i], m.rows[j])]
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
             else:
-                for row in m.rows:
+                for row in rows:
                     row[i] += c * row[j]
-        assert smith_normal_form(m).factors == reference
+        assert smith_normal_form(Matrix.from_rows(rows)).factors == reference
 
 
 def test_homology_examples():
@@ -213,8 +213,8 @@ def test_rank_routes_agree():
     rng = random.Random(17)
     for _ in range(40):
         m, n = rng.randrange(1, 5), rng.randrange(1, 6)
-        mat = Matrix(m, n, [[rng.randrange(-6, 7) for _ in range(n)]
-                            for _ in range(m)])
+        mat = Matrix.from_rows([[rng.randrange(-6, 7) for _ in range(n)]
+                                for _ in range(m)])
         factors = smith_normal_form(mat).factors
         assert rank(mat) == len(factors)
         for p in (2, 3, 5, 7):
@@ -228,12 +228,10 @@ def test_verify_exactness_and_negative_control():
     from schurres.barcomplex import build_weyl_resolution
     w = build_weyl_resolution((1, 1))
     assert verify_exactness(w, [1]).ok
+    d1 = w.differential(1)
     corrupted = ChainComplex(
-        w.labels,
-        {1: Matrix(w.differential(1).nrows, w.differential(1).ncols,
-                   [row[:] for row in w.differential(1).rows])},
+        w.labels, {1: d1 + Matrix.from_entries(d1.nrows, d1.ncols, [(0, 0, 1)])},
         meta=w.meta)
-    corrupted.differentials[1].rows[0][0] += 1
     report = verify_exactness(corrupted, [0, 1])
     assert not report.ok
     assert report.failures()
@@ -266,3 +264,50 @@ def test_prime_helpers():
 def test_homology_group_str():
     assert str(HomologyGroup(0, ())) == "0"
     assert str(HomologyGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"
+
+
+def unimodular_pair(data, size):
+    """A random unimodular matrix and its inverse, as a product of
+    elementary operations: adding c times one row to another, and swapping
+    two rows while negating one."""
+    u = inverse = Matrix.identity(size)
+    for _ in range(data.draw(st.integers(0, 6)) if size > 1 else 0):
+        i, j = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2,
+                                  unique=True))
+        rest = [(t, t, 1) for t in range(size) if t not in (i, j)]
+        if data.draw(st.booleans()):
+            c = data.draw(st.integers(-3, 3))
+            diagonal = [(t, t, 1) for t in range(size)]
+            op = Matrix.from_entries(size, size, diagonal + [(i, j, c)])
+            op_inverse = Matrix.from_entries(size, size, diagonal + [(i, j, -c)])
+        else:
+            op = Matrix.from_entries(size, size, rest + [(i, j, 1), (j, i, -1)])
+            op_inverse = op.transpose()
+        u, inverse = op @ u, inverse @ op_inverse
+    assert u @ inverse == Matrix.identity(size)
+    return u, inverse
+
+
+def torsion_complex():
+    """Z^3 <- Z^3 <- Z: H0 = Z + Z/2 + Z/4, H1 = Z/2 + Z/3, H2 = 0."""
+    d1 = Matrix.from_rows([[2, 0, 0], [0, 4, 0], [0, 0, 0]])
+    d2 = Matrix.from_rows([[0], [0], [6]])
+    return ChainComplex({0: "abc", 1: "def", 2: "g"}, {1: d1, 2: d2})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("torsion", (2, 1, 0), (1, 1))), st.data())
+def test_homology_invariant_under_unimodular_conjugation(which, data):
+    cx = torsion_complex() if which == "torsion" else build_weyl_resolution(which)
+    change = {k: unimodular_pair(data, cx.rank(k)) for k in cx.degrees()}
+    conjugated = ChainComplex(
+        cx.labels,
+        {k: change[k - 1][0] @ cx.differential(k) @ change[k][1]
+         for k in range(cx.lo + 1, cx.hi + 1)})
+    conjugated.check_complex()
+    assert homology_groups(conjugated) == homology_groups(cx)
+
+
+def test_torsion_complex_homology():
+    assert homology_groups(torsion_complex()) == {
+        0: HomologyGroup(1, (2, 4)), 1: HomologyGroup(0, (2, 3)), 2: HomologyGroup(0, ())}

@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,6 @@ from schurres.combinatorics import (
 )
 from schurres.oracles import (
     TensorEndomorphism,
-    basis_unit_count,
     compose,
     decode,
     endo_of_basis,
@@ -21,11 +21,31 @@ from schurres.oracles import (
     monomial_eval,
     orbit,
     orbit_size,
-    tensor_action_endo,
     tensor_power_action,
 )
 from schurres.schur import AlgebraElement, basis_element, identity, multiply, multiply_basis
 from schurres.dividedpowers import matmul
+
+
+def tensor_action_endo(g, r):
+    """The action of g on the r-th tensor power as an explicit endomorphism
+    on multi-indices, for cross-checking the weight-matrix expansion."""
+    n = len(g)
+    columns = [[(s + 1, g[s][t]) for s in range(n) if g[s][t]] for t in range(n)]
+    terms = {}
+    for i in enumerate_multi_indices(n, r):
+        for picks in product(*(columns[v - 1] for v in i)):
+            c = 1
+            for _, gv in picks:
+                c *= gv
+            key = (tuple(s for s, _ in picks), i)
+            terms[key] = terms.get(key, 0) + c
+    return TensorEndomorphism(n, r, terms)
+
+
+def basis_unit_count(n, r):
+    """Total matrix units across all basis orbits; equals n**(2*r)."""
+    return sum(orbit_size(omega) for omega in enumerate_weight_matrices(n, r))
 
 
 def test_endo_of_basis_examples():

@@ -7,10 +7,7 @@ from schurres.schur import basis_element, multiply_basis
 from schurres.schurfunctor import (
     all_permutations,
     apply_schur_functor,
-    as_permutation,
     compose_permutations,
-    identity_permutation,
-    invert_permutation,
     multilinear_weight,
     permutation_weight_matrix,
     weight_matrix_permutation,
@@ -18,6 +15,24 @@ from schurres.schurfunctor import (
 from schurres.tableaux import standard_tableau_count
 from schurres.combinatorics import enumerate_weight_tensors
 from schurres.schur import tensor_multiplicity
+
+
+def as_permutation(images):
+    images = tuple(images)
+    if sorted(images) != list(range(1, len(images) + 1)):
+        raise ValueError("not a permutation of 1..r")
+    return images
+
+
+def identity_permutation(r):
+    return tuple(range(1, r + 1))
+
+
+def invert_permutation(a):
+    inv = [0] * len(a)
+    for t, v in enumerate(a):
+        inv[v - 1] = t + 1
+    return tuple(inv)
 
 
 def test_multilinear_weight_examples():
@@ -88,9 +103,8 @@ def test_functor_preserves_complex_axiom_and_exactness():
 
 def test_truncated_resolution_matches_selection():
     from schurres.schurfunctor import truncated_resolution
-    # at n=4, r=4 all but (1,1,1,1), whose full resolution is too large
     for lam in [(1, 1), (2, 0), (2, 1, 0), (1, 1, 1), (3, 0, 0),
-                (4, 0, 0, 0), (3, 1, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0)]:
+                (4, 0, 0, 0), (3, 1, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0), (1, 1, 1, 1)]:
         direct = truncated_resolution(lam)
         selected = apply_schur_functor(build_weyl_resolution(lam))
         assert direct.labels == selected.labels

@@ -18,9 +18,9 @@ from schurres.schurfunctor import (
     truncated_resolution,
     all_permutations,
     compose_permutations,
-    invert_permutation,
     multilinear_weight,
     permutation_weight_matrix,
+    weight_matrix_permutation,
 )
 from schurres.tableaux import (
     act,
@@ -119,17 +119,15 @@ def test_tableau_hom_identity_and_row_collapse():
         len(multilinear_tableaux(lam)))
     collapse = tableau_hom(((1, 2), ()))  # shape (2,0), content (1,1)
     assert collapse.nrows == 1 and collapse.ncols == 2
-    assert collapse.rows == [[1, 1]]
+    assert collapse.rows == ((1, 1),)
 
 
 def test_tableau_hom_is_equivariant():
     def action_matrix(sigma, shape):
         basis = multilinear_tableaux(shape)
         index = {t: i for i, t in enumerate(basis)}
-        m = Matrix.zeros(len(basis), len(basis))
-        for j, t in enumerate(basis):
-            m.rows[index[act(sigma, t)]][j] = 1
-        return m
+        return Matrix.from_entries(len(basis), len(basis),
+                                   [(index[act(sigma, t)], j, 1) for j, t in enumerate(basis)])
 
     for lam in enumerate_compositions(3, 3):
         for mu in enumerate_compositions(3, 3):
@@ -147,14 +145,16 @@ def test_permutation_tableau_hom_permutes_basis():
         index = {t: i for i, t in enumerate(basis)}
         t_delta = canonical_tableau(delta)
         for sigma in all_permutations(r):
-            hom = tableau_hom(tableau_of_matrix(permutation_weight_matrix(sigma, r)))
-            inv = invert_permutation(sigma)
+            ws = permutation_weight_matrix(sigma, r)
+            hom = tableau_hom(tableau_of_matrix(ws)).rows
+            # a permutation matrix's transpose is the inverse permutation's
+            inv = weight_matrix_permutation(transpose_matrix(ws))
             for tau in all_permutations(r):
                 src = act(tau, t_delta)
                 expected = act(compose_permutations(tau, inv), t_delta)
                 col = index[src]
                 for i, tab in enumerate(basis):
-                    assert hom.rows[i][col] == (1 if tab == expected else 0)
+                    assert hom[i][col] == (1 if tab == expected else 0)
 
 
 def test_composition_matches_structure_constants():
@@ -175,8 +175,7 @@ def test_composition_matches_structure_constants():
 def test_expand_detects_non_equivariant():
     # M^(2,0) -> M^(1,1): both target tableaux share one profile class, so a
     # map hitting only one of them cannot be equivariant
-    bad = Matrix.zeros(2, 1)
-    bad.rows[0][0] = 1
+    bad = Matrix.from_entries(2, 1, [(0, 0, 1)])
     with pytest.raises(ValueError):
         expand_in_tableau_basis(bad, (1, 1), (2, 0))
 
@@ -185,17 +184,17 @@ def reference_bh_differential(labels_k, labels_km1, k, n):
     """The per-column differential: every column multiplies the full matrices
     of each adjacent pair and expands the product afresh."""
     index = {lab: i for i, lab in enumerate(labels_km1)}
-    mat = Matrix.zeros(len(labels_km1), len(labels_k))
+    mat = [[0] * len(labels_k) for _ in labels_km1]
     for col, lab in enumerate(labels_k):
         functional, homs = lab[0], lab[1:]
-        hom1 = tableau_hom(homs[0])
+        hom1 = tableau_hom(homs[0]).rows
         fun_index = multilinear_tableaux(tableau_shape(functional)).index(functional)
         next_domain = multilinear_tableaux(tableau_content(homs[0], n))
         for j, target_fun in enumerate(next_domain):
-            c = hom1.rows[fun_index][j]
+            c = hom1[fun_index][j]
             if c:
                 target = (target_fun,) + homs[1:]
-                mat.rows[index[target]][col] += c
+                mat[index[target]][col] += c
         for t in range(1, k):
             sign = -1 if t % 2 else 1
             left, right = homs[t - 1], homs[t]
@@ -207,8 +206,8 @@ def reference_bh_differential(labels_k, labels_km1, k, n):
                     raise ValueError("composition left the upper-triangular span")
                 merged = tableau_of_matrix(omega)
                 target = (functional,) + homs[:t - 1] + (merged,) + homs[t + 1:]
-                mat.rows[index[target]][col] += sign * c
-    return mat
+                mat[index[target]][col] += sign * c
+    return Matrix.from_rows(mat, len(labels_k))
 
 
 def adjacent_pairs(cx):
@@ -278,16 +277,15 @@ def test_bh_build_detects_a_non_equivariant_hom(monkeypatch):
     lam = (2, 1, 1, 0)
     left, _ = min(adjacent_pairs(build_bh_complex(lam)))
     corrupt = matrix_of_tableau(left)
-    rows_of = tableaux._tableau_hom_rows
+    hom_of = tableaux._tableau_hom_matrix
 
     def patched(omega):
-        rows = rows_of(omega)
+        mat = hom_of(omega)
         if omega != corrupt:
-            return rows
-        last = len(rows) - 1
-        return tuple(tuple(int(i == last) for _ in row) for i, row in enumerate(rows))
+            return mat
+        return Matrix.from_columns(mat.nrows, [{mat.nrows - 1: 1}] * mat.ncols)
 
-    monkeypatch.setattr(tableaux, "_tableau_hom_rows", patched)
+    monkeypatch.setattr(tableaux, "_tableau_hom_matrix", patched)
     with pytest.raises(ValueError, match="not equivariant"):
         build_bh_complex(lam)
 
@@ -303,11 +301,15 @@ def test_bh_build_detects_a_composition_outside_the_triangular_span(monkeypatch)
         build_bh_complex((1, 1, 1))
 
 
-def test_tableau_hom_returns_a_fresh_matrix():
+def test_tableau_hom_is_immutable():
     tab = ((1, 2), ())
     d1 = build_bh_complex((1, 1)).differential(1)
-    tableau_hom(tab).rows[0][0] = 99
-    assert tableau_hom(tab).rows == [[1, 1]]
+    hom = tableau_hom(tab)
+    with pytest.raises(TypeError):
+        hom.rows[0][0] = 99
+    with pytest.raises(AttributeError):
+        hom.columns = ((), ())
+    assert tableau_hom(tab).rows == ((1, 1),)
     assert build_bh_complex((1, 1)).differential(1) == d1
 
 
@@ -352,9 +354,9 @@ def test_compare_negative_control():
     # entrywise comparison; pick a degree-0 pair whose incoming rows differ
     lam = (1, 1, 1)
     bh = build_bh_complex(lam)
-    d1 = bh.differential(1)
-    swap = next((i, j) for i in range(d1.nrows) for j in range(i + 1, d1.nrows)
-                if d1.rows[i] != d1.rows[j])
+    d1 = bh.differential(1).rows
+    swap = next((i, j) for i in range(len(d1)) for j in range(i + 1, len(d1))
+                if d1[i] != d1[j])
     labels0 = list(bh.labels[0])
     labels0[swap[0]], labels0[swap[1]] = labels0[swap[1]], labels0[swap[0]]
     hacked = ChainComplex({**bh.labels, 0: tuple(labels0)}, bh.differentials,
@@ -371,14 +373,13 @@ def test_compare_detects_an_extra_nonzero():
     assert compare_with_schur_functor(lam, fb=fb, bh=bh).ok
     # a zero of the truncation's d_2 maps to a zero of the BH d_2
     position = [{lab: i for i, lab in enumerate(bh.labels[k])} for k in (1, 2)]
-    d2 = fb.differential(2)
-    i, j = next((i, j) for i in range(d2.nrows) for j in range(d2.ncols)
-                if d2.rows[i][j] == 0)
-    hacked_d2 = bh.differential(2).copy()
+    d2 = fb.differential(2).rows
+    i, j = next((i, j) for i, row in enumerate(d2) for j, v in enumerate(row) if v == 0)
     row = position[0][bh_label_of_bar_tuple(fb.labels[1][i])]
     col = position[1][bh_label_of_bar_tuple(fb.labels[2][j])]
-    assert hacked_d2.rows[row][col] == 0
-    hacked_d2.rows[row][col] = 1
+    bh_d2 = bh.differential(2)
+    assert bh_d2.rows[row][col] == 0
+    hacked_d2 = bh_d2 + Matrix.from_entries(bh_d2.nrows, bh_d2.ncols, [(row, col, 1)])
     hacked = ChainComplex(bh.labels, {**bh.differentials, 2: hacked_d2}, meta=bh.meta)
     report = compare_with_schur_functor(lam, fb=fb, bh=hacked)
     assert not report.ok
@@ -396,11 +397,13 @@ def test_compare_detects_a_non_bijective_relabelling():
     lost = bh.labels[top].index(bh_label_of_bar_tuple(fb.labels[top][1]))
     labels = list(fb.labels[top])
     labels[1] = labels[0]
-    fb_d = fb.differential(top).copy()
-    bh_d = bh.differential(top).copy()
-    for i in range(fb_d.nrows):
-        fb_d.rows[i][1] = fb_d.rows[i][0]
-        bh_d.rows[i][lost] = 0
+    fb_rows = [list(row) for row in fb.differential(top).rows]
+    bh_rows = [list(row) for row in bh.differential(top).rows]
+    for fb_row, bh_row in zip(fb_rows, bh_rows):
+        fb_row[1] = fb_row[0]
+        bh_row[lost] = 0
+    fb_d = Matrix.from_rows(fb_rows)
+    bh_d = Matrix.from_rows(bh_rows)
     fb_hacked = ChainComplex({**fb.labels, top: tuple(labels)},
                              {**fb.differentials, top: fb_d}, meta=fb.meta)
     bh_hacked = ChainComplex(bh.labels, {**bh.differentials, top: bh_d}, meta=bh.meta)
