@@ -11,7 +11,6 @@ from schurres import (
     build_weyl_resolution,
     enumerate_partitions,
     homology,
-    reduce_mod,
     semistandard_tableau_count,
     verify_exactness,
 )
@@ -29,8 +28,7 @@ for lam in enumerate_partitions(n, r):
     print(f"    H_0 = {h0}, semistandard tableaux with entries <= {n}: {ssyt}")
     print(f"    euler characteristic {cx.euler_characteristic()}")
     for p in (2, 3, 5):
-        modp = reduce_mod(cx, p)
-        fine = all(homology(modp, k).is_trivial for k in range(1, modp.hi + 1))
-        fine = fine and homology(modp, 0).free_rank == h0.free_rank
+        fine = all(homology(cx, k, p=p).is_trivial for k in range(1, cx.hi + 1))
+        fine = fine and homology(cx, 0, p=p).free_rank == h0.free_rank
         print(f"    mod {p}: exactness and rank preserved: {fine}")
     print()

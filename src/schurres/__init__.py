@@ -58,7 +58,6 @@ from .barcomplex import (
     differential,
     enumerate_bar_basis,
     homotopy,
-    reduce_mod,
 )
 from .schurfunctor import (
     apply_schur_functor,

@@ -24,7 +24,6 @@ from .combinatorics import (
     max_chain_length,
 )
 from .complexes import ChainComplex, Matrix
-from .homology import is_prime
 from .schur import structure_constants
 
 VARIANTS = ("borel", "full")
@@ -184,14 +183,3 @@ def build_weyl_resolution(lam, nu=None):
     cx.check_complex()
     return cx
 
-
-def reduce_mod(cx, p):
-    """Entrywise reduction of a complex over the integers modulo a prime."""
-    if cx.modulus is not None:
-        raise ValueError("complex is already reduced")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    diffs = {k: m.mod(p) for k, m in cx.differentials.items()}
-    homotopies = {k: m.mod(p) for k, m in cx.homotopies.items()}
-    return ChainComplex(cx.labels, diffs, homotopies, modulus=p,
-                        meta={**cx.meta, "modulus": p})

@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import __version__
-from .barcomplex import build_borel_resolution, build_weyl_resolution, reduce_mod
+from .barcomplex import build_borel_resolution, build_weyl_resolution
 from .combinatorics import (
     enumerate_compositions,
     enumerate_partitions,
@@ -24,7 +24,7 @@ from .combinatorics import (
     max_chain_length,
 )
 from .complexes import ChainComplex, Matrix
-from .homology import HomologyGroup, homology_groups, verify_exactness
+from .homology import HomologyGroup, homology_groups, is_prime, verify_exactness
 from .oracles import (
     compose,
     decode,
@@ -203,7 +203,7 @@ def _maybe_corrupt(cx, directive):
         return cx
     mat = mat + Matrix.from_entries(mat.nrows, mat.ncols, [(i, j, delta)])
     return ChainComplex(cx.labels, {**cx.differentials, k: mat}, cx.homotopies,
-                        modulus=cx.modulus, meta=cx.meta)
+                        meta=cx.meta)
 
 
 def _fail(record):
@@ -232,7 +232,7 @@ def _check_exactness(n, r, lams, primes, corrupt):
                         "failures": [str(entry) for entry in report.failures()]})
             continue
         for p in primes:
-            groups = homology_groups(reduce_mod(weyl, p))
+            groups = homology_groups(weyl, p=p)
             bad = [k for k, h in groups.items()
                    if h != (h0 if k == 0 else HomologyGroup(0, ()))]
             if bad:
@@ -379,6 +379,9 @@ def cmd_verify(args):
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; available: {', '.join(CHECKS)}")
     primes = [int(p) for p in args.mod.split(",")] if args.mod else []
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
     if args.all:
         lams = list(enumerate_compositions(n, r))
     elif args.lam:

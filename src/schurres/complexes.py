@@ -10,8 +10,7 @@ cached matrix can be handed to every caller.  Entries are unbounded Python
 integers; shapes are explicit so rank-zero degrees serialize and multiply
 consistently.  A chain complex stores, per degree, an ordered tuple of basis
 labels and the differential into the degree below; optional homotopy
-matrices map one degree up.  A modulus of p marks a complex with entries
-reduced mod p.
+matrices map one degree up.
 """
 
 
@@ -163,7 +162,7 @@ class Matrix:
 
 
 class ChainComplex:
-    """Labeled chain complex with integer (or mod-p) differentials.
+    """Labeled chain complex with integer differentials.
 
     labels: dict degree -> tuple of basis labels.
     differentials: dict degree k -> Matrix of shape rank(k-1) x rank(k),
@@ -171,7 +170,7 @@ class ChainComplex:
     rank(k+1) x rank(k).  Missing matrices are zero of the right shape.
     """
 
-    def __init__(self, labels, differentials, homotopies=None, modulus=None, meta=None):
+    def __init__(self, labels, differentials, homotopies=None, meta=None):
         if not labels:
             raise ValueError("complex needs at least one degree")
         self.labels = {k: tuple(v) for k, v in labels.items()}
@@ -181,7 +180,6 @@ class ChainComplex:
             raise ValueError("degrees must be contiguous")
         self.differentials = dict(differentials)
         self.homotopies = dict(homotopies) if homotopies else {}
-        self.modulus = modulus
         self.meta = dict(meta) if meta else {}
         for k, mat in self.differentials.items():
             if (mat.nrows, mat.ncols) != (self.rank(k - 1), self.rank(k)):
@@ -209,10 +207,7 @@ class ChainComplex:
     def check_complex(self):
         """Raise unless consecutive differentials compose to zero."""
         for k in range(self.lo + 2, self.hi + 1):
-            prod = self.differential(k - 1) @ self.differential(k)
-            if self.modulus:
-                prod = prod.mod(self.modulus)
-            if not prod.is_zero():
+            if not (self.differential(k - 1) @ self.differential(k)).is_zero():
                 raise ValueError(f"d o d != 0 between degrees {k} and {k - 2}")
 
     def euler_characteristic(self):

@@ -15,9 +15,10 @@ minimal-absolute-value nonzero entry and works with unbounded integers, so
 intermediate growth never loses exactness; that dense route alone also
 produces unimodular transforms.
 Ranks over the rationals use stdlib fractions as an independent elimination
-route.  Homology groups of a chain complex come out as free rank plus a
-multiset of prime-power torsion factors, with each differential reduced once
-per request.
+route.  Homology groups of a chain complex over Z come out as free rank plus
+a multiset of prime-power torsion factors; given a prime p, homology over
+F_p comes out as dimensions.  Either way each differential is reduced once
+per request, and mod p only inside `rank_mod_p`.
 """
 
 from dataclasses import dataclass
@@ -46,13 +47,13 @@ class SmithForm:
 
 
 def _eliminate_units(mat, p=None):
-    """Eliminate unit pivots of mat on working copies of its columns;
-    entries are reduced mod p when p is given.
+    """Eliminate unit pivots of mat on working copies of its columns; with
+    p, mat's entries must already lie in 0..p-1 and arithmetic is mod p.
 
     Returns the number of pivots eliminated and the residual, the Matrix
     over the rows and columns still holding entries.
     """
-    cols = [dict(col) for col in (mat.mod(p) if p else mat).columns]
+    cols = [dict(col) for col in mat.columns]
     rows = {}
     for j, col in enumerate(cols):
         for i in col:
@@ -98,11 +99,9 @@ def _eliminate_units(mat, p=None):
     return pivots, residual
 
 
-def smith_normal_form(mat, transforms=False):
+def smith_normal_form(mat):
     """Smith normal form: unit-pivot elimination, then dense Smith reduction
-    of the residual.  With transforms, the dense route runs on all of mat."""
-    if transforms:
-        return dense_smith_normal_form(mat, transforms=True)
+    of the residual."""
     pivots, residual = _eliminate_units(mat)
     factors = dense_smith_normal_form(residual).factors
     return SmithForm(factors=(1,) * pivots + factors, shape=(mat.nrows, mat.ncols))
@@ -247,10 +246,11 @@ def is_prime(p):
 
 
 def rank_mod_p(mat, p):
-    """Rank over the field of p elements, by unit-pivot elimination."""
+    """Rank over the field of p elements: mat reduced mod p, then
+    unit-pivot elimination."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _eliminate_units(mat, p)[0]
+    return _eliminate_units(mat.mod(p), p)[0]
 
 
 def prime_power_factors(d):
@@ -303,43 +303,40 @@ def _group_from_factors(n_k, out_rank, in_factors):
     return HomologyGroup(n_k - out_rank - len(in_factors), tuple(sorted(torsion)))
 
 
-def homology_groups(complex_, degrees=None):
+def homology_groups(complex_, degrees=None, p=None):
     """Homology of a chain complex in the given degrees (default: all), as
-    {degree: HomologyGroup} in the order given.
+    {degree: HomologyGroup} in the order given: over Z, or over the field
+    of p elements when a prime p is given.
 
     The free rank at k is rank(k) - rank d_k - rank d_{k+1}; torsion comes
     from the invariant factors of the incoming differential (the quotient by
     a direct summand keeps exactly that torsion).  Each differential is
     reduced once, however many of the degrees it touches, and only its
-    factors (or its rank) are kept.  Over a prime field only dimensions are
-    reported.
+    factors (or its rank mod p) are kept.  Over a field every nonzero
+    invariant factor is a unit, so only dimensions are reported.
     """
+    if p is not None and not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     degrees = list(complex_.degrees() if degrees is None else degrees)
     for k in degrees:
         if not complex_.lo <= k <= complex_.hi:
             raise ValueError(f"degree {k} outside the complex range")
-    p = complex_.modulus
-    reduced = {}
+    factors = {}
     for k in sorted({j for k in degrees for j in (k, k + 1)}):
         if not complex_.lo < k <= complex_.hi:
-            reduced[k] = 0 if p else ()  # zero map into or out of nothing
-        elif p:
-            reduced[k] = rank_mod_p(complex_.differential(k), p)
+            factors[k] = ()  # zero map into or out of nothing
+        elif p is None:
+            factors[k] = smith_normal_form(complex_.differential(k)).factors
         else:
-            reduced[k] = smith_normal_form(complex_.differential(k)).factors
-    groups = {}
-    for k in degrees:
-        n_k = complex_.rank(k)
-        if p:
-            groups[k] = HomologyGroup(n_k - reduced[k] - reduced[k + 1], ())
-        else:
-            groups[k] = _group_from_factors(n_k, len(reduced[k]), reduced[k + 1])
-    return groups
+            factors[k] = (1,) * rank_mod_p(complex_.differential(k), p)
+    return {k: _group_from_factors(complex_.rank(k), len(factors[k]), factors[k + 1])
+            for k in degrees}
 
 
-def homology(complex_, k):
-    """Homology of a chain complex at degree k."""
-    return homology_groups(complex_, [k])[k]
+def homology(complex_, k, p=None):
+    """Homology of a chain complex at degree k, over Z or, given a prime p,
+    over the field of p elements."""
+    return homology_groups(complex_, [k], p)[k]
 
 
 @dataclass(frozen=True)
@@ -366,10 +363,7 @@ def verify_exactness(complex_, degrees=None, expected=None):
     """
     complex_ok = True
     for k in range(complex_.lo + 2, complex_.hi + 1):
-        prod = complex_.differential(k - 1) @ complex_.differential(k)
-        if complex_.modulus:
-            prod = prod.mod(complex_.modulus)
-        if not prod.is_zero():
+        if not (complex_.differential(k - 1) @ complex_.differential(k)).is_zero():
             complex_ok = False
     expected = expected or {}
     zero = HomologyGroup(0, ())

@@ -81,8 +81,7 @@ def apply_schur_functor(cx):
     labels = {k: tuple(cx.labels[k][i] for i in kept[k]) for k in cx.degrees()}
     diffs = {k: cx.differentials[k].submatrix(kept[k - 1], kept[k])
              for k in cx.differentials}
-    out = ChainComplex(labels, diffs, modulus=cx.modulus,
-                       meta={**cx.meta, "variant": "schur-functor"})
+    out = ChainComplex(labels, diffs, meta={**cx.meta, "variant": "schur-functor"})
     out.check_complex()
     return out
 

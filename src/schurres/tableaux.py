@@ -32,6 +32,7 @@ Homomorphism matrices are cached; `tableau_hom` hands out the cached
 `Matrix` itself, which no caller can change.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as _product
 
@@ -44,6 +45,7 @@ from .combinatorics import (
     transpose_matrix,
 )
 from .complexes import ChainComplex, Matrix
+from .homology import homology
 from .schurfunctor import multilinear_weight
 
 # ---------------------------------------------------------------------------
@@ -371,18 +373,17 @@ def _bh_relabelling():
     return label
 
 
+@dataclass(frozen=True)
 class ComparisonReport:
     """Degreewise matrix comparison of the two complexes under the basis
     bijection, plus the cokernel rank check at the bottom."""
 
-    def __init__(self, lam, n, degree_match, matrices_equal, cokernel_ranks,
-                 standard_count):
-        self.lam = lam
-        self.n = n
-        self.degree_match = degree_match
-        self.matrices_equal = matrices_equal
-        self.cokernel_ranks = cokernel_ranks
-        self.standard_count = standard_count
+    lam: tuple
+    n: int
+    degree_match: bool
+    matrices_equal: dict  # degree -> bool
+    cokernel_ranks: tuple  # (truncation, BH); -1 where the cokernel has torsion
+    standard_count: int
 
     @property
     def ok(self):
@@ -393,7 +394,6 @@ class ComparisonReport:
 
 def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
     """Check the two complexes agree entrywise under the tableau bijection."""
-    from .homology import smith_normal_form
     from .schurfunctor import truncated_resolution
 
     lam = tuple(lam)
@@ -425,11 +425,8 @@ def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
                 == set(bh.differential(k).entries()))
 
     def cokernel_rank(cx):
-        d1 = cx.differential(cx.lo + 1)
-        snf = smith_normal_form(d1)
-        if any(f > 1 for f in snf.factors):
-            return -1  # torsion present: not a free cokernel
-        return cx.rank(cx.lo) - snf.rank
+        h = homology(cx, cx.lo)
+        return h.free_rank if h.is_free else -1  # torsion: not a free cokernel
 
     return ComparisonReport(
         lam, n, degree_match, matrices_equal,

@@ -7,7 +7,6 @@ from schurres.barcomplex import (
     differential,
     enumerate_bar_basis,
     homotopy,
-    reduce_mod,
 )
 from schurres.combinatorics import (
     enumerate_compositions,
@@ -280,30 +279,14 @@ def test_weyl_h0_matches_tableau_count():
         assert cx.euler_characteristic() == h0.free_rank
 
 
-def test_reduce_mod():
-    cx = build_weyl_resolution((1, 1))
-    doubled = build_weyl_resolution((2, 0))
-    m2 = reduce_mod(cx, 2)
-    assert m2.modulus == 2
-    assert all(m2.rank(k) == cx.rank(k) for k in cx.degrees())
-    assert all(v in (0, 1) for mat in m2.differentials.values()
-               for row in mat.rows for v in row)
-    with pytest.raises(ValueError):
-        reduce_mod(cx, 4)
-    with pytest.raises(ValueError):
-        reduce_mod(m2, 2)
-    assert reduce_mod(doubled, 3).modulus == 3
-
-
 def test_mod_p_exactness_small():
     for lam in enumerate_partitions(2, 3):
         cx = build_weyl_resolution(lam)
         expected = homology(cx, 0).free_rank
         for p in (2, 3, 5):
-            modp = reduce_mod(cx, p)
-            for k in range(1, modp.hi + 1):
-                assert homology(modp, k).is_trivial
-            assert homology(modp, 0).free_rank == expected
+            for k in range(1, cx.hi + 1):
+                assert homology(cx, k, p=p).is_trivial
+            assert homology(cx, 0, p=p).free_rank == expected
 
 
 def test_augmentation_row():

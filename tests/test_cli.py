@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from schurres import dividedpowers
 from schurres.barcomplex import build_weyl_resolution
 from schurres.cli import _maybe_corrupt, main
@@ -150,6 +152,17 @@ def test_verify_unknown_check(capsys):
                        "--checks", "nonsense")
     assert code == 2
     assert "unknown check" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--checks", "oracle", "--mod", "4"),  # no check reaches the mod-p loop
+    ("--lambda", "0,2", "--mod", "4"),  # a composition that is not a partition
+])
+def test_verify_rejects_a_non_prime_modulus_before_any_check(capsys, argv):
+    code, out, err = run(capsys, "verify", "-n", "2", "-r", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4 is not prime\n"
 
 
 def test_corrupt_builds_a_copy():

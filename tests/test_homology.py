@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurres.barcomplex import build_borel_resolution, build_weyl_resolution
-from schurres.combinatorics import enumerate_partitions
+from schurres.combinatorics import enumerate_compositions, enumerate_partitions
 from schurres.complexes import ChainComplex, Matrix
 from schurres.homology import (
     HomologyGroup,
@@ -134,6 +134,34 @@ def test_sparse_and_dense_smith_agree_on_resolutions():
     assert seen > 20
 
 
+def test_mod_p_homology_matches_dense_ranks():
+    """Every Borel resolution (all compositions) and every Weyl resolution
+    (all partitions) at n=3, r<=4: dimensions over F_p from homology_groups
+    against the free ranks of dense modular row reduction."""
+    seen = 0
+    for r in range(1, 5):
+        complexes = [build_borel_resolution(lam) for lam in enumerate_compositions(3, r)]
+        complexes += [build_weyl_resolution(lam) for lam in enumerate_partitions(3, r)]
+        for cx in complexes:
+            for p in (2, 3, 5):
+                ranks = {k: dense_rank_mod_p(cx.differential(k), p)
+                         for k in range(cx.lo + 1, cx.hi + 1)}
+                expected = {k: HomologyGroup(cx.rank(k) - ranks.get(k, 0)
+                                             - ranks.get(k + 1, 0), ())
+                            for k in cx.degrees()}
+                assert homology_groups(cx, p=p) == expected, (cx.meta, p)
+                seen += 1
+    assert seen == 3 * 44
+
+
+def test_homology_rejects_a_non_prime_before_any_differential():
+    one_degree = ChainComplex({0: ("a", "b")}, {})
+    assert homology(one_degree, 0, p=2) == HomologyGroup(2, ())
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            homology(one_degree, 0, p=p)
+
+
 def test_smith_form_divisibility_chain():
     rng = random.Random(11)
     for _ in range(50):
@@ -152,7 +180,7 @@ def test_smith_form_transforms_reconstruct():
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
         mat = Matrix.from_rows([[rng.randrange(-9, 10) for _ in range(n)]
                                 for _ in range(m)])
-        snf = smith_normal_form(mat, transforms=True)
+        snf = dense_smith_normal_form(mat, transforms=True)
         assert snf.left @ mat @ snf.right == snf.diagonal_matrix()
         assert abs(fraction_det(snf.left)) == 1
         assert abs(fraction_det(snf.right)) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 from math import factorial
 
 import pytest
@@ -341,6 +342,13 @@ def test_compare_small_cases():
     for lam in [(1, 1), (2, 0), (2, 1, 0), (1, 1, 1), (3, 0, 0)]:
         report = compare_with_schur_functor(lam)
         assert report.ok, (lam, report.matrices_equal, report.cokernel_ranks)
+
+
+def test_comparison_report_is_immutable():
+    report = compare_with_schur_functor((1, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.cokernel_ranks = (0, 0)
+    assert report.ok
 
 
 def test_compare_with_more_rows_than_boxes():
