@@ -9,13 +9,10 @@ from .combinatorics import (
     enumerate_dominance_chains,
     enumerate_partitions,
     enumerate_weight_matrices,
-    enumerate_weight_tensors,
     filtration_degree,
     matrix_marginal,
     max_chain_length,
     pair_weight,
-    tensor_marginal,
-    triple_weight,
     weight,
 )
 from .schur import (
@@ -28,7 +25,6 @@ from .schur import (
     is_ideal_element,
     multiply,
     multiply_basis,
-    tensor_multiplicity,
     transpose_involution,
 )
 from .oracles import (

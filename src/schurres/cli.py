@@ -234,7 +234,7 @@ def _check_exactness(n, r, lams, primes, corrupt):
         for p in primes:
             groups = homology_groups(weyl, p=p)
             bad = [k for k, h in groups.items()
-                   if h != (h0 if k == 0 else HomologyGroup(0, ()))]
+                   if h != HomologyGroup(expected if k == 0 else 0, (), p)]
             if bad:
                 ok = _fail({"check": "exactness", "variant": "weyl",
                             "lambda": list(lam), "mod": p, "degrees": bad})

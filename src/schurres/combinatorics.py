@@ -75,37 +75,13 @@ def pair_weight(i, j, n):
     return tuple(tuple(row) for row in m)
 
 
-def triple_weight(i, j, k, n):
-    """Weight tensor of a triple of multi-indices."""
-    if not len(i) == len(j) == len(k):
-        raise ValueError("multi-index length mismatch")
-    t = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for a, b, c in zip(i, j, k):
-        t[a - 1][b - 1][c - 1] += 1
-    return tuple(tuple(tuple(fib) for fib in row) for row in t)
-
-
 def matrix_marginal(omega, axis):
     """Marginal composition: axis 1 = column sums, axis 2 = row sums."""
-    n = len(omega)
     if axis == 1:
-        return tuple(sum(omega[s][t] for s in range(n)) for t in range(n))
+        return tuple(map(sum, zip(*omega)))
     if axis == 2:
-        return tuple(sum(row) for row in omega)
+        return tuple(map(sum, omega))
     raise ValueError("matrix axis must be 1 or 2")
-
-
-def tensor_marginal(theta, axis):
-    """Marginal weight matrix of a tensor; axis selects the summed index."""
-    n = len(theta)
-    rng = range(n)
-    if axis == 1:
-        return tuple(tuple(sum(theta[s][t][q] for s in rng) for q in rng) for t in rng)
-    if axis == 2:
-        return tuple(tuple(sum(theta[s][t][q] for t in rng) for q in rng) for s in rng)
-    if axis == 3:
-        return tuple(tuple(sum(theta[s][t][q] for q in rng) for t in rng) for s in rng)
-    raise ValueError("tensor axis must be 1, 2 or 3")
 
 
 def is_partition(c):
@@ -166,24 +142,26 @@ def enumerate_multi_indices(n, r):
     return tuple(_product(range(1, n + 1), repeat=r))
 
 
+@lru_cache(maxsize=None)
 def _row_candidates(n, mass, caps, first_col):
+    """Rows of n entries summing to mass, zero before first_col and at most
+    caps (a tuple, or None for no cap) entrywise, in descending order."""
     rows = []
 
     def fill(j, remaining, acc):
         if j == n:
             if remaining == 0:
-                rows.append(tuple(acc))
+                rows.append(acc)
             return
         if j < first_col:
-            if remaining >= 0:
-                fill(j + 1, remaining, acc + [0])
+            fill(j + 1, remaining, acc + (0,))
             return
         hi = remaining if caps is None else min(remaining, caps[j])
         for v in range(hi, -1, -1):
-            fill(j + 1, remaining - v, acc + [v])
+            fill(j + 1, remaining - v, acc + (v,))
 
-    fill(0, mass, [])
-    return rows
+    fill(0, mass, ())
+    return tuple(rows)
 
 
 def enumerate_weight_matrices(n, r, col_sums=None, row_sums=None,
@@ -207,17 +185,27 @@ def _enumerate_weight_matrices(n, r, col_sums, row_sums, upper_triangular, min_d
         raise ValueError("need n >= 1 and r >= 0")
     if min_degree is not None:
         upper_triangular = True
-    if col_sums is not None and (len(col_sums) != n or sum(col_sums) != r):
-        return ()
-    if row_sums is not None and (len(row_sums) != n or sum(row_sums) != r):
-        return ()
+    results = unsorted_weight_matrices(n, r, col_sums, row_sums, upper_triangular)
+    if min_degree is not None:
+        results = [m for m in results if filtration_degree(m) >= min_degree]
+    return canonical_sort(results)
 
+
+def unsorted_weight_matrices(n, r, col_sums=None, row_sums=None,
+                             upper_triangular=False):
+    """The matrices of `enumerate_weight_matrices` in no promised order and
+    without caching the result, for callers that keep their own digest of
+    it.  Rows come from `_row_candidates`, cached on the partial state."""
+    if col_sums is not None and (len(col_sums) != n or sum(col_sums) != r):
+        return []
+    if row_sums is not None and (len(row_sums) != n or sum(row_sums) != r):
+        return []
     results = []
 
     def fill_rows(s, remaining, col_rem, acc):
         if s == n:
-            if remaining == 0 and (col_rem is None or all(v == 0 for v in col_rem)):
-                results.append(tuple(acc))
+            if remaining == 0 and (col_rem is None or not any(col_rem)):
+                results.append(acc)
             return
         masses = (row_sums[s],) if row_sums is not None else range(remaining + 1)
         first = s if upper_triangular else 0
@@ -225,36 +213,11 @@ def _enumerate_weight_matrices(n, r, col_sums, row_sums, upper_triangular, min_d
             if mass > remaining:
                 continue
             for row in _row_candidates(n, mass, col_rem, first):
-                nxt = None if col_rem is None else [c - v for c, v in zip(col_rem, row)]
-                fill_rows(s + 1, remaining - mass, nxt, acc + [row])
+                nxt = None if col_rem is None else tuple(c - v for c, v in zip(col_rem, row))
+                fill_rows(s + 1, remaining - mass, nxt, acc + (row,))
 
-    fill_rows(0, r, list(col_sums) if col_sums is not None else None, [])
-    if min_degree is not None:
-        results = [m for m in results if filtration_degree(m) >= min_degree]
-    return canonical_sort(results)
-
-
-def enumerate_weight_tensors(omega, pi):
-    """All weight tensors with axis-3 marginal omega and axis-1 marginal pi.
-
-    Empty when the inner marginals disagree (the product-vanishing case).
-    The tensor splits into independent middle-index slices: slice t is an
-    n x n matrix with row sums the t-th column of omega and column sums the
-    t-th row of pi.
-    """
-    n = len(omega)
-    if matrix_marginal(omega, 1) != matrix_marginal(pi, 2):
-        return ()
-    per_slice = []
-    for t in range(n):
-        rs = tuple(omega[s][t] for s in range(n))
-        per_slice.append(enumerate_weight_matrices(n, sum(rs), col_sums=pi[t], row_sums=rs))
-    tensors = []
-    for slices in _product(*per_slice):
-        theta = tuple(tuple(tuple(slices[t][s][q] for q in range(n)) for t in range(n))
-                      for s in range(n))
-        tensors.append(theta)
-    return canonical_sort(tensors)
+    fill_rows(0, r, None if col_sums is None else tuple(col_sums), ())
+    return results
 
 
 # ---------------------------------------------------------------------------

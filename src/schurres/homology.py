@@ -272,10 +272,13 @@ def prime_power_factors(d):
 
 @dataclass(frozen=True)
 class HomologyGroup:
-    """Finitely generated abelian group: free rank plus prime-power torsion."""
+    """Finitely generated abelian group: free rank plus prime-power torsion;
+    over the field of `prime` elements (None for Z) the free rank is the
+    dimension and there is no torsion."""
 
     free_rank: int
     torsion: tuple
+    prime: int | None = None
 
     @property
     def is_trivial(self):
@@ -290,17 +293,23 @@ class HomologyGroup:
             return "0"
         parts = []
         if self.free_rank:
-            parts.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
+            ring = "Z" if self.prime is None else f"F_{self.prime}"
+            parts.append(ring if self.free_rank == 1 else f"{ring}^{self.free_rank}")
         parts.extend(f"Z/{q}" for q in self.torsion)
         return " + ".join(parts)
 
+    def __repr__(self):
+        # a group over Z reprs without its prime: verify failure records print it
+        prime = "" if self.prime is None else f", prime={self.prime}"
+        return f"HomologyGroup(free_rank={self.free_rank}, torsion={self.torsion}{prime})"
 
-def _group_from_factors(n_k, out_rank, in_factors):
+
+def _group_from_factors(n_k, out_rank, in_factors, p):
     torsion = []
     for f in in_factors:
         if f > 1:
             torsion.extend(prime_power_factors(f))
-    return HomologyGroup(n_k - out_rank - len(in_factors), tuple(sorted(torsion)))
+    return HomologyGroup(n_k - out_rank - len(in_factors), tuple(sorted(torsion)), p)
 
 
 def homology_groups(complex_, degrees=None, p=None):
@@ -313,7 +322,8 @@ def homology_groups(complex_, degrees=None, p=None):
     a direct summand keeps exactly that torsion).  Each differential is
     reduced once, however many of the degrees it touches, and only its
     factors (or its rank mod p) are kept.  Over a field every nonzero
-    invariant factor is a unit, so only dimensions are reported.
+    invariant factor is a unit, so only dimensions are reported, in groups
+    that carry p.
     """
     if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -329,7 +339,7 @@ def homology_groups(complex_, degrees=None, p=None):
             factors[k] = smith_normal_form(complex_.differential(k)).factors
         else:
             factors[k] = (1,) * rank_mod_p(complex_.differential(k), p)
-    return {k: _group_from_factors(complex_.rank(k), len(factors[k]), factors[k + 1])
+    return {k: _group_from_factors(complex_.rank(k), len(factors[k]), factors[k + 1], p)
             for k in degrees}
 
 

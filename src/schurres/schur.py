@@ -5,39 +5,48 @@ An algebra element is a sparse integer combination of weight-matrix keys.
 The product of two basis elements expands over weight tensors: the tensor's
 axis-3 marginal must match the left factor, its axis-1 marginal the right
 factor, and each tensor contributes its multiplicity coefficient times the
-basis element of its axis-2 marginal.  Coefficients are unbounded-precision
-integers throughout; zero coefficients are dropped eagerly so equality is
-structural.
+basis element of its axis-2 marginal.  A tensor is a choice of one
+middle-index slice per t (slice t has row sums the t-th column of the left
+factor and column sums the t-th row of the right one), so the expansion is
+computed by folding the slices in one at a time: a dict maps each partial
+sum of the slices chosen so far, packed into one integer, to its weighted
+count.  Each slice set is a table built once per process from its two
+margins.  Coefficients are unbounded-precision integers throughout; zero
+coefficients are dropped eagerly so equality is structural.
 """
 
 import json
 from functools import lru_cache
-from itertools import product as _product
+from math import factorial
 
 from .combinatorics import (
     diagonal_matrix,
     enumerate_compositions,
-    enumerate_weight_matrices,
     filtration_degree,
     is_upper_triangular,
     matrix_marginal,
     multinomial,
     transpose_matrix,
+    unsorted_weight_matrices,
 )
 
 
-def tensor_multiplicity(theta):
-    """Number of middle multi-indices realizing a weight tensor.
+@lru_cache(maxsize=None)
+def _slice_table(row_sums, col_sums, width):
+    """The middle-index slices with the given margins, as (packed entries,
+    weight) pairs.
 
-    Equals the product over (first, last) index pairs of the multinomial
-    coefficient of the middle-index fiber.
+    A slice's entries are packed row-major into one integer, `width` bits
+    each, first entry most significant; its weight is the multinomial
+    coefficient of its entries.
     """
-    n = len(theta)
-    result = 1
-    for s in range(n):
-        for q in range(n):
-            result *= multinomial(tuple(theta[s][t][q] for t in range(n)))
-    return result
+    n = len(row_sums)
+    shifts = range(width * (n * n - 1), -1, -width)
+    table = []
+    for m in unsorted_weight_matrices(n, sum(row_sums), col_sums, row_sums):
+        flat = [v for row in m for v in row]
+        table.append((sum(v << b for v, b in zip(flat, shifts)), multinomial(flat)))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -45,30 +54,37 @@ def structure_constants(omega, pi):
     """Expansion of a basis product as ((key, coefficient), ...).
 
     Empty when the column sums of omega differ from the row sums of pi.
-    Enumerates middle-index slices directly: slice t runs over matrices with
-    row sums the t-th column of omega and column sums the t-th row of pi.
+    The fold weights each partial sum by the product of its slices'
+    multinomials.  A tensor theta with key K has multiplicity
+    prod K! / prod theta! = (prod K! / prod_t (total of slice t)!) * prod_t
+    (multinomial of slice t), so each key is scaled once at the end.
     """
     n = len(omega)
     if matrix_marginal(omega, 1) != matrix_marginal(pi, 2):
         return ()
-    per_slice = []
+    width = sum(map(sum, omega)).bit_length() or 1  # every entry of a key is <= r
+    acc = {0: 1}
+    scale = 1
     for t in range(n):
-        rs = tuple(omega[s][t] for s in range(n))
-        per_slice.append(enumerate_weight_matrices(n, sum(rs), col_sums=pi[t], row_sums=rs))
-    acc = {}
-    for slices in _product(*per_slice):
-        coeff = 1
-        key = []
-        for s in range(n):
-            row = []
-            for q in range(n):
-                fiber = tuple(slices[t][s][q] for t in range(n))
-                coeff *= multinomial(fiber)
-                row.append(sum(fiber))
-            key.append(tuple(row))
-        key = tuple(key)
-        acc[key] = acc.get(key, 0) + coeff
-    return tuple(sorted(acc.items(), reverse=True))
+        rs = tuple(row[t] for row in omega)
+        scale *= factorial(sum(rs))
+        table = _slice_table(rs, pi[t], width)
+        folded = {}
+        for partial, c in acc.items():
+            for entries, w in table:
+                key = partial + entries
+                folded[key] = folded.get(key, 0) + c * w
+        acc = folded
+    mask = (1 << width) - 1
+    shifts = range(width * (n * n - 1), -1, -width)
+    out = []
+    for packed in sorted(acc, reverse=True):  # packed order is flattened order
+        flat = [packed >> b & mask for b in shifts]
+        coeff = acc[packed]
+        for v in flat:
+            coeff *= factorial(v)
+        out.append((tuple(tuple(flat[s:s + n]) for s in range(0, n * n, n)), coeff // scale))
+    return tuple(out)
 
 
 class AlgebraElement:

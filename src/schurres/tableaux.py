@@ -29,7 +29,10 @@ homomorphism's matrix is transposed into sparse rows once per build, and
 each functional's row in it is found through a dict.
 
 Homomorphism matrices are cached; `tableau_hom` hands out the cached
-`Matrix` itself, which no caller can change.
+`Matrix` itself, which no caller can change.  A matrix is built from the
+ways to split each row of a source tableau into blocks: these are taken
+from a cached table of position splits, keyed by row length and block
+sizes, combined once per weight matrix and read against every source.
 """
 
 from dataclasses import dataclass
@@ -127,16 +130,18 @@ def act(sigma, tab):
 # ---------------------------------------------------------------------------
 # tableau homomorphisms
 
-def _row_splits(row, sizes):
-    """Partitions of a set row into labeled blocks of the given sizes."""
+@lru_cache(maxsize=None)
+def _position_splits(length, sizes):
+    """Partitions of the positions 0..length-1 into labeled blocks of the
+    given sizes (which sum to length), each block increasing."""
     if not sizes:
-        yield ()
-        return
-    first, rest = sizes[0], sizes[1:]
-    for chosen in combinations(row, first):
-        remaining = tuple(v for v in row if v not in chosen)
-        for tail in _row_splits(remaining, rest):
-            yield (chosen,) + tail
+        return ((),)
+    out = []
+    for chosen in combinations(range(length), sizes[0]):
+        rest = [i for i in range(length) if i not in chosen]
+        for tail in _position_splits(len(rest), sizes[1:]):
+            out.append((chosen,) + tuple(tuple(rest[i] for i in block) for block in tail))
+    return tuple(out)
 
 
 def tableau_hom(tab):
@@ -158,21 +163,21 @@ def _tableau_hom_matrix(omega):
     domain = multilinear_tableaux(mu)
     codomain = multilinear_tableaux(lam)
     cod_index = {tab: i for i, tab in enumerate(codomain)}
+    # split row t of the source into blocks of sizes omega[.][t]; row s of
+    # the image collects the s-blocks.  The splits depend only on omega, so
+    # they are formed once, on positions in the source read row by row.
+    starts = [sum(mu[:t]) for t in range(n)]
+    per_row = [_position_splits(mu[t], tuple(omega[s][t] for s in range(n)))
+               for t in range(n)]
+    gathers = [tuple(tuple(starts[t] + i for t in range(n) for i in split[t][s])
+                     for s in range(n))
+               for split in _product(*per_row)]
     columns = []
     for source in domain:
+        values = [v for row in source for v in row]
         col = {}
-        # independently split row t of the source into blocks of sizes
-        # omega[.][t]; row s of the image collects the s-blocks
-        per_row = [list(_row_splits(source[t], tuple(omega[s][t] for s in range(n))))
-                   for t in range(n)]
-        for split in _product(*per_row):
-            rows = []
-            for s in range(n):
-                merged = []
-                for t in range(n):
-                    merged.extend(split[t][s])
-                rows.append(tuple(sorted(merged)))
-            i = cod_index[tuple(rows)]
+        for gather in gathers:
+            i = cod_index[tuple(tuple(sorted([values[g] for g in block])) for block in gather)]
             col[i] = col.get(i, 0) + 1
         columns.append(col)
     return Matrix.from_columns(len(codomain), columns)

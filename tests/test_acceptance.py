@@ -12,7 +12,6 @@ from schurres.combinatorics import (
     enumerate_compositions,
     enumerate_partitions,
     enumerate_weight_matrices,
-    enumerate_weight_tensors,
     filtration_degree,
     is_upper_triangular,
     max_chain_length,
@@ -33,7 +32,6 @@ from schurres.schur import (
     multiply,
     multiply_basis,
     structure_constants,
-    tensor_multiplicity,
     zero,
 )
 from schurres.schurfunctor import (
@@ -48,6 +46,7 @@ from schurres.tableaux import (
     semistandard_tableau_count,
     standard_tableau_count,
 )
+from weight_tensors import enumerate_weight_tensors, tensor_multiplicity
 
 
 def _report(num, label, t0):

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schurres.combinatorics import (
+    _row_candidates,
     dominates,
     enumerate_compositions,
     enumerate_dominance_chains,
     enumerate_multi_indices,
     enumerate_partitions,
     enumerate_weight_matrices,
-    enumerate_weight_tensors,
     filtration_degree,
     flatten,
     is_diagonal,
@@ -19,11 +19,11 @@ from schurres.combinatorics import (
     max_chain_length,
     multinomial,
     pair_weight,
-    tensor_marginal,
-    triple_weight,
     weight,
 )
 from math import comb
+
+from weight_tensors import enumerate_weight_tensors, tensor_marginal, triple_weight
 
 
 def brute_matrices(n, r):
@@ -127,6 +127,42 @@ def test_weight_matrix_enumeration_against_brute_force():
             assert set(enumerate_weight_matrices(n, r, col_sums=col)) == expect
         expect = {m for m in brute if is_upper_triangular(m)}
         assert set(enumerate_weight_matrices(n, r, upper_triangular=True)) == expect
+
+
+def test_every_constraint_combination_against_brute_force():
+    """Each enumeration, built from the cached row candidates, equals the
+    canonically sorted filter of every n x n grid of total r."""
+    for n in (1, 2, 3):
+        for r in range(5):
+            brute = brute_matrices(n, r)
+            margins = (None,) + enumerate_compositions(n, r)
+            for col, row in product(margins, margins):
+                fits = [m for m in brute
+                        if col in (None, matrix_marginal(m, 1))
+                        and row in (None, matrix_marginal(m, 2))]
+                for upper, min_degree in [(False, None), (True, None), (False, 1),
+                                          (True, 2)]:
+                    expect = [m for m in fits if (not upper and min_degree is None)
+                              or is_upper_triangular(m)
+                              and filtration_degree(m) >= (min_degree or 0)]
+                    got = enumerate_weight_matrices(n, r, col_sums=col, row_sums=row,
+                                                    upper_triangular=upper,
+                                                    min_degree=min_degree)
+                    assert got == tuple(sorted(expect, reverse=True)), (col, row, upper)
+
+
+def test_row_candidates_hold_tuples_all_the_way_down():
+    for n in (1, 2, 3):
+        for caps in (None,) + enumerate_compositions(n, 3):
+            for mass in range(4):
+                for first in range(n):
+                    rows = _row_candidates(n, mass, caps, first)
+                    assert isinstance(rows, tuple)
+                    assert rows == tuple(sorted(set(rows), reverse=True))
+                    for row in rows:
+                        assert isinstance(row, tuple) and all(type(v) is int for v in row)
+                        assert sum(row) == mass and not any(row[:first])
+                        assert caps is None or all(map(int.__le__, row, caps))
 
 
 def test_weight_matrix_canonical_order():

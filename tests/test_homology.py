@@ -46,8 +46,8 @@ def dense_rank_mod_p(mat, p):
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
         inv = pow(rows[rk][col], p - 2, p)
         rows[rk] = [v * inv % p for v in rows[rk]]
-        for i in range(mat.nrows):
-            if i != rk and rows[i][col]:
+        for i in range(rk + 1, mat.nrows):
+            if rows[i][col]:
                 c = rows[i][col]
                 rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rk])]
         rk += 1
@@ -147,7 +147,7 @@ def test_mod_p_homology_matches_dense_ranks():
                 ranks = {k: dense_rank_mod_p(cx.differential(k), p)
                          for k in range(cx.lo + 1, cx.hi + 1)}
                 expected = {k: HomologyGroup(cx.rank(k) - ranks.get(k, 0)
-                                             - ranks.get(k + 1, 0), ())
+                                             - ranks.get(k + 1, 0), (), p)
                             for k in cx.degrees()}
                 assert homology_groups(cx, p=p) == expected, (cx.meta, p)
                 seen += 1
@@ -156,7 +156,7 @@ def test_mod_p_homology_matches_dense_ranks():
 
 def test_homology_rejects_a_non_prime_before_any_differential():
     one_degree = ChainComplex({0: ("a", "b")}, {})
-    assert homology(one_degree, 0, p=2) == HomologyGroup(2, ())
+    assert homology(one_degree, 0, p=2) == HomologyGroup(2, (), 2)
     for p in (0, 1, 4):
         with pytest.raises(ValueError, match=f"{p} is not prime"):
             homology(one_degree, 0, p=p)
@@ -292,6 +292,18 @@ def test_prime_helpers():
 def test_homology_group_str():
     assert str(HomologyGroup(0, ())) == "0"
     assert str(HomologyGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"
+
+
+def test_homology_over_a_prime_field_records_the_prime():
+    cx = build_weyl_resolution((2, 1, 0))
+    over_z, over_f2 = homology(cx, 0), homology(cx, 0, p=2)
+    assert (str(over_z), str(over_f2)) == ("Z^8", "F_2^8")
+    assert over_f2 == HomologyGroup(8, (), 2) != over_z
+    assert homology_groups(cx, p=3) == {k: HomologyGroup(8 if k == 0 else 0, (), 3)
+                                        for k in cx.degrees()}
+    assert (str(HomologyGroup(1, (), 3)), str(HomologyGroup(0, (), 5))) == ("F_3", "0")
+    assert repr(over_f2) == "HomologyGroup(free_rank=8, torsion=(), prime=2)"
+    assert repr(HomologyGroup(1, (2,))) == "HomologyGroup(free_rank=1, torsion=(2,))"
 
 
 def unimodular_pair(data, size):

@@ -1,22 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from schurres import barcomplex
 from schurres.combinatorics import (
     diagonal_matrix,
     enumerate_compositions,
     enumerate_weight_matrices,
-    enumerate_weight_tensors,
     filtration_degree,
     flatten,
     is_upper_triangular,
     matrix_marginal,
     max_chain_length,
     transpose_matrix,
-    triple_weight,
 )
 from schurres.schur import (
     AlgebraElement,
+    _slice_table,
     basis_element,
     format_element,
     idempotent,
@@ -26,9 +27,15 @@ from schurres.schur import (
     multiply,
     multiply_basis,
     structure_constants,
-    tensor_multiplicity,
     transpose_involution,
     zero,
+)
+from schurres.schurfunctor import truncated_resolution
+from weight_tensors import (
+    enumerate_weight_tensors,
+    reference_structure_constants,
+    tensor_multiplicity,
+    triple_weight,
 )
 
 
@@ -78,6 +85,75 @@ def test_multiply_basis_matches_tensor_enumeration():
                                       for q in range(n)) for s in range(n))
                     acc[key] = acc.get(key, 0) + tensor_multiplicity(th)
                 assert dict(structure_constants(om, pi)) == acc
+
+
+def nested_tuples_of_ints(value):
+    return type(value) is int or (
+        isinstance(value, tuple) and all(map(nested_tuples_of_ints, value)))
+
+
+def check_against_reference(omega, pi):
+    got = structure_constants(omega, pi)
+    assert got == reference_structure_constants(omega, pi), (omega, pi)
+    assert nested_tuples_of_ints(got)
+
+
+def test_structure_constants_match_the_cartesian_reference():
+    """Every composable pair at n <= 3, r <= 4 and at n = 4, r = 3, plus a
+    sample of the pairs whose product vanishes."""
+    rng = random.Random(5)
+    sizes = [(n, r) for n in (1, 2, 3) for r in range(5)] + [(4, 3)]
+    composable = 0
+    for n, r in sizes:
+        mats = enumerate_weight_matrices(n, r)
+        for omega in mats:
+            for pi in enumerate_weight_matrices(n, r, row_sums=matrix_marginal(omega, 1)):
+                check_against_reference(omega, pi)
+                composable += 1
+        for _ in range(200):
+            omega, pi = rng.choice(mats), rng.choice(mats)
+            if matrix_marginal(omega, 1) != matrix_marginal(pi, 2):
+                assert structure_constants(omega, pi) == ()
+    assert composable > 40000
+
+
+def test_structure_constants_match_the_reference_on_a_truncation(monkeypatch):
+    asked = set()
+    fast = barcomplex.structure_constants
+
+    def record(omega, pi):
+        asked.add((omega, pi))
+        return fast(omega, pi)
+
+    monkeypatch.setattr(barcomplex, "structure_constants", record)
+    truncated_resolution((2, 1, 1, 1, 0))
+    assert len(asked) > 1000
+    for omega, pi in asked:
+        check_against_reference(omega, pi)
+
+
+@st.composite
+def product_pairs(draw):
+    """(omega, pi) at n <= 4, r <= 5; pi is composable with omega in most draws."""
+    n, r = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    omega = draw(st.sampled_from(enumerate_weight_matrices(n, r)))
+    inner = matrix_marginal(omega, 1) if draw(st.integers(0, 3)) else None
+    return omega, draw(st.sampled_from(enumerate_weight_matrices(n, r, row_sums=inner)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_structure_constants_match_the_reference_on_random_pairs(pair):
+    check_against_reference(*pair)
+
+
+def test_slice_tables_hold_tuples_all_the_way_down():
+    omega, pi = ((1, 1, 0), (1, 0, 1), (0, 1, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 0))
+    assert structure_constants(omega, pi)
+    for t in range(3):
+        column = tuple(row[t] for row in omega)
+        table = _slice_table(column, pi[t], (3).bit_length())
+        assert table and nested_tuples_of_ints(table)
 
 
 def test_expansions_come_in_flattened_key_order():

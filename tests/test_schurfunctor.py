@@ -13,8 +13,7 @@ from schurres.schurfunctor import (
     weight_matrix_permutation,
 )
 from schurres.tableaux import standard_tableau_count
-from schurres.combinatorics import enumerate_weight_tensors
-from schurres.schur import tensor_multiplicity
+from weight_tensors import enumerate_weight_tensors, tensor_multiplicity
 
 
 def as_permutation(images):

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -10,6 +11,7 @@ from schurres.combinatorics import (
     enumerate_weight_matrices,
     is_upper_triangular,
     matrix_marginal,
+    multinomial,
     transpose_matrix,
 )
 from schurres.complexes import ChainComplex, Matrix
@@ -111,6 +113,26 @@ def test_canonical_tableau_and_action():
     t = canonical_tableau((2, 1))
     assert act((1, 2, 3), t) == t
     assert act((3, 1, 2), t) == ((1, 3), (2,))
+
+
+def test_position_splits_match_a_permutation_brute_force():
+    """Cutting every ordering of the positions of a row into consecutive
+    blocks and sorting each block gives each split, once per ordering of
+    its blocks; the cached table holds tuples all the way down."""
+    for length in range(6):
+        for parts in (1, 2, 3, 5):
+            for sizes in enumerate_compositions(parts, length):
+                cuts = [sum(sizes[:b]) for b in range(parts + 1)]
+                brute = {tuple(tuple(sorted(perm[cuts[b]:cuts[b + 1]])) for b in range(parts))
+                         for perm in permutations(range(length))}
+                got = tableaux._position_splits(length, sizes)
+                assert len(got) == len(set(got)) == multinomial(sizes)
+                assert set(got) == brute, (length, sizes)
+                assert isinstance(got, tuple) and all(
+                    isinstance(split, tuple)
+                    and all(isinstance(block, tuple) and all(type(i) is int for i in block)
+                            for block in split)
+                    for split in got)
 
 
 def test_tableau_hom_identity_and_row_collapse():
