@@ -138,13 +138,8 @@ def _build_variant(variant, lam):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _serialize_label(label, variant):
-    if variant == "bh":
-        from .tableaux import matrix_of_tableau
-        mats = [matrix_of_tableau(t) for t in label]
-    else:
-        mats = list(label)
-    return [[list(row) for row in m] for m in mats]
+def _serialize_label(label):
+    return [[list(row) for row in m] for m in label]
 
 
 def _matrix_doc(mat):
@@ -164,7 +159,7 @@ def complex_document(cx, lam, variant):
         },
         "degrees": list(cx.degrees()),
         "ranks": {str(k): cx.rank(k) for k in cx.degrees()},
-        "basis": {str(k): [_serialize_label(lab, variant) for lab in cx.labels[k]]
+        "basis": {str(k): [_serialize_label(lab) for lab in cx.labels[k]]
                   for k in cx.degrees()},
         "differentials": {str(k): _matrix_doc(cx.differential(k))
                           for k in range(cx.lo + 1, cx.hi + 1)},
@@ -192,14 +187,24 @@ def cmd_resolve(args):
 # ---------------------------------------------------------------------------
 # verify
 
-def _maybe_corrupt(cx, directive):
+def _parse_corrupt(text):
+    """The --corrupt directive "k,i,j,delta" as four integers, delta nonzero."""
+    try:
+        k, i, j, delta = map(int, text.split(","))
+    except ValueError:
+        delta = 0
+    if not delta:
+        raise ValueError(f"--corrupt {text!r} is not of the form k,i,j,delta, delta != 0")
+    return k, i, j, delta
+
+
+def _maybe_corrupt(cx, corrupt):
     """A new complex, cx with delta added to entry (i, j) of the differential
-    at degree k, for the directive "k,i,j,delta"; cx itself is left as it is."""
-    if not directive:
-        return cx
-    k, i, j, delta = (int(x) for x in directive.split(","))
+    at degree k, for corrupt = (k, i, j, delta); cx itself, left as it is,
+    when d_k has no entry (i, j)."""
+    k, i, j, delta = corrupt
     mat = cx.differential(k)
-    if not (cx.lo < k <= cx.hi and i < mat.nrows and j < mat.ncols):
+    if not (cx.lo < k <= cx.hi and 0 <= i < mat.nrows and 0 <= j < mat.ncols):
         return cx
     mat = mat + Matrix.from_entries(mat.nrows, mat.ncols, [(i, j, delta)])
     return ChainComplex(cx.labels, {**cx.differentials, k: mat}, cx.homotopies,
@@ -214,7 +219,7 @@ def _fail(record):
 def _check_exactness(n, r, lams, primes, corrupt):
     ok = True
     for lam in lams:
-        borel = _maybe_corrupt(build_borel_resolution(lam), corrupt)
+        borel = corrupt(build_borel_resolution(lam))
         report = verify_exactness(borel)
         if not report.ok:
             ok = _fail({"check": "exactness", "variant": "borel",
@@ -222,7 +227,7 @@ def _check_exactness(n, r, lams, primes, corrupt):
                         "failures": [str(entry) for entry in report.failures()]})
         if not is_partition(lam):
             continue
-        weyl = _maybe_corrupt(build_weyl_resolution(lam), corrupt)
+        weyl = corrupt(build_weyl_resolution(lam))
         expected = semistandard_tableau_count(lam, n)
         h0 = HomologyGroup(expected, ())
         report = verify_exactness(weyl, expected={0: h0})
@@ -244,7 +249,7 @@ def _check_exactness(n, r, lams, primes, corrupt):
 def _check_homotopy(n, r, lams, corrupt):
     ok = True
     for lam in lams:
-        cx = _maybe_corrupt(build_borel_resolution(lam), corrupt)
+        cx = corrupt(build_borel_resolution(lam))
         for k in range(0, cx.hi + 1):
             lhs = (cx.differential(k + 1) @ cx.homotopy(k)
                    + cx.homotopy(k - 1) @ cx.differential(k))
@@ -332,9 +337,7 @@ def _check_embedding(n, r):
 
 def _check_boltje(n, r, lams):
     ok = True
-    for lam in lams:
-        if not is_partition(lam):
-            continue
+    for lam in filter(is_partition, lams):
         report = compare_with_schur_functor(lam, n)
         if not report.ok:
             ok = _fail({"check": "boltje", "lambda": list(lam),
@@ -388,15 +391,26 @@ def cmd_verify(args):
         lams = [_parse_composition(args.lam, n, r)]
     else:
         lams = list(enumerate_partitions(n, r))
+    directive = None if args.corrupt is None else _parse_corrupt(args.corrupt)
+    changed = []
+
+    def corrupt(cx):
+        bad = _maybe_corrupt(cx, directive) if directive else cx
+        changed.append(bad is not cx)
+        return bad
+
     ok = True
     for name in checks:
         if name in NEEDS_N_GE_R and n < r:
             print(f"skipped {name} (n < r)")
             continue
+        if name == "boltje" and not any(map(is_partition, lams)):
+            print("skipped boltje (no partition)")
+            continue
         if name == "exactness":
-            good = _check_exactness(n, r, lams, primes, args.corrupt)
+            good = _check_exactness(n, r, lams, primes, corrupt)
         elif name == "homotopy":
-            good = _check_homotopy(n, r, lams, args.corrupt)
+            good = _check_homotopy(n, r, lams, corrupt)
         elif name == "oracle":
             good = _check_oracle(n, r)
         elif name == "associativity":
@@ -411,6 +425,8 @@ def cmd_verify(args):
             good = _check_divided(n, r, lams)
         print(f"{'ok' if good else 'FAIL'} {name} (n={n}, r={r})")
         ok = ok and good
+    if directive and not any(changed):
+        raise ValueError(f"--corrupt {args.corrupt} changed no differential")
     return 0 if ok else 1
 
 

@@ -16,17 +16,19 @@ tableau bases is 0/1.
 The complex of a partition has, in degree k, one tensor factor chain per
 strict dominance chain above the partition: a dual-basis functional on the
 first permutation module followed by k homomorphisms with upper-triangular
-matrices.  The differential composes adjacent factors with alternating
-signs; compositions are re-expanded in the tableau basis by evaluating at
-the canonical (row-filling) tableau, with no reference to the weight-matrix
-structure constants, so the comparison with the idempotent-truncated
-resolution is a genuine two-route check.  Only that one column of a
-composition is formed (the left homomorphism applied to the right one's
-column at the canonical tableau), and each distinct adjacent pair is
-composed, checked and expanded once per build of a complex; the expansions
-live in a dict owned by that build.  Likewise each distinct first
-homomorphism's matrix is transposed into sparse rows once per build, and
-each functional's row in it is found through a dict.
+matrices.  As in every complex, labels are weight matrices (a factor's
+tableau appears as its matrix); tableaux are used only inside the
+homomorphism kernel.  The differential composes adjacent factors with
+alternating signs; compositions are re-expanded over tableau homomorphisms
+by evaluating at the canonical (row-filling) tableau, with no reference to
+the weight-matrix structure constants, so the comparison with the
+idempotent-truncated resolution is a genuine two-route check.  Only that
+one column of a composition is formed (the left homomorphism applied to the
+right one's column at the canonical tableau), and each distinct adjacent
+pair is composed, checked and expanded once per build of a complex; the
+expansions live in a dict owned by that build.  Likewise each distinct
+first homomorphism's matrix is transposed into sparse rows once per build,
+and each functional's row in it is found through a dict.
 
 Homomorphism matrices are cached; `tableau_hom` hands out the cached
 `Matrix` itself, which no caller can change.  A matrix is built from the
@@ -53,20 +55,6 @@ from .schurfunctor import multilinear_weight
 
 # ---------------------------------------------------------------------------
 # tableaux and the matrix correspondence
-
-def tableau_shape(tab):
-    return tuple(len(row) for row in tab)
-
-
-def tableau_content(tab, n):
-    counts = [0] * n
-    for row in tab:
-        for v in row:
-            if not 1 <= v <= n:
-                raise ValueError(f"tableau entry {v} outside 1..{n}")
-            counts[v - 1] += 1
-    return tuple(counts)
-
 
 def is_row_semistandard(tab):
     return all(all(row[i] <= row[i + 1] for i in range(len(row) - 1)) for row in tab)
@@ -237,57 +225,58 @@ def expand_canonical_column(column, target_shape, source_shape):
     return out
 
 
-def _composition_at_canonical_column(left, right, n):
-    """Expansion of hom(left) o hom(right) over tableau homomorphisms.
+def _composition_at_canonical_column(left, right):
+    """Expansion of hom(left) o hom(right) over weight matrices.
 
     Only the product's column at the canonical tableau of the source shape
     is formed: hom(left) applied to that one column of hom(right).
     """
-    source_shape = tableau_content(right, n)
+    source_shape = matrix_marginal(right, 1)
     col = multilinear_tableaux(source_shape).index(canonical_tableau(source_shape))
-    left_hom = _tableau_hom_matrix(matrix_of_tableau(left))
+    left_hom = _tableau_hom_matrix(left)
     column = [0] * left_hom.nrows
-    for k, v in _tableau_hom_matrix(matrix_of_tableau(right)).columns[col]:
+    for k, v in _tableau_hom_matrix(right).columns[col]:
         for i, a in left_hom.columns[k]:
             column[i] += a * v
-    return expand_canonical_column(column, tableau_shape(left), source_shape)
+    return expand_canonical_column(column, matrix_marginal(left, 2), source_shape)
 
 
 # ---------------------------------------------------------------------------
 # the permutation-module complex
 
+def _functionals(shape):
+    """Weight matrices of the multilinear tableaux of `shape`, in their order."""
+    n, r = len(shape), sum(shape)
+    return enumerate_weight_matrices(n, r, col_sums=multilinear_weight(n, r), row_sums=shape)
+
+
 def _basis_labels(lam, n, k):
-    """Degree-k labels: (functional tableau, hom tableau 1, ..., hom tableau k)
+    """Degree-k labels: (functional, hom 1, ..., hom k) weight matrices
     running over dominance chains above lam, in canonical chain order."""
     r = sum(lam)
     labels = []
     for chain in enumerate_dominance_chains(lam, k):
         shapes = chain + (lam,)
-        factor_choices = [multilinear_tableaux(shapes[0])]
-        for i in range(k):
-            mats = enumerate_weight_matrices(
-                n, r, col_sums=shapes[i + 1], row_sums=shapes[i], min_degree=1)
-            factor_choices.append(tuple(tableau_of_matrix(w) for w in mats))
-        for combo in _product(*factor_choices):
-            labels.append(combo)
+        homs = (enumerate_weight_matrices(n, r, col_sums=shapes[i + 1], row_sums=shapes[i],
+                                          min_degree=1) for i in range(k))
+        labels.extend(_product(_functionals(shapes[0]), *homs))
     return tuple(labels)
 
 
-def _resolve_first_hom(hom, n):
+def _resolve_first_hom(hom):
     """Rows of hom(`hom`) as sparse (column, value) tuples, one per
-    functional on its codomain, and the multilinear tableaux its columns run
-    over."""
-    return (_tableau_hom_matrix(matrix_of_tableau(hom)).transpose().columns,
-            multilinear_tableaux(tableau_content(hom, n)))
+    functional on its codomain, and the functionals its columns run over."""
+    return (_tableau_hom_matrix(hom).transpose().columns,
+            _functionals(matrix_marginal(hom, 1)))
 
 
-def _bh_differential(labels_k, labels_km1, k, n, compositions, first_homs):
+def _bh_differential(labels_k, labels_km1, k, compositions, first_homs):
     """Degree-k differential.  `compositions` maps each adjacent pair (left,
-    right) of hom tableaux already composed in this build to its expansion,
-    a tuple of (merged tableau, coefficient); `first_homs` maps each first
-    hom tableau already resolved in this build to `_resolve_first_hom`."""
+    right) of homs already composed in this build to its expansion, a tuple
+    of (merged hom, coefficient); `first_homs` maps each first hom already
+    resolved in this build to `_resolve_first_hom`."""
     index = {lab: i for i, lab in enumerate(labels_km1)}
-    position = {fun: multilinear_tableaux(tableau_shape(fun)).index(fun)
+    position = {fun: _functionals(matrix_marginal(fun, 2)).index(fun)
                 for fun in {lab[0] for lab in labels_k}}
     columns = []
     for lab in labels_k:
@@ -296,7 +285,7 @@ def _bh_differential(labels_k, labels_km1, k, n, compositions, first_homs):
         # t = 0: precompose the functional with the first homomorphism
         first = first_homs.get(homs[0])
         if first is None:
-            first = first_homs[homs[0]] = _resolve_first_hom(homs[0], n)
+            first = first_homs[homs[0]] = _resolve_first_hom(homs[0])
         rows, next_domain = first
         for j, c in rows[position[functional]]:
             i = index[(next_domain[j],) + homs[1:]]
@@ -307,11 +296,10 @@ def _bh_differential(labels_k, labels_km1, k, n, compositions, first_homs):
             pair = homs[t - 1], homs[t]
             terms = compositions.get(pair)
             if terms is None:
-                expansion = _composition_at_canonical_column(*pair, n)
+                expansion = _composition_at_canonical_column(*pair)
                 if not all(map(is_upper_triangular, expansion)):
                     raise ValueError("composition left the upper-triangular span")
-                terms = compositions[pair] = tuple(
-                    (tableau_of_matrix(omega), c) for omega, c in expansion.items())
+                terms = compositions[pair] = tuple(expansion.items())
             for merged, c in terms:
                 i = index[(functional,) + homs[:t - 1] + (merged,) + homs[t + 1:]]
                 col[i] = col.get(i, 0) + sign * c
@@ -343,13 +331,9 @@ def build_bh_complex(lam, n=None):
             break
         labels[k] = basis
         k += 1
-    hi = k - 1
-    compositions = {}
-    first_homs = {}
-    diffs = {}
-    for k in range(1, hi + 1):
-        diffs[k] = _bh_differential(labels[k], labels[k - 1], k, n, compositions,
-                                    first_homs)
+    compositions, first_homs = {}, {}
+    diffs = {k: _bh_differential(labels[k], labels[k - 1], k, compositions, first_homs)
+             for k in range(1, len(labels))}
     cx = ChainComplex(labels, diffs,
                       meta={"n": n, "r": r, "lam": lam, "variant": "bh"})
     cx.check_complex()
@@ -361,21 +345,9 @@ def build_bh_complex(lam, n=None):
 
 def bh_label_of_bar_tuple(tup):
     """Translate a kept bar tuple into a complex label: the leading matrix
-    transposes into the functional tableau, the tail matrices are the hom
-    tableaux."""
-    head = tableau_of_matrix(transpose_matrix(tup[0]))
-    return (head,) + tuple(tableau_of_matrix(w) for w in tup[1:])
-
-
-def _bh_relabelling():
-    """`bh_label_of_bar_tuple` converting each distinct weight matrix once,
-    for as long as the returned function lives."""
-    head = lru_cache(maxsize=None)(lambda w: tableau_of_matrix(transpose_matrix(w)))
-    tail = lru_cache(maxsize=None)(tableau_of_matrix)
-
-    def label(tup):
-        return (head(tup[0]),) + tuple(map(tail, tup[1:]))
-    return label
+    transposes into the functional's matrix, the tail matrices are the
+    homs."""
+    return (transpose_matrix(tup[0]),) + tup[1:]
 
 
 @dataclass(frozen=True)
@@ -417,10 +389,9 @@ def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
     if degree_match:
         # under bijective relabelling, equal nonzero entries mean equal matrices
         position, bijective = {}, {}
-        relabel = _bh_relabelling()
         for k in fb.degrees():
             bh_index = {lab: i for i, lab in enumerate(bh.labels[k])}
-            position[k] = [bh_index[relabel(tup)] for tup in fb.labels[k]]
+            position[k] = [bh_index[bh_label_of_bar_tuple(tup)] for tup in fb.labels[k]]
             bijective[k] = len(set(position[k])) == bh.rank(k)
         for k in range(fb.lo + 1, fb.hi + 1):
             pr, pc = position[k - 1], position[k]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -120,6 +121,19 @@ def test_verify_passes(capsys):
     assert out.count("ok ") == 3
 
 
+@pytest.mark.parametrize("lam, n, digest", [
+    ("1,1,1", 3, "96154a375bb18a2170cea311aa756068c53b85b58f033fbe7ebc61339dc0f920"),
+    ("2,1,1,0", 4, "eeef5cc96145305d6850114cf9426c7a0b327d081968ccc2d48b83112d7f37a0"),
+    ("2,1,1,1,0", 5, "ef57cd6d247535c6a71c5622a33dd7ccea4d4d3d54149ffcb2f84139c6329adf"),
+])
+def test_resolve_bh_document_bytes_are_pinned(capsys, lam, n, digest):
+    # pins the bh labels' serialized form and their order, not only the ranks
+    code, out, _ = run(capsys, "resolve", "-n", str(n), "-r", str(n),
+                       "--lambda", lam, "--variant", "bh")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_corrupt_flips_exit(capsys):
     code, out, _ = run(capsys, "verify", "-n", "2", "-r", "2", "--all",
                        "--checks", "exactness", "--corrupt", "1,0,0,1")
@@ -168,7 +182,7 @@ def test_verify_rejects_a_non_prime_modulus_before_any_check(capsys, argv):
 def test_corrupt_builds_a_copy():
     cx = build_weyl_resolution((1, 1))
     before = cx.differential(1).rows
-    bad = _maybe_corrupt(cx, "1,0,0,1")
+    bad = _maybe_corrupt(cx, (1, 0, 0, 1))
     assert cx.differential(1).rows == before
     assert bad.differential(1).rows[0][0] == before[0][0] + 1
     assert bad.labels == cx.labels
@@ -178,7 +192,7 @@ def test_corrupt_leaves_the_built_complex_unchanged():
     cx = build_weyl_resolution((1, 1, 1))
     before = {k: mat.rows for k, mat in cx.differentials.items()}
     i, j, v = cx.differential(2).entries()[0]
-    bad = _maybe_corrupt(cx, f"2,{i},{j},{-v}")
+    bad = _maybe_corrupt(cx, (2, i, j, -v))
     assert {k: mat.rows for k, mat in cx.differentials.items()} == before
     assert isinstance(before[2], tuple)
     # the cancelled entry is dropped, not stored as a zero
@@ -198,3 +212,38 @@ def test_verify_skips_boltje_when_n_below_r(capsys):
                        "--checks", "boltje,exactness")
     assert code == 0
     assert out.splitlines() == ["skipped boltje (n < r)", "ok exactness (n=2, r=3)"]
+
+
+def test_verify_skips_boltje_when_no_lambda_is_a_partition(capsys):
+    code, out, _ = run(capsys, "verify", "-n", "3", "-r", "3",
+                       "--checks", "boltje", "--lambda", "1,2,0")
+    assert code == 0
+    assert out.splitlines() == ["skipped boltje (no partition)"]
+
+
+@pytest.mark.parametrize("directive", ["1,0", "1,0,0,1,2", "1,0,x,1", "1,0,0,0", ""])
+def test_verify_rejects_a_malformed_corrupt_directive_before_any_check(capsys, directive):
+    code, out, err = run(capsys, "verify", "-n", "2", "-r", "2", "--corrupt", directive)
+    assert code == 2
+    assert out == ""
+    assert "k,i,j,delta" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--corrupt", "9,0,0,1"),  # no such degree
+    ("--corrupt", "1,99,0,1"),  # no such row
+    ("--corrupt", "1,-1,0,1"),  # negative indices name no entry
+    ("--checks", "oracle", "--corrupt", "1,0,0,1"),  # no check builds a complex
+])
+def test_verify_refuses_a_corruption_that_changed_nothing(capsys, argv):
+    code, _, err = run(capsys, "verify", "-n", "2", "-r", "2", *argv)
+    assert code == 2
+    directive = argv[-1]
+    assert err == f"error: --corrupt {directive} changed no differential\n"
+
+
+def test_verify_corrupt_fails_the_benchmark_control(capsys):
+    code, out, _ = run(capsys, "verify", "-n", "3", "-r", "3",
+                       "--checks", "exactness", "--corrupt", "1,0,0,1")
+    assert code == 1
+    assert "FAIL exactness (n=3, r=3)" in out.splitlines()

@@ -38,10 +38,8 @@ from schurres.tableaux import (
     row_semistandard_tableaux,
     semistandard_tableau_count,
     standard_tableau_count,
-    tableau_content,
     tableau_hom,
     tableau_of_matrix,
-    tableau_shape,
 )
 
 
@@ -92,7 +90,7 @@ def test_rss_matches_matrix_family():
             assert len(tabs) == len(mats)
             for tab in tabs:
                 assert is_row_semistandard(tab)
-                assert tableau_content(tab, 3) == mu
+                assert matrix_marginal(matrix_of_tableau(tab), 1) == mu
 
 
 def test_matrix_tableau_roundtrip():
@@ -203,32 +201,33 @@ def test_expand_detects_non_equivariant():
         expand_in_tableau_basis(bad, (1, 1), (2, 0))
 
 
-def reference_bh_differential(labels_k, labels_km1, k, n):
+def reference_bh_differential(labels_k, labels_km1, k):
     """The per-column differential: every column multiplies the full matrices
     of each adjacent pair and expands the product afresh."""
     index = {lab: i for i, lab in enumerate(labels_km1)}
     mat = [[0] * len(labels_k) for _ in labels_km1]
     for col, lab in enumerate(labels_k):
         functional, homs = lab[0], lab[1:]
-        hom1 = tableau_hom(homs[0]).rows
-        fun_index = multilinear_tableaux(tableau_shape(functional)).index(functional)
-        next_domain = multilinear_tableaux(tableau_content(homs[0], n))
+        hom1 = tableau_hom(tableau_of_matrix(homs[0])).rows
+        fun_index = multilinear_tableaux(matrix_marginal(functional, 2)).index(
+            tableau_of_matrix(functional))
+        next_domain = multilinear_tableaux(matrix_marginal(homs[0], 1))
         for j, target_fun in enumerate(next_domain):
             c = hom1[fun_index][j]
             if c:
-                target = (target_fun,) + homs[1:]
+                target = (matrix_of_tableau(target_fun),) + homs[1:]
                 mat[index[target]][col] += c
         for t in range(1, k):
             sign = -1 if t % 2 else 1
             left, right = homs[t - 1], homs[t]
-            product_matrix = tableau_hom(left) @ tableau_hom(right)
+            product_matrix = (tableau_hom(tableau_of_matrix(left))
+                              @ tableau_hom(tableau_of_matrix(right)))
             expansion = expand_in_tableau_basis(
-                product_matrix, tableau_shape(left), tableau_content(right, n))
+                product_matrix, matrix_marginal(left, 2), matrix_marginal(right, 1))
             for omega, c in expansion.items():
                 if not is_upper_triangular(omega):
                     raise ValueError("composition left the upper-triangular span")
-                merged = tableau_of_matrix(omega)
-                target = (functional,) + homs[:t - 1] + (merged,) + homs[t + 1:]
+                target = (functional,) + homs[:t - 1] + (omega,) + homs[t + 1:]
                 mat[index[target]][col] += sign * c
     return Matrix.from_rows(mat, len(labels_k))
 
@@ -245,7 +244,7 @@ def adjacent_pairs(cx):
 def test_bh_differential_matches_the_per_column_reference(lam, n):
     cx = build_bh_complex(lam, n)
     for k in range(cx.lo + 1, cx.hi + 1):
-        expected = reference_bh_differential(cx.labels[k], cx.labels[k - 1], k, n)
+        expected = reference_bh_differential(cx.labels[k], cx.labels[k - 1], k)
         assert cx.differential(k) == expected, (lam, k)
 
 
@@ -261,7 +260,7 @@ def test_canonical_column_expansion_matches_the_full_product():
                 full = expand_in_tableau_basis(
                     tableau_hom(left) @ tableau_hom(right),
                     matrix_marginal(om, 2), matrix_marginal(pi, 1))
-                assert tableaux._composition_at_canonical_column(left, right, n) == full
+                assert tableaux._composition_at_canonical_column(om, pi) == full
 
 
 def test_bh_build_expands_each_adjacent_pair_once(monkeypatch):
@@ -284,9 +283,9 @@ def test_bh_build_resolves_each_first_hom_once(monkeypatch):
     calls = []
     resolve = tableaux._resolve_first_hom
 
-    def counted(hom, n):
+    def counted(hom):
         calls.append(hom)
-        return resolve(hom, n)
+        return resolve(hom)
 
     monkeypatch.setattr(tableaux, "_resolve_first_hom", counted)
     cx = build_bh_complex((2, 1, 1, 1, 0), 5)
@@ -299,7 +298,7 @@ def test_bh_build_detects_a_non_equivariant_hom(monkeypatch):
     # source tableau to the last basis tableau alone, which is not equivariant
     lam = (2, 1, 1, 0)
     left, _ = min(adjacent_pairs(build_bh_complex(lam)))
-    corrupt = matrix_of_tableau(left)
+    corrupt = left
     hom_of = tableaux._tableau_hom_matrix
 
     def patched(omega):
@@ -442,27 +441,6 @@ def test_compare_detects_a_non_bijective_relabelling():
     assert not report.ok
     assert not report.matrices_equal[top]
     assert all(report.matrices_equal[k] for k in range(1, top))
-
-
-def test_relabelling_matches_the_oracle_and_converts_each_matrix_once(monkeypatch):
-    lam = (2, 1, 1, 0)
-    fb = truncated_resolution(lam)
-    labels = [tup for k in fb.degrees() for tup in fb.labels[k]]
-    converted = []
-    to_tableau = tableaux.tableau_of_matrix
-
-    def counted(omega):
-        converted.append(omega)
-        return to_tableau(omega)
-
-    monkeypatch.setattr(tableaux, "tableau_of_matrix", counted)
-    relabel = tableaux._bh_relabelling()
-    got = [relabel(tup) for tup in labels]
-    heads = {tup[0] for tup in labels}
-    tails = {w for tup in labels for w in tup[1:]}
-    assert len(converted) == len(heads) + len(tails) < sum(map(len, labels))
-    monkeypatch.undo()
-    assert got == [bh_label_of_bar_tuple(tup) for tup in labels]
 
 
 def test_tableau_counters_match_hook_formulas():
