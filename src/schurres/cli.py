@@ -138,13 +138,8 @@ def _build_variant(variant, lam):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _serialize_label(label):
-    return [[list(row) for row in m] for m in label]
-
-
 def _matrix_doc(mat):
-    return {"rows": mat.nrows, "cols": mat.ncols,
-            "entries": [[i, j, v] for i, j, v in mat.entries()]}
+    return {"rows": mat.nrows, "cols": mat.ncols, "entries": mat.entries()}
 
 
 def complex_document(cx, lam, variant):
@@ -159,8 +154,7 @@ def complex_document(cx, lam, variant):
         },
         "degrees": list(cx.degrees()),
         "ranks": {str(k): cx.rank(k) for k in cx.degrees()},
-        "basis": {str(k): [_serialize_label(lab) for lab in cx.labels[k]]
-                  for k in cx.degrees()},
+        "basis": {str(k): cx.labels[k] for k in cx.degrees()},
         "differentials": {str(k): _matrix_doc(cx.differential(k))
                           for k in range(cx.lo + 1, cx.hi + 1)},
     }
@@ -180,8 +174,48 @@ def cmd_resolve(args):
         raise ValueError("variant bh needs a partition")
     cx = _build_variant(args.variant, lam)
     doc = complex_document(cx, lam, args.variant)
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(_indented_json(doc) + "\n", args.output)
     return 0
+
+
+def _indented_json(obj):
+    """The text of `json.dumps(obj, indent=2)` for dicts with string keys,
+    lists, tuples, ints and strings.
+
+    With `indent` set, json.dumps runs the stdlib's pure-Python encoder;
+    here only leaves and keys go through json.dumps, an all-int sequence is
+    written in one join, and any other tuple once per distinct value and
+    depth, since labels repeat the same weight matrices many times.
+    """
+    tuples = {}
+
+    def write(value, depth):
+        if not isinstance(value, (dict, list, tuple)):
+            return json.dumps(value)
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        if isinstance(value, dict):
+            return container("{}", [json.dumps(key) + ": " + write(item, depth + 1)
+                                    for key, item in value.items()], depth)
+        if all(type(item) is int for item in value):
+            return container("[]", map(str, value), depth)
+        key = (value, depth) if isinstance(value, tuple) else None
+        try:
+            text = tuples.get(key)
+        except TypeError:  # a tuple holding a list or a dict is no key
+            key = text = None
+        if text is None:
+            text = container("[]", [write(item, depth + 1) for item in value], depth)
+            if key is not None:
+                tuples[key] = text
+        return text
+
+    def container(brackets, items, depth):
+        indent = "\n" + "  " * (depth + 1)
+        return (brackets[0] + indent + ("," + indent).join(items)
+                + "\n" + "  " * depth + brackets[1])
+
+    return write(obj, 0)
 
 
 # ---------------------------------------------------------------------------

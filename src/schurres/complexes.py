@@ -19,10 +19,12 @@ class Matrix:
 
     `columns[j]` is the tuple of (row, value) pairs of column j, rows
     increasing, no zeros.  The constructor trusts its columns to be in that
-    form; the `from_*` builders produce it.
+    form; the `from_*` builders produce it.  `_reduction` is private to
+    `homology`, which keeps there the unit-pivot reduction of the matrix
+    over Z once it has been computed.
     """
 
-    __slots__ = ("nrows", "ncols", "columns")
+    __slots__ = ("nrows", "ncols", "columns", "_reduction")
 
     def __init__(self, nrows, ncols, columns):
         columns = tuple(columns)
@@ -31,6 +33,7 @@ class Matrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_reduction", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")

@@ -1,24 +1,28 @@
 """Exact integer linear algebra: Smith normal form, ranks, homology.
 
 Differentials are very sparse and almost all of their pivots are units, so
-the Smith normal form over Z and the rank over a prime field both start by
-copying the matrix's sparse columns into working dicts, touching only its
-nonzero entries, and eliminating on unit pivots: entries +-1 over Z, any
-nonzero entry over F_p.  Eliminating a unit pivot splits off an invariant
-factor 1 and leaves its Schur complement, so the factors are unchanged.
-Columns are visited shortest first, and in each the unit whose row is
-shortest is taken, which keeps fill-in small; sweeps repeat until the
-matrix stops shrinking.  Over F_p that eliminates everything.  Over Z,
-whatever is left without a unit (the residual) goes, through its dense
-`rows` view, to the dense Smith reduction, which pivots on a
+reduction starts by copying the matrix's sparse columns into working dicts,
+touching only its nonzero entries, and eliminating on unit pivots: entries
++-1 over Z, any nonzero entry over F_p.  Eliminating a unit pivot splits
+off an invariant factor 1 and leaves its Schur complement, so the factors
+are unchanged.  Columns are visited shortest first, and in each the unit
+whose row is shortest is taken, which keeps fill-in small; sweeps repeat
+until the matrix stops shrinking.  Over F_p that eliminates everything.
+Over Z, whatever is left without a unit (the residual) goes, through its
+dense `rows` view, to the dense Smith reduction, which pivots on a
 minimal-absolute-value nonzero entry and works with unbounded integers, so
 intermediate growth never loses exactness; that dense route alone also
 produces unimodular transforms.
+The reduction over Z is computed at most once per matrix and kept on it,
+and every rank mod p starts from it: a pivot +-1 is a unit mod every p, and
+reducing mod p commutes with taking the Schur complement, so the rank mod p
+is the number of those pivots plus the rank mod p of the residual.  Only
+the residual is reduced mod p, inside `rank_mod_p`.
 Ranks over the rationals use stdlib fractions as an independent elimination
 route.  Homology groups of a chain complex over Z come out as free rank plus
 a multiset of prime-power torsion factors; given a prime p, homology over
-F_p comes out as dimensions.  Either way each differential is reduced once
-per request, and mod p only inside `rank_mod_p`.
+F_p comes out as dimensions.  Either way each differential is reduced over
+Z once, however many degrees and primes ask for it.
 """
 
 from dataclasses import dataclass
@@ -99,10 +103,20 @@ def _eliminate_units(mat, p=None):
     return pivots, residual
 
 
+def _unit_reduction(mat):
+    """`_eliminate_units(mat)` over Z, computed on the first call and kept
+    on the immutable matrix for every later one."""
+    reduction = mat._reduction
+    if reduction is None:
+        reduction = _eliminate_units(mat)
+        object.__setattr__(mat, "_reduction", reduction)
+    return reduction
+
+
 def smith_normal_form(mat):
     """Smith normal form: unit-pivot elimination, then dense Smith reduction
     of the residual."""
-    pivots, residual = _eliminate_units(mat)
+    pivots, residual = _unit_reduction(mat)
     factors = dense_smith_normal_form(residual).factors
     return SmithForm(factors=(1,) * pivots + factors, shape=(mat.nrows, mat.ncols))
 
@@ -234,23 +248,45 @@ def rank(mat):
     return rk
 
 
+# Sorenson and Webster (2015): no composite below the bound is a strong
+# probable prime to every one of the first 13 prime bases.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p):
+    """Whether p is prime, by Miller-Rabin to the prime bases 2, 3, ..., 41,
+    which is exact below _MILLER_RABIN_BOUND; larger p raise ValueError."""
+    if p >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"{p} is too large: primality is decided exactly "
+                         f"only below {_MILLER_RABIN_BOUND}")
     if p < 2:
         return False
-    q = 2
-    while q * q <= p:
+    for q in _MILLER_RABIN_BASES:
         if p % q == 0:
+            return p == q
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    d = (p - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        q += 1
     return True
 
 
 def rank_mod_p(mat, p):
-    """Rank over the field of p elements: mat reduced mod p, then
-    unit-pivot elimination."""
+    """Rank over the field of p elements: the unit pivots of mat over Z,
+    plus the rank of its residual reduced mod p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _eliminate_units(mat.mod(p), p)[0]
+    pivots, residual = _unit_reduction(mat)
+    return pivots + _eliminate_units(residual.mod(p), p)[0]
 
 
 def prime_power_factors(d):
@@ -320,10 +356,10 @@ def homology_groups(complex_, degrees=None, p=None):
     The free rank at k is rank(k) - rank d_k - rank d_{k+1}; torsion comes
     from the invariant factors of the incoming differential (the quotient by
     a direct summand keeps exactly that torsion).  Each differential is
-    reduced once, however many of the degrees it touches, and only its
-    factors (or its rank mod p) are kept.  Over a field every nonzero
-    invariant factor is a unit, so only dimensions are reported, in groups
-    that carry p.
+    reduced over Z once, however many degrees and primes ask for it, and a
+    rank mod p eliminates only the residual of that reduction.  Over a
+    field every nonzero invariant factor is a unit, so only dimensions are
+    reported, in groups that carry p.
     """
     if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from schurres import dividedpowers
 from schurres.barcomplex import build_weyl_resolution
-from schurres.cli import _maybe_corrupt, main
+from schurres.cli import _indented_json, _maybe_corrupt, main
 
 
 def run(capsys, *argv):
@@ -132,6 +134,61 @@ def test_resolve_bh_document_bytes_are_pinned(capsys, lam, n, digest):
                        "--lambda", lam, "--variant", "bh")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("-n", "3", "-r", "5", "--lambda", "2,2,1", "--variant", "weyl"),
+     "396e7e0bd65b40224c1898d8430ebddc80148fb51c6d9715d42944dfcc4a3e5f"),
+    (("-n", "3", "-r", "3", "--lambda", "2,1,0", "--variant", "weyl"),
+     "7e9efa87d422889be580a4e4ccd395bd167ba51a5b1daf341985430d8ef623f8"),
+    # has homotopies
+    (("-n", "3", "-r", "3", "--lambda", "2,1,0", "--variant", "borel"),
+     "b04dccd45b38e7cd52a583571e05253be492333be165c3827ab14129224991af"),
+    (("-n", "3", "-r", "3", "--lambda", "2,1,0", "--variant", "schur-functor"),
+     "42bd9403d019473c1a91eb89cec85767a363f51334589549e7b094d3cca8a858"),
+    # the empty label []
+    (("-n", "2", "-r", "0", "--lambda", "0,0", "--variant", "borel"),
+     "9d41a1e73ee18f8471a18210127e57853ca2d48f5e8c624441eeddac443dc98a"),
+])
+def test_resolve_document_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "resolve", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+json_leaves = st.integers() | st.text()
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"": [], "k": {}, "t": ()})
+@example(['"quoted"', "back\\slash", "\x00\x1f\n\t", "\u00e9\u2211\U0001f600"])
+@example({"a\"b": ((1, 2), [(1, 2)], ((1, 2), (3, -4)), ("x", (1, 2))), "c": (1, 2)})
+@example([[((0, 1), (1, 0)), ((0, 1), (1, 0))], ((0, 1), (1, 0)), [10 ** 30, -7]])
+def test_indented_json_matches_json_dumps(value):
+    assert _indented_json(value) == json.dumps(value, indent=2)
+
+
+def test_verify_accepts_a_large_prime_modulus(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "-n", "2", "-r", "2",
+                       "--mod", "1000000000000000003")
+    assert code == 0
+    assert out.splitlines() == ["ok exactness (n=2, r=2)"]
+    assert time.perf_counter() - start < 5
+
+
+def test_verify_refuses_a_modulus_beyond_the_primality_bound(capsys):
+    code, out, err = run(capsys, "verify", "-n", "2", "-r", "2",
+                         "--mod", "3317044064679887385961981")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "3317044064679887385961981" in err
 
 
 def test_verify_corrupt_flips_exit(capsys):

@@ -1,3 +1,5 @@
+import importlib
+import math
 import random
 from fractions import Fraction
 
@@ -5,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurres.barcomplex import build_borel_resolution, build_weyl_resolution
+from schurres.cli import _maybe_corrupt, main as cli_main
 from schurres.combinatorics import enumerate_compositions, enumerate_partitions
 from schurres.complexes import ChainComplex, Matrix
 from schurres.homology import (
     HomologyGroup,
+    _eliminate_units,
     dense_smith_normal_form,
     homology,
     homology_groups,
@@ -20,6 +24,8 @@ from schurres.homology import (
     verify_exactness,
 )
 
+# the package's `homology` attribute is the function of that name
+homology_module = importlib.import_module("schurres.homology")
 NON_UNITS = (-4, -3, -2, 0, 2, 3, 4)
 
 
@@ -114,9 +120,15 @@ def test_sparse_smith_invariant_under_unimodular_ops(mat, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_matrices(), st.sampled_from((2, 3, 5, 7)))
-def test_rank_mod_p_matches_dense_elimination(mat, p):
-    assert rank_mod_p(mat, p) == dense_rank_mod_p(mat, p)
+@given(int_matrices(), st.sampled_from((2, 3, 5, 7)), st.booleans())
+def test_rank_mod_p_matches_dense_elimination(mat, p, smith_first):
+    # the reduction over Z is kept on mat by whichever of the two runs first
+    if smith_first:
+        smith_normal_form(mat)
+    expected = dense_rank_mod_p(mat, p)
+    assert rank_mod_p(mat, p) == _eliminate_units(mat.mod(p), p)[0] == expected
+    smith_normal_form(mat)
+    assert rank_mod_p(mat, p) == expected
 
 
 def test_sparse_and_dense_smith_agree_on_resolutions():
@@ -126,18 +138,26 @@ def test_sparse_and_dense_smith_agree_on_resolutions():
             for cx in (build_borel_resolution(lam), build_weyl_resolution(lam)):
                 for k in range(cx.lo + 1, cx.hi + 1):
                     d = cx.differential(k)
+                    # equal entries, nothing kept: reduced first by rank_mod_p
+                    fresh = Matrix(d.nrows, d.ncols, d.columns)
+                    ranks_first = [rank_mod_p(fresh, p) for p in (2, 3, 5)]
                     assert (smith_normal_form(d).factors
+                            == smith_normal_form(fresh).factors
                             == dense_smith_normal_form(d).factors), (lam, k)
-                    for p in (2, 3, 5):
-                        assert rank_mod_p(d, p) == dense_rank_mod_p(d, p), (lam, k, p)
+                    for p, first in zip((2, 3, 5), ranks_first):
+                        assert (first == rank_mod_p(d, p) == rank_mod_p(fresh, p)
+                                == _eliminate_units(d.mod(p), p)[0]
+                                == dense_rank_mod_p(d, p)), (lam, k, p)
                     seen += 1
     assert seen > 20
 
 
 def test_mod_p_homology_matches_dense_ranks():
     """Every Borel resolution (all compositions) and every Weyl resolution
-    (all partitions) at n=3, r<=4: dimensions over F_p from homology_groups
-    against the free ranks of dense modular row reduction."""
+    (all partitions) at n=3, r<=4: each rank mod p from the shared reduction
+    over Z against unit elimination of the whole matrix mod p and dense
+    modular row reduction, and dimensions over F_p from homology_groups
+    against the free ranks of the latter."""
     seen = 0
     for r in range(1, 5):
         complexes = [build_borel_resolution(lam) for lam in enumerate_compositions(3, r)]
@@ -146,12 +166,47 @@ def test_mod_p_homology_matches_dense_ranks():
             for p in (2, 3, 5):
                 ranks = {k: dense_rank_mod_p(cx.differential(k), p)
                          for k in range(cx.lo + 1, cx.hi + 1)}
+                for k, rk in ranks.items():
+                    d = cx.differential(k)
+                    assert rank_mod_p(d, p) == _eliminate_units(d.mod(p), p)[0] == rk
                 expected = {k: HomologyGroup(cx.rank(k) - ranks.get(k, 0)
                                              - ranks.get(k + 1, 0), (), p)
                             for k in cx.degrees()}
                 assert homology_groups(cx, p=p) == expected, (cx.meta, p)
                 seen += 1
     assert seen == 3 * 44
+
+
+def test_verify_reduces_each_differential_over_z_once(monkeypatch, capsys):
+    reduced, mod_p = [], []  # holding each matrix keeps its id unique
+    real = homology_module._eliminate_units
+
+    def counting(mat, p=None):
+        (reduced if p is None else mod_p).append(mat)
+        return real(mat, p)
+
+    monkeypatch.setattr(homology_module, "_eliminate_units", counting)
+    assert cli_main(["verify", "-n", "3", "-r", "4", "--checks", "exactness",
+                     "--mod", "2,3,5"]) == 0
+    assert capsys.readouterr().out == "ok exactness (n=3, r=4)\n"
+    assert reduced
+    assert len({id(mat) for mat in reduced}) == len(reduced)
+    # Weyl differentials reduce completely over Z: nothing is left mod p
+    assert mod_p and not any(mat.columns for mat in mod_p)
+
+
+def test_a_corrupted_copy_is_reduced_afresh_and_fails_mod_2():
+    cx = build_weyl_resolution((2, 1, 0))
+    exact = homology_groups(cx, p=2)
+    assert exact == {0: HomologyGroup(8, (), 2), 1: HomologyGroup(0, (), 2)}
+    bad = _maybe_corrupt(cx, (1, 0, 0, 1))
+    d, bad_d = cx.differential(1), bad.differential(1)
+    assert d._reduction is not None and bad_d._reduction is None
+    assert homology_groups(bad, p=2) == {0: HomologyGroup(9, (), 2),
+                                         1: HomologyGroup(1, (), 2)}
+    assert bad_d._reduction is not None and bad_d._reduction != d._reduction
+    assert rank_mod_p(bad_d, 2) == dense_rank_mod_p(bad_d, 2)
+    assert homology_groups(cx, p=2) == exact
 
 
 def test_homology_rejects_a_non_prime_before_any_differential():
@@ -282,11 +337,30 @@ def test_verify_exactness_reports_complex_axiom():
     assert not report.complex_ok and not report.ok
 
 
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
 def test_prime_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_power_factors(12) == (3, 4)
     assert prime_power_factors(6) == (2, 3)
     assert prime_power_factors(8) == (8,)
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    assert all(is_prime(p) == trial_division_is_prime(p) for p in range(-3, 10 ** 5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_refuses_huge_moduli():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(10 ** 18 + 3) and is_prime(2 ** 61 - 1) and is_prime(10 ** 12 + 39)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="too large"):
+        rank_mod_p(Matrix.identity(2), 2 ** 89 - 1)
 
 
 def test_homology_group_str():
