@@ -4,7 +4,8 @@ Inducing the Borel bar resolution up to the full Schur algebra yields a
 finite complex of free modules whose degree-0 cokernel is the Weyl module.
 Exactness is verified over the integers by Smith normal form, the rank of
 the cokernel against an independent semistandard-tableau enumeration, and
-stability under reduction mod p by prime-field ranks.
+the homology over F_p, which follows from that over Z by universal
+coefficients.
 """
 
 from schurres import (

@@ -40,10 +40,10 @@ from .complexes import ChainComplex, Matrix
 from .homology import (
     HomologyGroup,
     SmithForm,
+    base_change,
     dense_smith_normal_form,
     homology,
     homology_groups,
-    rank,
     rank_mod_p,
     smith_normal_form,
     verify_exactness,

@@ -5,12 +5,12 @@ A matrix is stored by columns: each column is a tuple of (row, value) pairs
 in increasing row order, holding no zero.  Differentials are very sparse, so
 every operation walks these pairs and never a dense cell grid; `rows` builds
 a dense view on request.  Matrices are built once, through `from_columns`,
-`from_entries` or `from_rows`, and no method changes a built matrix, so a
-cached matrix can be handed to every caller.  Entries are unbounded Python
-integers; shapes are explicit so rank-zero degrees serialize and multiply
-consistently.  A chain complex stores, per degree, an ordered tuple of basis
-labels and the differential into the degree below; optional homotopy
-matrices map one degree up.
+`from_entries` or `from_rows`; no code changes a built matrix or stores
+anything on it, so a cached matrix can be handed to every caller.  Entries
+are unbounded Python integers; shapes are explicit so rank-zero degrees
+serialize and multiply consistently.  A chain complex stores, per degree,
+an ordered tuple of basis labels and the differential into the degree
+below; optional homotopy matrices map one degree up.
 """
 
 
@@ -19,12 +19,10 @@ class Matrix:
 
     `columns[j]` is the tuple of (row, value) pairs of column j, rows
     increasing, no zeros.  The constructor trusts its columns to be in that
-    form; the `from_*` builders produce it.  `_reduction` is private to
-    `homology`, which keeps there the unit-pivot reduction of the matrix
-    over Z once it has been computed.
+    form; the `from_*` builders produce it.
     """
 
-    __slots__ = ("nrows", "ncols", "columns", "_reduction")
+    __slots__ = ("nrows", "ncols", "columns")
 
     def __init__(self, nrows, ncols, columns):
         columns = tuple(columns)
@@ -33,7 +31,6 @@ class Matrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_reduction", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -146,11 +143,6 @@ class Matrix:
             cols.append(tuple(sorted((new, v) for i, v in self.columns[j]
                                      for new in where.get(i, ()))))
         return Matrix(len(row_idx), len(col_idx), tuple(cols))
-
-    def mod(self, p):
-        return Matrix(self.nrows, self.ncols,
-                      tuple(tuple((i, w) for i, v in col if (w := v % p))
-                            for col in self.columns))
 
     def is_zero(self):
         return not any(self.columns)

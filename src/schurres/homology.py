@@ -1,32 +1,27 @@
-"""Exact integer linear algebra: Smith normal form, ranks, homology.
+"""Exact integer linear algebra: Smith normal form, and homology over Z and
+over prime fields.
 
-Differentials are very sparse and almost all of their pivots are units, so
+Differentials are very sparse and almost all of their pivots are +-1, so
 reduction starts by copying the matrix's sparse columns into working dicts,
-touching only its nonzero entries, and eliminating on unit pivots: entries
-+-1 over Z, any nonzero entry over F_p.  Eliminating a unit pivot splits
-off an invariant factor 1 and leaves its Schur complement, so the factors
-are unchanged.  Columns are visited shortest first, and in each the unit
-whose row is shortest is taken, which keeps fill-in small; sweeps repeat
-until the matrix stops shrinking.  Over F_p that eliminates everything.
-Over Z, whatever is left without a unit (the residual) goes, through its
-dense `rows` view, to the dense Smith reduction, which pivots on a
+touching only its nonzero entries, and eliminating on pivots +-1.
+Eliminating such a pivot splits off an invariant factor 1 and leaves its
+Schur complement, so the factors are unchanged.  Columns are visited
+shortest first, and in each the unit whose row is shortest is taken, which
+keeps fill-in small; sweeps repeat until the matrix stops shrinking.
+Whatever is left without a unit (the residual) goes, through its dense
+`rows` view, to the dense Smith reduction, which pivots on a
 minimal-absolute-value nonzero entry and works with unbounded integers, so
-intermediate growth never loses exactness; that dense route alone also
-produces unimodular transforms.
-The reduction over Z is computed at most once per matrix and kept on it,
-and every rank mod p starts from it: a pivot +-1 is a unit mod every p, and
-reducing mod p commutes with taking the Schur complement, so the rank mod p
-is the number of those pivots plus the rank mod p of the residual.  Only
-the residual is reduced mod p, inside `rank_mod_p`.
-Ranks over the rationals use stdlib fractions as an independent elimination
-route.  Homology groups of a chain complex over Z come out as free rank plus
-a multiset of prime-power torsion factors; given a prime p, homology over
-F_p comes out as dimensions.  Either way each differential is reduced over
-Z once, however many degrees and primes ask for it.
+intermediate growth never loses exactness.
+
+That reduction over Z is the only one.  Homology groups of a chain complex
+over Z come out as free rank plus a multiset of prime-power torsion
+factors.  Every complex here is one of free abelian groups, so by the
+universal coefficient theorem its homology over F_p follows from its
+homology over Z (`base_change`), and a rank over F_p is the number of
+invariant factors that p does not divide: no matrix is reduced mod p.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import Matrix
 
@@ -34,25 +29,17 @@ from .complexes import Matrix
 @dataclass(frozen=True)
 class SmithForm:
     """Invariant factors (nonzero, each dividing the next) of an integer
-    matrix, optionally with unimodular transforms left @ M @ right = D."""
+    matrix."""
 
     factors: tuple
-    shape: tuple
-    left: Matrix | None = None
-    right: Matrix | None = None
 
     @property
     def rank(self):
         return len(self.factors)
 
-    def diagonal_matrix(self):
-        return Matrix.from_entries(*self.shape,
-                                   ((i, i, d) for i, d in enumerate(self.factors)))
 
-
-def _eliminate_units(mat, p=None):
-    """Eliminate unit pivots of mat on working copies of its columns; with
-    p, mat's entries must already lie in 0..p-1 and arithmetic is mod p.
+def _eliminate_units(mat):
+    """Eliminate the pivots +-1 of mat on working copies of its columns.
 
     Returns the number of pivots eliminated and the residual, the Matrix
     over the rows and columns still holding entries.
@@ -69,11 +56,11 @@ def _eliminate_units(mat, p=None):
         for j in sorted((j for j, col in enumerate(cols) if col),
                         key=lambda j: len(cols[j])):
             col = cols[j]
-            units = list(col) if p else [i for i, v in col.items() if v in (1, -1)]
+            units = [i for i, v in col.items() if v in (1, -1)]
             if not units:
                 continue
             i = min(units, key=lambda r: (len(rows[r]), r))
-            inv = pow(col[i], -1, p) if p else col[i]
+            unit = col[i]  # its own inverse
             cols[j] = {}
             for r in col:
                 rows[r].discard(j)
@@ -81,11 +68,9 @@ def _eliminate_units(mat, p=None):
             # clear row i from every other column with a multiple of column j
             for c in rows.pop(i):
                 other = cols[c]
-                f = other.pop(i) * inv
+                f = other.pop(i) * unit
                 for r, v in col.items():
                     w = other.get(r, 0) - f * v
-                    if p:
-                        w %= p
                     if w:
                         if r not in other:
                             rows[r].add(c)
@@ -103,59 +88,31 @@ def _eliminate_units(mat, p=None):
     return pivots, residual
 
 
-def _unit_reduction(mat):
-    """`_eliminate_units(mat)` over Z, computed on the first call and kept
-    on the immutable matrix for every later one."""
-    reduction = mat._reduction
-    if reduction is None:
-        reduction = _eliminate_units(mat)
-        object.__setattr__(mat, "_reduction", reduction)
-    return reduction
-
-
 def smith_normal_form(mat):
     """Smith normal form: unit-pivot elimination, then dense Smith reduction
     of the residual."""
-    pivots, residual = _unit_reduction(mat)
-    factors = dense_smith_normal_form(residual).factors
-    return SmithForm(factors=(1,) * pivots + factors, shape=(mat.nrows, mat.ncols))
+    pivots, residual = _eliminate_units(mat)
+    return SmithForm((1,) * pivots + dense_smith_normal_form(residual).factors)
 
 
-def dense_smith_normal_form(mat, transforms=False):
+def dense_smith_normal_form(mat):
     """Smith normal form by dense elimination on minimal-absolute-value pivots."""
     m, n = mat.nrows, mat.ncols
     d = [list(row) for row in mat.rows]
-    left = [[int(i == j) for j in range(m)] for i in range(m)] if transforms else None
-    right = [[int(i == j) for j in range(n)] for i in range(n)] if transforms else None
 
     def row_add(i, j, c):
         d[i] = [a + c * b for a, b in zip(d[i], d[j])]
-        if left is not None:
-            left[i] = [a + c * b for a, b in zip(left[i], left[j])]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        if left is not None:
-            left[i], left[j] = left[j], left[i]
-
-    def row_negate(i):
-        d[i] = [-a for a in d[i]]
-        if left is not None:
-            left[i] = [-a for a in left[i]]
 
     def col_add(j, i, c):
         for row in d:
             row[j] += c * row[i]
-        if right is not None:
-            for row in right:
-                row[j] += c * row[i]
 
     def col_swap(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        if right is not None:
-            for row in right:
-                row[i], row[j] = row[j], row[i]
 
     t = 0
     while t < min(m, n):
@@ -177,7 +134,7 @@ def dense_smith_normal_form(mat, transforms=False):
             col_swap(t, pivot[1])
         while True:
             if d[t][t] < 0:
-                row_negate(t)
+                d[t] = [-a for a in d[t]]
             p = d[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -218,34 +175,7 @@ def dense_smith_normal_form(mat, transforms=False):
             row_add(t, offender, 1)
         t += 1
 
-    factors = tuple(d[i][i] for i in range(min(m, n)) if d[i][i])
-    return SmithForm(
-        factors=factors,
-        shape=(m, n),
-        left=Matrix.from_rows(left, m) if transforms else None,
-        right=Matrix.from_rows(right, n) if transforms else None,
-    )
-
-
-def rank(mat):
-    """Rank over the rationals by fraction elimination."""
-    rows = [[Fraction(v) for v in row] for row in mat.rows]
-    rk = 0
-    for col in range(mat.ncols):
-        pivot = next((i for i in range(rk, mat.nrows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = 1 / rows[rk][col]
-        rows[rk] = [v * inv for v in rows[rk]]
-        for i in range(mat.nrows):
-            if i != rk and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-        if rk == mat.nrows:
-            break
-    return rk
+    return SmithForm(tuple(d[i][i] for i in range(min(m, n)) if d[i][i]))
 
 
 # Sorenson and Webster (2015): no composite below the bound is a strong
@@ -281,26 +211,37 @@ def is_prime(p):
 
 
 def rank_mod_p(mat, p):
-    """Rank over the field of p elements: the unit pivots of mat over Z,
-    plus the rank of its residual reduced mod p."""
+    """Rank over the field of p elements: the number of invariant factors of
+    mat over Z that p does not divide."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    pivots, residual = _unit_reduction(mat)
-    return pivots + _eliminate_units(residual.mod(p), p)[0]
+    return sum(1 for f in smith_normal_form(mat).factors if f % p)
+
+
+# Trial division stops here: a composite cofactor with no prime factor up to
+# the bound is refused rather than searched for minutes.
+_TRIAL_DIVISION_BOUND = 10 ** 6
 
 
 def prime_power_factors(d):
-    """Prime-power decomposition of a positive integer, by trial division."""
+    """Prime-power decomposition of a positive integer, by trial division
+    while the cofactor is neither 1 nor prime.  A composite cofactor with no
+    prime factor up to _TRIAL_DIVISION_BOUND raises ValueError, and so does
+    one too large for `is_prime` that trial division does not split."""
     out = []
     q = 2
-    while q * q <= d:
-        if d % q == 0:
-            power = 1
-            while d % q == 0:
-                d //= q
-                power *= q
-            out.append(power)
-        q += 1
+    while d > 1 and (d >= _MILLER_RABIN_BOUND or not is_prime(d)):
+        while d % q:
+            q += 1
+            if q > _TRIAL_DIVISION_BOUND:
+                raise ValueError(f"{d} has no prime factor up to {_TRIAL_DIVISION_BOUND} "
+                                 f"and is not a prime below {_MILLER_RABIN_BOUND}, "
+                                 f"so it is not split into prime powers")
+        power = 1
+        while d % q == 0:
+            d //= q
+            power *= q
+        out.append(power)
     if d > 1:
         out.append(d)
     return tuple(sorted(out))
@@ -340,12 +281,33 @@ class HomologyGroup:
         return f"HomologyGroup(free_rank={self.free_rank}, torsion={self.torsion}{prime})"
 
 
-def _group_from_factors(n_k, out_rank, in_factors, p):
+def _group_from_factors(n_k, out_rank, in_factors):
     torsion = []
     for f in in_factors:
         if f > 1:
             torsion.extend(prime_power_factors(f))
-    return HomologyGroup(n_k - out_rank - len(in_factors), tuple(sorted(torsion)), p)
+    return HomologyGroup(n_k - out_rank - len(in_factors), tuple(sorted(torsion)))
+
+
+def base_change(groups, p):
+    """Homology over the field of p elements from homology over Z:
+    {degree: HomologyGroup} over Z in, the same degrees over F_p out.
+
+    For a complex of free abelian groups the universal coefficient theorem
+    gives H_k(C; F_p) = H_k(C) (x) F_p + Tor(H_{k-1}(C), F_p), so its
+    dimension is the free rank of H_k plus the number of torsion summands
+    of H_k and of H_{k-1} whose order p divides.  A degree missing from
+    groups counts as the zero group, so groups must hold each k - 1 that
+    lies in the complex.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+    def divisible(k):
+        return sum(1 for q in groups[k].torsion if q % p == 0) if k in groups else 0
+
+    return {k: HomologyGroup(h.free_rank + divisible(k) + divisible(k - 1), (), p)
+            for k, h in groups.items()}
 
 
 def homology_groups(complex_, degrees=None, p=None):
@@ -356,10 +318,9 @@ def homology_groups(complex_, degrees=None, p=None):
     The free rank at k is rank(k) - rank d_k - rank d_{k+1}; torsion comes
     from the invariant factors of the incoming differential (the quotient by
     a direct summand keeps exactly that torsion).  Each differential is
-    reduced over Z once, however many degrees and primes ask for it, and a
-    rank mod p eliminates only the residual of that reduction.  Over a
-    field every nonzero invariant factor is a unit, so only dimensions are
-    reported, in groups that carry p.
+    reduced over Z once.  Over F_p the groups over Z at k and k - 1 go
+    through `base_change`; only dimensions are reported, in groups that
+    carry p.
     """
     if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -367,16 +328,19 @@ def homology_groups(complex_, degrees=None, p=None):
     for k in degrees:
         if not complex_.lo <= k <= complex_.hi:
             raise ValueError(f"degree {k} outside the complex range")
+    over_z = sorted({j for k in degrees for j in ((k,) if p is None else (k, k - 1))
+                     if j >= complex_.lo})
     factors = {}
-    for k in sorted({j for k in degrees for j in (k, k + 1)}):
+    for k in sorted({j for k in over_z for j in (k, k + 1)}):
         if not complex_.lo < k <= complex_.hi:
             factors[k] = ()  # zero map into or out of nothing
-        elif p is None:
-            factors[k] = smith_normal_form(complex_.differential(k)).factors
         else:
-            factors[k] = (1,) * rank_mod_p(complex_.differential(k), p)
-    return {k: _group_from_factors(complex_.rank(k), len(factors[k]), factors[k + 1], p)
-            for k in degrees}
+            factors[k] = smith_normal_form(complex_.differential(k)).factors
+    groups = {k: _group_from_factors(complex_.rank(k), len(factors[k]), factors[k + 1])
+              for k in over_z}
+    if p is not None:
+        groups = base_change(groups, p)
+    return {k: groups[k] for k in degrees}
 
 
 def homology(complex_, k, p=None):

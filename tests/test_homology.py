@@ -1,7 +1,9 @@
 import importlib
 import math
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +14,12 @@ from schurres.combinatorics import enumerate_compositions, enumerate_partitions
 from schurres.complexes import ChainComplex, Matrix
 from schurres.homology import (
     HomologyGroup,
-    _eliminate_units,
+    base_change,
     dense_smith_normal_form,
     homology,
     homology_groups,
     is_prime,
     prime_power_factors,
-    rank,
     rank_mod_p,
     smith_normal_form,
     verify_exactness,
@@ -57,6 +58,39 @@ def dense_rank_mod_p(mat, p):
                 c = rows[i][col]
                 rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rk])]
         rk += 1
+    return rk
+
+
+def dense_ranks_mod_p(cx, p):
+    """{k: rank over F_p of d_k} by dense modular row reduction."""
+    return {k: dense_rank_mod_p(cx.differential(k), p) for k in range(cx.lo + 1, cx.hi + 1)}
+
+
+def groups_from_ranks(cx, p, ranks):
+    """Homology over F_p of every degree, as dimensions from the ranks over
+    F_p of the differentials."""
+    return {k: HomologyGroup(cx.rank(k) - ranks.get(k, 0) - ranks.get(k + 1, 0), (), p)
+            for k in cx.degrees()}
+
+
+def fraction_rank(mat):
+    """Rank over the rationals by fraction elimination (test oracle)."""
+    rows = [[Fraction(v) for v in row] for row in mat.rows]
+    rk = 0
+    for col in range(mat.ncols):
+        pivot = next((i for i in range(rk, mat.nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        inv = 1 / rows[rk][col]
+        rows[rk] = [v * inv for v in rows[rk]]
+        for i in range(mat.nrows):
+            if i != rk and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+        if rk == mat.nrows:
+            break
     return rk
 
 
@@ -120,15 +154,9 @@ def test_sparse_smith_invariant_under_unimodular_ops(mat, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_matrices(), st.sampled_from((2, 3, 5, 7)), st.booleans())
-def test_rank_mod_p_matches_dense_elimination(mat, p, smith_first):
-    # the reduction over Z is kept on mat by whichever of the two runs first
-    if smith_first:
-        smith_normal_form(mat)
-    expected = dense_rank_mod_p(mat, p)
-    assert rank_mod_p(mat, p) == _eliminate_units(mat.mod(p), p)[0] == expected
-    smith_normal_form(mat)
-    assert rank_mod_p(mat, p) == expected
+@given(int_matrices(), st.sampled_from((2, 3, 5, 7)))
+def test_rank_mod_p_matches_dense_elimination(mat, p):
+    assert rank_mod_p(mat, p) == dense_rank_mod_p(mat, p)
 
 
 def test_sparse_and_dense_smith_agree_on_resolutions():
@@ -138,61 +166,72 @@ def test_sparse_and_dense_smith_agree_on_resolutions():
             for cx in (build_borel_resolution(lam), build_weyl_resolution(lam)):
                 for k in range(cx.lo + 1, cx.hi + 1):
                     d = cx.differential(k)
-                    # equal entries, nothing kept: reduced first by rank_mod_p
-                    fresh = Matrix(d.nrows, d.ncols, d.columns)
-                    ranks_first = [rank_mod_p(fresh, p) for p in (2, 3, 5)]
                     assert (smith_normal_form(d).factors
-                            == smith_normal_form(fresh).factors
                             == dense_smith_normal_form(d).factors), (lam, k)
-                    for p, first in zip((2, 3, 5), ranks_first):
-                        assert (first == rank_mod_p(d, p) == rank_mod_p(fresh, p)
-                                == _eliminate_units(d.mod(p), p)[0]
-                                == dense_rank_mod_p(d, p)), (lam, k, p)
+                    for p in (2, 3, 5):
+                        assert rank_mod_p(d, p) == dense_rank_mod_p(d, p), (lam, k, p)
                     seen += 1
     assert seen > 20
 
 
 def test_mod_p_homology_matches_dense_ranks():
     """Every Borel resolution (all compositions) and every Weyl resolution
-    (all partitions) at n=3, r<=4: each rank mod p from the shared reduction
-    over Z against unit elimination of the whole matrix mod p and dense
-    modular row reduction, and dimensions over F_p from homology_groups
-    against the free ranks of the latter."""
+    (all partitions) at n=3, r<=4: each rank mod p from the invariant
+    factors over Z against dense modular row reduction, and dimensions over
+    F_p from homology_groups against the free ranks of the latter."""
     seen = 0
     for r in range(1, 5):
         complexes = [build_borel_resolution(lam) for lam in enumerate_compositions(3, r)]
         complexes += [build_weyl_resolution(lam) for lam in enumerate_partitions(3, r)]
         for cx in complexes:
             for p in (2, 3, 5):
-                ranks = {k: dense_rank_mod_p(cx.differential(k), p)
-                         for k in range(cx.lo + 1, cx.hi + 1)}
-                for k, rk in ranks.items():
-                    d = cx.differential(k)
-                    assert rank_mod_p(d, p) == _eliminate_units(d.mod(p), p)[0] == rk
-                expected = {k: HomologyGroup(cx.rank(k) - ranks.get(k, 0)
-                                             - ranks.get(k + 1, 0), (), p)
-                            for k in cx.degrees()}
+                ranks = dense_ranks_mod_p(cx, p)
+                assert {k: rank_mod_p(cx.differential(k), p) for k in ranks} == ranks
+                expected = groups_from_ranks(cx, p, ranks)
                 assert homology_groups(cx, p=p) == expected, (cx.meta, p)
                 seen += 1
     assert seen == 3 * 44
 
 
+@st.composite
+def two_term_complexes(draw):
+    """Z^m <-d- Z^n for an integer matrix d, torsion in H_0 included."""
+    d = draw(int_matrices())
+    return ChainComplex({0: tuple(range(d.nrows)), 1: tuple(range(d.ncols))}, {1: d})
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_term_complexes())
+def test_homology_over_f_p_matches_dense_ranks_where_torsion_matters(two_term):
+    # torsion_complex has torsion of orders 2, 4 and 3, both in H_1 and in H_0
+    for cx in (torsion_complex(), two_term):
+        for p in (2, 3, 5, 7):
+            expected = groups_from_ranks(cx, p, dense_ranks_mod_p(cx, p))
+            assert homology_groups(cx, p=p) == expected, p
+            assert base_change(homology_groups(cx), p) == expected, p
+
+
 def test_verify_reduces_each_differential_over_z_once(monkeypatch, capsys):
-    reduced, mod_p = [], []  # holding each matrix keeps its id unique
+    reduced = []  # holding each matrix keeps its id unique
     real = homology_module._eliminate_units
 
-    def counting(mat, p=None):
-        (reduced if p is None else mod_p).append(mat)
-        return real(mat, p)
+    def counting(mat):
+        reduced.append(mat)
+        return real(mat)
+
+    def reduced_mod_p(*args):
+        raise AssertionError("a matrix was reduced mod p")
 
     monkeypatch.setattr(homology_module, "_eliminate_units", counting)
+    monkeypatch.setattr(homology_module, "rank_mod_p", reduced_mod_p)
     assert cli_main(["verify", "-n", "3", "-r", "4", "--checks", "exactness",
                      "--mod", "2,3,5"]) == 0
     assert capsys.readouterr().out == "ok exactness (n=3, r=4)\n"
-    assert reduced
+    # one Borel and one Weyl resolution per partition, each differential once
+    differentials = sum(cx.hi - cx.lo for lam in enumerate_partitions(3, 4)
+                        for cx in (build_borel_resolution(lam), build_weyl_resolution(lam)))
+    assert len(reduced) == differentials
     assert len({id(mat) for mat in reduced}) == len(reduced)
-    # Weyl differentials reduce completely over Z: nothing is left mod p
-    assert mod_p and not any(mat.columns for mat in mod_p)
 
 
 def test_a_corrupted_copy_is_reduced_afresh_and_fails_mod_2():
@@ -200,12 +239,9 @@ def test_a_corrupted_copy_is_reduced_afresh_and_fails_mod_2():
     exact = homology_groups(cx, p=2)
     assert exact == {0: HomologyGroup(8, (), 2), 1: HomologyGroup(0, (), 2)}
     bad = _maybe_corrupt(cx, (1, 0, 0, 1))
-    d, bad_d = cx.differential(1), bad.differential(1)
-    assert d._reduction is not None and bad_d._reduction is None
     assert homology_groups(bad, p=2) == {0: HomologyGroup(9, (), 2),
                                          1: HomologyGroup(1, (), 2)}
-    assert bad_d._reduction is not None and bad_d._reduction != d._reduction
-    assert rank_mod_p(bad_d, 2) == dense_rank_mod_p(bad_d, 2)
+    assert rank_mod_p(bad.differential(1), 2) == dense_rank_mod_p(bad.differential(1), 2)
     assert homology_groups(cx, p=2) == exact
 
 
@@ -215,6 +251,8 @@ def test_homology_rejects_a_non_prime_before_any_differential():
     for p in (0, 1, 4):
         with pytest.raises(ValueError, match=f"{p} is not prime"):
             homology(one_degree, 0, p=p)
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            base_change({0: HomologyGroup(2, ())}, p)
 
 
 def test_smith_form_divisibility_chain():
@@ -226,19 +264,22 @@ def test_smith_form_divisibility_chain():
         factors = smith_normal_form(mat).factors
         assert all(f > 0 for f in factors)
         assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
-        assert len(factors) == rank(mat)
+        assert len(factors) == fraction_rank(mat)
 
 
-def test_smith_form_transforms_reconstruct():
-    rng = random.Random(23)
-    for _ in range(30):
-        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
-        mat = Matrix.from_rows([[rng.randrange(-9, 10) for _ in range(n)]
-                                for _ in range(m)])
-        snf = dense_smith_normal_form(mat, transforms=True)
-        assert snf.left @ mat @ snf.right == snf.diagonal_matrix()
-        assert abs(fraction_det(snf.left)) == 1
-        assert abs(fraction_det(snf.right)) == 1
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(max_dim=4))
+def test_smith_factors_are_quotients_of_determinantal_divisors(mat):
+    """The product of the first i invariant factors is the gcd of all i x i
+    minors (zero beyond the rank), which determines the factors."""
+    factors = smith_normal_form(mat).factors
+    for i in range(1, min(mat.nrows, mat.ncols) + 1):
+        minors = [fraction_det(mat.submatrix(rows, cols))
+                  for rows in combinations(range(mat.nrows), i)
+                  for cols in combinations(range(mat.ncols), i)]
+        assert all(m.denominator == 1 for m in minors)
+        divisor = math.gcd(*(int(m) for m in minors))
+        assert divisor == (math.prod(factors[:i]) if i <= len(factors) else 0), i
 
 
 def test_smith_form_invariant_under_unimodular_ops():
@@ -287,7 +328,7 @@ def test_homology_of_weyl_sized_matrix():
     d1 = w.differential(1)
     assert (d1.nrows, d1.ncols) == (4, 3)
     # two independent rank routes
-    assert rank(d1) == len(smith_normal_form(d1).factors) == 3
+    assert fraction_rank(d1) == len(smith_normal_form(d1).factors) == 3
     assert homology(w, 1).is_trivial
     assert homology(w, 0) == HomologyGroup(1, ())
 
@@ -299,7 +340,7 @@ def test_rank_routes_agree():
         mat = Matrix.from_rows([[rng.randrange(-6, 7) for _ in range(n)]
                                 for _ in range(m)])
         factors = smith_normal_form(mat).factors
-        assert rank(mat) == len(factors)
+        assert fraction_rank(mat) == len(factors)
         for p in (2, 3, 5, 7):
             if all(f % p for f in factors):
                 assert rank_mod_p(mat, p) == len(factors)
@@ -346,6 +387,48 @@ def test_prime_helpers():
     assert prime_power_factors(12) == (3, 4)
     assert prime_power_factors(6) == (2, 3)
     assert prime_power_factors(8) == (8,)
+
+
+def trial_division_factors(d):
+    """Prime-power decomposition by trial division up to the square root."""
+    out = []
+    q = 2
+    while q * q <= d:
+        if d % q == 0:
+            power = 1
+            while d % q == 0:
+                d //= q
+                power *= q
+            out.append(power)
+        q += 1
+    if d > 1:
+        out.append(d)
+    return tuple(sorted(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 6))
+def test_prime_power_factors_match_trial_division(d):
+    assert prime_power_factors(d) == trial_division_factors(d)
+
+
+def test_large_prime_torsion_is_split_in_milliseconds():
+    for d in (10 ** 12 + 39, 10 ** 18 + 3):
+        cx = ChainComplex({0: ("a",), 1: ("b",)}, {1: Matrix.from_rows([[d]])})
+        start = time.perf_counter()
+        assert homology_groups(cx) == {0: HomologyGroup(0, (d,)), 1: HomologyGroup(0, ())}
+        assert homology_groups(cx, p=d) == {0: HomologyGroup(1, (), d),
+                                            1: HomologyGroup(1, (), d)}
+        assert time.perf_counter() - start < 0.1, d
+    assert prime_power_factors(12 * (10 ** 18 + 3)) == (3, 4, 10 ** 18 + 3)
+    assert prime_power_factors(2 ** 100 * 5) == (5, 2 ** 100)
+
+
+def test_prime_power_factors_refuses_a_composite_without_small_factors():
+    # 1000003 and 1000033 are the two smallest primes above 10^6
+    for d in (1000003 * 1000033, (10 ** 18 + 3) ** 2):
+        with pytest.raises(ValueError, match="no prime factor up to 1000000"):
+            prime_power_factors(d)
 
 
 def test_is_prime_agrees_with_trial_division_below_10_5():
