@@ -56,7 +56,6 @@ from .barcomplex import (
     homotopy,
 )
 from .schurfunctor import (
-    apply_schur_functor,
     multilinear_weight,
     permutation_weight_matrix,
     truncated_resolution,

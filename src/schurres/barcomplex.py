@@ -160,8 +160,7 @@ def build_borel_resolution(lam):
     for k in range(1, hi + 1):
         diffs[k] = differential(lam, k, "borel")
     homotopies = {k: homotopy(lam, k) for k in range(-1, hi)}
-    cx = ChainComplex(labels, diffs, homotopies,
-                      meta={"n": len(lam), "r": sum(lam), "lam": lam, "variant": "borel"})
+    cx = ChainComplex(labels, diffs, homotopies)
     cx.check_complex()
     return cx
 
@@ -176,10 +175,7 @@ def build_weyl_resolution(lam, nu=None):
     lam = _normalize(lam)
     labels = _bases(lam, "full", nu)
     diffs = {k: differential(lam, k, "full", nu) for k in range(1, max(labels) + 1)}
-    meta = {"n": len(lam), "r": sum(lam), "lam": lam, "variant": "weyl"}
-    if nu is not None:
-        meta.update(variant="weyl-block", nu=tuple(nu))
-    cx = ChainComplex(labels, diffs, meta=meta)
+    cx = ChainComplex(labels, diffs)
     cx.check_complex()
     return cx
 

@@ -10,7 +10,9 @@ anything on it, so a cached matrix can be handed to every caller.  Entries
 are unbounded Python integers; shapes are explicit so rank-zero degrees
 serialize and multiply consistently.  A chain complex stores, per degree,
 an ordered tuple of basis labels and the differential into the degree
-below; optional homotopy matrices map one degree up.
+below; optional homotopy matrices map one degree up.  It holds nothing
+else: what a complex resolves (its composition, n and r) stays with the
+caller that built it.
 """
 
 
@@ -165,7 +167,7 @@ class ChainComplex:
     rank(k+1) x rank(k).  Missing matrices are zero of the right shape.
     """
 
-    def __init__(self, labels, differentials, homotopies=None, meta=None):
+    def __init__(self, labels, differentials, homotopies=None):
         if not labels:
             raise ValueError("complex needs at least one degree")
         self.labels = {k: tuple(v) for k, v in labels.items()}
@@ -175,7 +177,6 @@ class ChainComplex:
             raise ValueError("degrees must be contiguous")
         self.differentials = dict(differentials)
         self.homotopies = dict(homotopies) if homotopies else {}
-        self.meta = dict(meta) if meta else {}
         for k, mat in self.differentials.items():
             if (mat.nrows, mat.ncols) != (self.rank(k - 1), self.rank(k)):
                 raise ValueError(f"differential at degree {k} has wrong shape")

@@ -5,7 +5,9 @@ weight; 0/1 weight matrices with both marginals equal to it correspond to
 permutations, and the corresponding basis elements multiply exactly like the
 symmetric group.  Truncating a resolution by the multilinear idempotent
 keeps precisely the tuples whose leading matrix has multilinear row sums,
-because the idempotent acts on each basis tuple by 0 or 1.
+because the idempotent acts on each basis tuple by 0 or 1; products keep
+those row sums, so the truncation is the multilinear weight block of the
+induced resolution, and it is built as that block and nothing else.
 
 Permutations are tuples p of length r with p[t-1] = image of t; products
 compose right factor first.
@@ -15,7 +17,6 @@ from itertools import permutations as _permutations
 
 from .barcomplex import build_weyl_resolution
 from .combinatorics import matrix_marginal
-from .complexes import ChainComplex
 
 
 def multilinear_weight(n, r):
@@ -63,35 +64,11 @@ def weight_matrix_permutation(omega):
     return tuple(images)
 
 
-def apply_schur_functor(cx):
-    """Truncate an induced resolution by the multilinear idempotent.
-
-    Keeps the degree-k tuples whose leading matrix has multilinear row sums
-    and restricts every differential to the kept rows and columns.  The
-    restriction loses nothing: products never change the leading row sums,
-    so differentials map the kept span into itself.
-    """
-    if cx.meta.get("variant") != "weyl":
-        raise ValueError("the functor applies to induced (weyl) resolutions")
-    n, r = cx.meta["n"], cx.meta["r"]
-    delta = multilinear_weight(n, r)
-    kept = {k: [i for i, tup in enumerate(cx.labels[k])
-                if matrix_marginal(tup[0], 2) == delta]
-            for k in cx.degrees()}
-    labels = {k: tuple(cx.labels[k][i] for i in kept[k]) for k in cx.degrees()}
-    diffs = {k: cx.differentials[k].submatrix(kept[k - 1], kept[k])
-             for k in cx.differentials}
-    out = ChainComplex(labels, diffs, meta={**cx.meta, "variant": "schur-functor"})
-    out.check_complex()
-    return out
-
-
 def truncated_resolution(lam):
-    """The same truncated complex, built as the multilinear weight block of
-    the induced resolution: only tuples whose leading matrix has row sums
-    delta = (1^r, 0^(n-r)) are enumerated, and the differential is assembled
-    on them alone, never on the ambient resolution (whose ranks dwarf it)."""
+    """The truncated complex: the multilinear weight block of the induced
+    resolution, delta = (1^r, 0^(n-r)) with n = len(lam).  Only tuples whose
+    leading matrix has row sums delta are enumerated, and the differential
+    is assembled on them alone, never on the ambient resolution (whose
+    ranks dwarf it)."""
     lam = tuple(lam)
-    cx = build_weyl_resolution(lam, multilinear_weight(len(lam), sum(lam)))
-    return ChainComplex(cx.labels, cx.differentials,
-                        meta={**cx.meta, "variant": "schur-functor"})
+    return build_weyl_resolution(lam, multilinear_weight(len(lam), sum(lam)))

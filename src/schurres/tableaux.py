@@ -320,8 +320,7 @@ def build_bh_complex(lam, n=None):
         lam = lam + (0,) * (n - len(lam))
     if not is_partition(lam):
         raise ValueError("the complex is built for partitions")
-    r = sum(lam)
-    if n < r:
+    if n < sum(lam):
         raise ValueError("needs n >= r for multilinear content")
     labels = {}
     k = 0
@@ -334,8 +333,7 @@ def build_bh_complex(lam, n=None):
     compositions, first_homs = {}, {}
     diffs = {k: _bh_differential(labels[k], labels[k - 1], k, compositions, first_homs)
              for k in range(1, len(labels))}
-    cx = ChainComplex(labels, diffs,
-                      meta={"n": n, "r": r, "lam": lam, "variant": "bh"})
+    cx = ChainComplex(labels, diffs)
     cx.check_complex()
     return cx
 
@@ -411,69 +409,56 @@ def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
 
 
 # ---------------------------------------------------------------------------
-# independent tableau counting oracles
+# the tableau counting oracle: direct backtracking over fillings, independent
+# of weight matrices and of every complex it is compared with
 
-def semistandard_tableau_count(lam, n):
-    """Number of fillings by 1..n with weakly increasing rows and strictly
-    increasing columns, by direct backtracking."""
-    lam = tuple(v for v in lam)
-    rows = [v for v in lam if v]
+def semistandard_tableau_count(lam, n, content=None):
+    """Number of fillings of shape lam by 1..n with weakly increasing rows
+    and strictly increasing columns, by direct backtracking.
+
+    With content (n parts), only the fillings with content[v-1] entries v:
+    the Kostka number K(lam, content), the rank of the content weight space
+    of the Weyl module.  The backtracking spends a per-value budget, which
+    without content lets every value fill every cell.
+    """
+    lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError("semistandard counting needs a partition")
-    cells = [(s, t) for s, length in enumerate(rows) for t in range(length)]
+    r = sum(lam)
+    if content is None:
+        left = [r] * n
+    else:
+        left = list(content)
+        if len(left) != n or any(v < 0 for v in left):
+            raise ValueError(f"content must be {n} non-negative parts")
+        if sum(left) != r:
+            return 0
+    cells = [(s, t) for s, length in enumerate(lam) for t in range(length)]
     filling = {}
-    count = 0
 
-    def backtrack(idx):
-        nonlocal count
+    def count(idx):
         if idx == len(cells):
-            count += 1
-            return
+            return 1
         s, t = cells[idx]
         lo = 1
-        if t > 0:
-            lo = max(lo, filling[(s, t - 1)])
-        if s > 0:
-            lo = max(lo, filling[(s - 1, t)] + 1)
+        if t:
+            lo = max(lo, filling[s, t - 1])
+        if s:
+            lo = max(lo, filling[s - 1, t] + 1)
+        total = 0
         for v in range(lo, n + 1):
-            filling[(s, t)] = v
-            backtrack(idx + 1)
-        filling.pop((s, t), None)
+            if left[v - 1]:
+                left[v - 1] -= 1
+                filling[s, t] = v
+                total += count(idx + 1)
+                left[v - 1] += 1
+        return total
 
-    backtrack(0)
-    return count
+    return count(0)
 
 
 def standard_tableau_count(lam):
     """Number of bijective fillings by 1..r increasing along rows and down
-    columns, by direct backtracking."""
-    rows = [v for v in lam if v]
-    if not is_partition(tuple(lam)):
-        raise ValueError("standard counting needs a partition")
-    r = sum(rows)
-    cells = [(s, t) for s, length in enumerate(rows) for t in range(length)]
-    filling = {}
-    used = [False] * (r + 1)
-    count = 0
-
-    def backtrack(idx):
-        nonlocal count
-        if idx == len(cells):
-            count += 1
-            return
-        s, t = cells[idx]
-        lo = 1
-        if t > 0:
-            lo = max(lo, filling[(s, t - 1)] + 1)
-        if s > 0:
-            lo = max(lo, filling[(s - 1, t)] + 1)
-        for v in range(lo, r + 1):
-            if not used[v]:
-                used[v] = True
-                filling[(s, t)] = v
-                backtrack(idx + 1)
-                used[v] = False
-        filling.pop((s, t), None)
-
-    backtrack(0)
-    return count
+    columns: the semistandard count with content (1^r)."""
+    r = sum(lam)
+    return semistandard_tableau_count(lam, r, (1,) * r)

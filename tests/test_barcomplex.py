@@ -19,6 +19,7 @@ from schurres.combinatorics import (
 )
 from schurres.complexes import Matrix
 from schurres.homology import HomologyGroup, homology, homology_groups, verify_exactness
+from schurres.schurfunctor import multilinear_weight
 from schurres.tableaux import semistandard_tableau_count
 
 D20 = ((2, 0), (0, 0))
@@ -77,64 +78,44 @@ def test_weight_blocks_partition_the_full_basis():
 
 
 def test_block_differential_is_a_submatrix_of_the_full_one():
-    for r in range(1, 5):
-        comps = enumerate_compositions(3, r)
-        for lam in enumerate_partitions(3, r):
-            for k in range(1, max_chain_length(3, r)):
-                full_d = differential(lam, k, "full")
-                position = [{tup: i for i, tup in enumerate(enumerate_bar_basis(lam, j, "full"))}
-                            for j in (k - 1, k)]
-                for nu in comps:
-                    rows, cols = ([position[j][tup]
-                                   for tup in enumerate_bar_basis(lam, k - 1 + j, "full", nu)]
-                                  for j in (0, 1))
-                    assert differential(lam, k, "full", nu) == full_d.submatrix(rows, cols)
+    # every weight block of every partition at n=3, r<=4, and the multilinear
+    # block (the Schur-functor truncation) of every partition at n=4, r=4
+    cases = [(lam, enumerate_compositions(3, r))
+             for r in range(1, 5) for lam in enumerate_partitions(3, r)]
+    cases += [(lam, [multilinear_weight(4, 4)]) for lam in enumerate_partitions(4, 4)]
+    for lam, comps in cases:
+        n, r = len(lam), sum(lam)
+        full = [enumerate_bar_basis(lam, k, "full") for k in range(max_chain_length(n, r))]
+        for nu in comps:
+            for k, basis in enumerate(full):
+                assert enumerate_bar_basis(lam, k, "full", nu) == tuple(
+                    tup for tup in basis if matrix_marginal(tup[0], 2) == nu)
+        for k in range(1, len(full)):
+            full_d = differential(lam, k, "full")
+            position = [{tup: i for i, tup in enumerate(full[j])} for j in (k - 1, k)]
+            for nu in comps:
+                rows, cols = ([position[j][tup]
+                               for tup in enumerate_bar_basis(lam, k - 1 + j, "full", nu)]
+                              for j in (0, 1))
+                assert differential(lam, k, "full", nu) == full_d.submatrix(rows, cols)
 
 
 def test_weyl_block_resolution():
     lam, nu = (2, 1, 1), (1, 2, 1)
     block = build_weyl_resolution(lam, nu)
-    assert block.meta["variant"] == "weyl-block" and block.meta["nu"] == nu
     assert all(block.labels[k] == enumerate_bar_basis(lam, k, "full", nu)
                for k in block.degrees())
     assert enumerate_bar_basis(lam, block.hi + 1, "full", nu) == ()
     assert verify_exactness(block, list(range(1, block.hi + 1))).ok
 
 
-def kostka_number(lam, nu):
-    """Semistandard tableaux of shape lam and content nu (rows weakly
-    increasing, columns strictly increasing), counted by backtracking."""
-    cells = [(s, t) for s, length in enumerate(lam) for t in range(length)]
-    filling = {}
-    left = list(nu)
-
-    def count(idx):
-        if idx == len(cells):
-            return 1
-        s, t = cells[idx]
-        lo = 1
-        if t:
-            lo = max(lo, filling[s, t - 1])
-        if s:
-            lo = max(lo, filling[s - 1, t] + 1)
-        total = 0
-        for v in range(lo, len(nu) + 1):
-            if left[v - 1]:
-                left[v - 1] -= 1
-                filling[s, t] = v
-                total += count(idx + 1)
-                left[v - 1] += 1
-        return total
-
-    return count(0)
-
-
 def test_kostka_number_examples():
-    assert kostka_number((2, 1, 0), (1, 1, 1)) == 2
-    assert kostka_number((2, 1, 0), (2, 1, 0)) == 1
-    assert kostka_number((2, 1, 0), (0, 1, 2)) == 1
-    assert kostka_number((2, 1, 0), (3, 0, 0)) == 0
-    assert kostka_number((2, 1, 1, 0), (1, 1, 1, 1)) == 3
+    assert semistandard_tableau_count((2, 1, 0), 3, (1, 1, 1)) == 2
+    assert semistandard_tableau_count((2, 1, 0), 3, (2, 1, 0)) == 1
+    assert semistandard_tableau_count((2, 1, 0), 3, (0, 1, 2)) == 1
+    assert semistandard_tableau_count((2, 1, 0), 3, (3, 0, 0)) == 0
+    assert semistandard_tableau_count((2, 1, 1, 0), 4, (1, 1, 1, 1)) == 3
+    assert semistandard_tableau_count((2, 1, 0), 3, (2, 1, 1)) == 0  # |nu| != |lam|
 
 
 @pytest.mark.parametrize("lam", [
@@ -147,7 +128,7 @@ def test_weight_block_h0_is_the_kostka_number(lam):
     total = 0
     for nu in enumerate_compositions(n, sum(lam)):
         block = build_weyl_resolution(lam, nu)
-        kostka = kostka_number(lam, nu)
+        kostka = semistandard_tableau_count(lam, n, nu)
         assert homology_groups(block) == {
             k: HomologyGroup(kostka if k == 0 else 0, ()) for k in block.degrees()
         }, (lam, nu)

@@ -293,10 +293,22 @@ def test_verify_rejects_a_malformed_corrupt_directive_before_any_check(capsys, d
     ("--checks", "oracle", "--corrupt", "1,0,0,1"),  # no check builds a complex
 ])
 def test_verify_refuses_a_corruption_that_changed_nothing(capsys, argv):
-    code, _, err = run(capsys, "verify", "-n", "2", "-r", "2", *argv)
+    code, out, err = run(capsys, "verify", "-n", "2", "-r", "2", *argv)
     assert code == 2
+    assert out == ""
     directive = argv[-1]
     assert err == f"error: --corrupt {directive} changed no differential\n"
+
+
+def test_verify_refuses_at_the_first_check_the_corruption_left_unchanged(capsys):
+    # entry (3, 2) exists in the Weyl d_1 of (1,1) (4 x 3), not in its Borel
+    # d_1 (2 x 1): exactness is corrupted, the homotopy check is not
+    code, out, err = run(capsys, "verify", "-n", "2", "-r", "2", "--lambda", "1,1",
+                         "--checks", "exactness,homotopy", "--corrupt", "1,3,2,1")
+    assert code == 2
+    assert out.splitlines()[-1] == "FAIL exactness (n=2, r=2)"
+    assert "homotopy" not in out
+    assert err == "error: --corrupt 1,3,2,1 changed no differential\n"
 
 
 def test_verify_corrupt_fails_the_benchmark_control(capsys):

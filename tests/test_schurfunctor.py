@@ -1,18 +1,16 @@
 import pytest
 
-from schurres.barcomplex import build_weyl_resolution
 from schurres.combinatorics import enumerate_weight_matrices, matrix_marginal
-from schurres.homology import homology, verify_exactness
+from schurres.homology import homology
 from schurres.schur import basis_element, multiply_basis
 from schurres.schurfunctor import (
     all_permutations,
-    apply_schur_functor,
     compose_permutations,
     multilinear_weight,
     permutation_weight_matrix,
+    truncated_resolution,
     weight_matrix_permutation,
 )
-from schurres.tableaux import standard_tableau_count
 from weight_tensors import enumerate_weight_tensors, tensor_multiplicity
 
 
@@ -79,44 +77,17 @@ def test_group_embedding_small():
 
 
 def test_apply_schur_functor_ranks():
-    fx = apply_schur_functor(build_weyl_resolution((1, 1)))
+    fx = truncated_resolution((1, 1))
     assert [fx.rank(k) for k in fx.degrees()] == [2, 1]
     h0 = homology(fx, 0)
     assert h0.is_free and h0.free_rank == 1
 
-    fx = apply_schur_functor(build_weyl_resolution((2, 0)))
+    fx = truncated_resolution((2, 0))
     expected0 = len([m for m in enumerate_weight_matrices(2, 2, col_sums=(2, 0))
                      if matrix_marginal(m, 2) == (1, 1)])
     assert fx.rank(0) == expected0 == 1
 
 
-def test_functor_preserves_complex_axiom_and_exactness():
-    for lam in [(2, 1, 0), (1, 1, 1), (3, 0, 0)]:
-        fx = apply_schur_functor(build_weyl_resolution(lam))
-        fx.check_complex()
-        assert verify_exactness(fx, list(range(1, fx.hi + 1))).ok
-        h0 = homology(fx, 0)
-        assert h0.is_free
-        assert h0.free_rank == standard_tableau_count(lam)
-
-
-def test_truncated_resolution_matches_selection():
-    from schurres.schurfunctor import truncated_resolution
-    for lam in [(1, 1), (2, 0), (2, 1, 0), (1, 1, 1), (3, 0, 0),
-                (4, 0, 0, 0), (3, 1, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0), (1, 1, 1, 1)]:
-        direct = truncated_resolution(lam)
-        selected = apply_schur_functor(build_weyl_resolution(lam))
-        assert direct.labels == selected.labels
-        assert all(direct.differential(k) == selected.differential(k)
-                   for k in range(direct.lo + 1, direct.hi + 1))
-
-
-def test_functor_requires_weyl_variant():
-    from schurres.barcomplex import build_borel_resolution
-    with pytest.raises(ValueError):
-        apply_schur_functor(build_borel_resolution((1, 1)))
-
-
 def test_functor_requires_enough_rows():
     with pytest.raises(ValueError):
-        apply_schur_functor(build_weyl_resolution((2, 1)))
+        truncated_resolution((2, 1))
