@@ -261,16 +261,16 @@ def enumerate_dominance_chains(lam, k):
     return canonical_sort(ending_at(lam, k))
 
 
-@lru_cache(maxsize=None)
 def max_chain_length(n, r):
-    """Number of elements in the longest strictly decreasing dominance chain."""
-    universe = enumerate_compositions(n, r)
-    below = {c: tuple(d for d in universe if dominates(c, d, strict=True)) for c in universe}
-    memo = {}
+    """Number of elements in the longest strictly decreasing dominance chain
+    of compositions of r into n parts: r(n-1) + 1.
 
-    def down(c):
-        if c not in memo:
-            memo[c] = 1 + max((down(d) for d in below[c]), default=0)
-        return memo[c]
-
-    return max((down(c) for c in universe), default=0)
+    Dominance is the componentwise order on the partial sums s_1, ..., s_(n-1)
+    (s_n = r), so a strict step lowers their total, which runs from r(n-1)
+    at (r, 0, ..., 0) down to 0 at (0, ..., 0, r); lowering the first
+    nonzero partial sum by one is a step that lowers it by exactly one.
+    With no parts there is one composition of 0 and none of r > 0.
+    """
+    if n == 0:
+        return 1 if r == 0 else 0
+    return r * (n - 1) + 1

@@ -11,8 +11,10 @@ factor and column sums the t-th row of the right one), so the expansion is
 computed by folding the slices in one at a time: a dict maps each partial
 sum of the slices chosen so far, packed into one integer, to its weighted
 count.  Each slice set is a table built once per process from its two
-margins.  Coefficients are unbounded-precision integers throughout; zero
-coefficients are dropped eagerly so equality is structural.
+margins, and each packed key is decoded once per process into a key matrix
+that every expansion holding it shares.  Coefficients are
+unbounded-precision integers throughout; zero coefficients are dropped
+eagerly so equality is structural.
 """
 
 import json
@@ -75,16 +77,24 @@ def structure_constants(omega, pi):
                 key = partial + entries
                 folded[key] = folded.get(key, 0) + c * w
         acc = folded
-    mask = (1 << width) - 1
-    shifts = range(width * (n * n - 1), -1, -width)
     out = []
     for packed in sorted(acc, reverse=True):  # packed order is flattened order
-        flat = [packed >> b & mask for b in shifts]
-        coeff = acc[packed]
-        for v in flat:
-            coeff *= factorial(v)
-        out.append((tuple(tuple(flat[s:s + n]) for s in range(0, n * n, n)), coeff // scale))
+        key, weight = _unpack(packed, n, width)
+        out.append((key, acc[packed] * weight // scale))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _unpack(packed, n, width):
+    """The n x n key packed into one integer, `width` bits per entry, and
+    the product of the factorials of its entries.  Cached, so every
+    expansion holding a key shares one key object."""
+    mask = (1 << width) - 1
+    flat = [packed >> b & mask for b in range(width * (n * n - 1), -1, -width)]
+    weight = 1
+    for v in flat:
+        weight *= factorial(v)
+    return tuple(tuple(flat[s:s + n]) for s in range(0, n * n, n)), weight
 
 
 class AlgebraElement:

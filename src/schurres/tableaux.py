@@ -30,6 +30,15 @@ expansions live in a dict owned by that build.  Likewise each distinct
 first homomorphism's matrix is transposed into sparse rows once per build,
 and each functional's row in it is found through a dict.
 
+The comparison with the truncation relabels each truncation column through
+the basis bijection (a kept bar tuple names the label whose functional is
+its transposed leading matrix), sorts it and compares it with the matching
+column of the complex; no triplet sets are formed, and each leading matrix
+is transposed once per comparison.  The comparison builds the complex
+without the d o d check that `build_bh_complex` makes: the truncation's
+d o d is checked, and equal matrices under a bijective relabelling carry
+it over.
+
 Homomorphism matrices are cached; `tableau_hom` hands out the cached
 `Matrix` itself, which no caller can change.  A matrix is built from the
 ways to split each row of a source tableau into blocks: these are taken
@@ -307,12 +316,8 @@ def _bh_differential(labels_k, labels_km1, k, compositions, first_homs):
     return Matrix.from_columns(len(labels_km1), columns)
 
 
-def build_bh_complex(lam, n=None):
-    """Permutation-module complex of a partition, degrees >= 0.
-
-    Degree -1 (the co-Specht module) is presented as the cokernel of the
-    degree-1 differential rather than stored with a basis.
-    """
+def _bh_complex_unchecked(lam, n=None):
+    """The permutation-module complex, with d o d left unchecked."""
     lam = tuple(lam)
     if n is None:
         n = len(lam)
@@ -333,20 +338,23 @@ def build_bh_complex(lam, n=None):
     compositions, first_homs = {}, {}
     diffs = {k: _bh_differential(labels[k], labels[k - 1], k, compositions, first_homs)
              for k in range(1, len(labels))}
-    cx = ChainComplex(labels, diffs)
+    return ChainComplex(labels, diffs)
+
+
+def build_bh_complex(lam, n=None):
+    """Permutation-module complex of a partition, degrees >= 0, checked to
+    be a complex.
+
+    Degree -1 (the co-Specht module) is presented as the cokernel of the
+    degree-1 differential rather than stored with a basis.
+    """
+    cx = _bh_complex_unchecked(lam, n)
     cx.check_complex()
     return cx
 
 
 # ---------------------------------------------------------------------------
 # comparison with the idempotent-truncated resolution
-
-def bh_label_of_bar_tuple(tup):
-    """Translate a kept bar tuple into a complex label: the leading matrix
-    transposes into the functional's matrix, the tail matrices are the
-    homs."""
-    return (transpose_matrix(tup[0]),) + tup[1:]
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -367,8 +375,26 @@ class ComparisonReport:
                 and self.cokernel_ranks[0] == self.standard_count)
 
 
+def _columns_agree(fb_d, bh_d, rows, cols):
+    """Whether bh_d is fb_d with row i moved to rows[i] and column j to
+    cols[j]: each column of fb_d is relabelled, sorted and compared with its
+    image column, stopping at the first difference."""
+    bh_columns = bh_d.columns
+    return all(tuple(sorted((rows[i], v) for i, v in col)) == bh_columns[j]
+               for col, j in zip(fb_d.columns, cols))
+
+
 def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
-    """Check the two complexes agree entrywise under the tableau bijection."""
+    """Check the two complexes agree entrywise under the tableau bijection.
+
+    Only the truncation's d o d is checked: inside `truncated_resolution`,
+    or here when fb is supplied, which raises for an fb that is not a
+    complex.  The BH complex is built unchecked: differentials equal to the
+    truncation's under a bijective relabelling make it a complex too, and
+    differing ones fail the report.  The cokernel of the BH complex is
+    computed only when the matrices differ; otherwise it is the
+    truncation's.
+    """
     from .schurfunctor import truncated_resolution
 
     lam = tuple(lam)
@@ -378,33 +404,47 @@ def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
         lam = lam + (0,) * (n - len(lam))
     if fb is None:
         fb = truncated_resolution(lam)
+    else:
+        fb.check_complex()
     if bh is None:
-        bh = build_bh_complex(lam, n)
+        bh = _bh_complex_unchecked(lam, n)
 
     degree_match = (fb.lo, fb.hi) == (bh.lo, bh.hi) and all(
         fb.rank(k) == bh.rank(k) for k in fb.degrees())
     matrices_equal = {}
     if degree_match:
-        # under bijective relabelling, equal nonzero entries mean equal matrices
-        position, bijective = {}, {}
-        for k in fb.degrees():
-            bh_index = {lab: i for i, lab in enumerate(bh.labels[k])}
-            position[k] = [bh_index[bh_label_of_bar_tuple(tup)] for tup in fb.labels[k]]
-            bijective[k] = len(set(position[k])) == bh.rank(k)
+        heads = {}  # leading matrix -> its transpose, the functional
+
+        def positions(k):
+            # where each truncation label of degree k sits among the BH
+            # labels, None unless that relabelling is bijective: a kept bar
+            # tuple names the BH label whose functional is its transposed
+            # leading matrix and whose homs are its tail matrices
+            index = {lab: i for i, lab in enumerate(bh.labels[k])}
+            out = []
+            for tup in fb.labels[k]:
+                head = heads.get(tup[0])
+                if head is None:
+                    head = heads[tup[0]] = transpose_matrix(tup[0])
+                out.append(index[(head,) + tup[1:]])
+            return out if len(set(out)) == len(out) else None
+
+        rows = positions(fb.lo)
         for k in range(fb.lo + 1, fb.hi + 1):
-            pr, pc = position[k - 1], position[k]
-            matrices_equal[k] = (
-                bijective[k - 1] and bijective[k]
-                and {(pr[i], pc[j], v) for i, j, v in fb.differential(k).entries()}
-                == set(bh.differential(k).entries()))
+            cols = positions(k)
+            matrices_equal[k] = (rows is not None and cols is not None and _columns_agree(
+                fb.differential(k), bh.differential(k), rows, cols))
+            rows = cols
 
     def cokernel_rank(cx):
         h = homology(cx, cx.lo)
         return h.free_rank if h.is_free else -1  # torsion: not a free cokernel
 
+    fb_rank = cokernel_rank(fb)
+    isomorphic = degree_match and all(matrices_equal.values())
     return ComparisonReport(
         lam, n, degree_match, matrices_equal,
-        (cokernel_rank(fb), cokernel_rank(bh)),
+        (fb_rank, fb_rank if isomorphic else cokernel_rank(bh)),
         standard_tableau_count(lam))
 
 

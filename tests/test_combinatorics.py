@@ -289,6 +289,27 @@ def test_max_chain_length_matches_explicit_chains():
         assert max_chain_length(n, r) == best
 
 
+def scanned_max_chain_length(n, r):
+    """The longest strict dominance chain by scanning every pair of
+    compositions."""
+    universe = enumerate_compositions(n, r)
+    below = {c: tuple(d for d in universe if dominates(c, d, strict=True)) for c in universe}
+    memo = {}
+
+    def down(c):
+        if c not in memo:
+            memo[c] = 1 + max((down(d) for d in below[c]), default=0)
+        return memo[c]
+
+    return max((down(c) for c in universe), default=0)
+
+
+def test_max_chain_length_matches_the_pairwise_scan():
+    for n in range(6):
+        for r in range(7):
+            assert max_chain_length(n, r) == scanned_max_chain_length(n, r), (n, r)
+
+
 def test_multinomial():
     assert multinomial((1, 1)) == 2
     assert multinomial((2, 1)) == 3

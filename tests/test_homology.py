@@ -378,6 +378,28 @@ def test_verify_exactness_reports_complex_axiom():
     assert not report.complex_ok and not report.ok
 
 
+def test_d_squared_checks_catch_a_composite_nonzero_only_in_its_last_column(monkeypatch):
+    # d_1 d_2 = [0 0 1]; the walk finds it without forming the product
+    labels = {0: ("a",), 1: ("b", "c"), 2: ("x", "y", "z")}
+    d1 = Matrix.from_rows([[1, 0]])
+    d2 = Matrix.from_rows([[0, 0, 1], [0, 1, 0]])
+    broken = ChainComplex(labels, {1: d1, 2: d2})
+
+    def no_product(*args):
+        raise AssertionError("the d o d check formed a product matrix")
+
+    monkeypatch.setattr(Matrix, "__matmul__", no_product)
+    assert broken.first_nonzero_composite() == 2
+    with pytest.raises(ValueError, match="between degrees 2 and 0"):
+        broken.check_complex()
+    report = verify_exactness(broken)
+    assert not report.complex_ok and not report.ok
+    fixed = ChainComplex(labels, {1: d1, 2: Matrix.from_rows([[0, 0, 0], [0, 1, 0]])})
+    assert fixed.first_nonzero_composite() is None
+    fixed.check_complex()
+    assert verify_exactness(fixed).complex_ok
+
+
 def trial_division_is_prime(p):
     return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 

@@ -147,6 +147,18 @@ def test_structure_constants_match_the_reference_on_random_pairs(pair):
     check_against_reference(*pair)
 
 
+def test_products_sharing_a_key_share_one_key_object():
+    mats = enumerate_weight_matrices(3, 3)
+    seen = {}
+    occurrences = 0
+    for omega in mats:
+        for pi in enumerate_weight_matrices(3, 3, row_sums=matrix_marginal(omega, 1)):
+            for key, _ in structure_constants(omega, pi):
+                assert seen.setdefault(key, key) is key, key
+                occurrences += 1
+    assert occurrences > len(seen)  # keys really are shared between products
+
+
 def test_slice_tables_hold_tuples_all_the_way_down():
     omega, pi = ((1, 1, 0), (1, 0, 1), (0, 1, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 0))
     assert structure_constants(omega, pi)

@@ -16,7 +16,7 @@ from schurres.combinatorics import (
     transpose_matrix,
 )
 from schurres.complexes import ChainComplex, Matrix
-from schurres.homology import smith_normal_form
+from schurres.homology import homology, smith_normal_form
 from schurres.schur import structure_constants
 from schurres.schurfunctor import (
     truncated_resolution,
@@ -27,8 +27,8 @@ from schurres.schurfunctor import (
     weight_matrix_permutation,
 )
 from schurres.tableaux import (
+    ComparisonReport,
     act,
-    bh_label_of_bar_tuple,
     build_bh_complex,
     canonical_tableau,
     compare_with_schur_functor,
@@ -360,6 +360,100 @@ def test_bh_rejects_bad_input():
         build_bh_complex((2, 1), 2)
 
 
+def bh_label_of_bar_tuple(tup):
+    """A kept bar tuple's BH label: its transposed leading matrix (the
+    functional), then its tail matrices (the homs)."""
+    return (transpose_matrix(tup[0]),) + tup[1:]
+
+
+def reference_compare(lam, n, fb, bh):
+    """The comparison that the column walk replaced: both differentials as
+    sets of (row, col, value) triplets through `entries()`, and the cokernel
+    of each complex computed on its own."""
+    degree_match = (fb.lo, fb.hi) == (bh.lo, bh.hi) and all(
+        fb.rank(k) == bh.rank(k) for k in fb.degrees())
+    matrices_equal = {}
+    if degree_match:
+        position, bijective = {}, {}
+        for k in fb.degrees():
+            bh_index = {lab: i for i, lab in enumerate(bh.labels[k])}
+            position[k] = [bh_index[bh_label_of_bar_tuple(tup)] for tup in fb.labels[k]]
+            bijective[k] = len(set(position[k])) == bh.rank(k)
+        for k in range(fb.lo + 1, fb.hi + 1):
+            pr, pc = position[k - 1], position[k]
+            matrices_equal[k] = (
+                bijective[k - 1] and bijective[k]
+                and {(pr[i], pc[j], v) for i, j, v in fb.differential(k).entries()}
+                == set(bh.differential(k).entries()))
+
+    def cokernel_rank(cx):
+        h = homology(cx, cx.lo)
+        return h.free_rank if h.is_free else -1
+
+    return ComparisonReport(lam, n, degree_match, matrices_equal,
+                            (cokernel_rank(fb), cokernel_rank(bh)),
+                            standard_tableau_count(lam))
+
+
+@pytest.mark.parametrize("lam, n", [
+    *((lam, r) for r in range(1, 5) for lam in enumerate_partitions(r, r)),
+    ((2, 1, 1, 1, 0), 5),
+])
+def test_column_walk_matches_the_triplet_set_reference(lam, n):
+    expected = reference_compare(lam, n, truncated_resolution(lam), build_bh_complex(lam, n))
+    assert expected.ok
+    assert compare_with_schur_functor(lam, n) == expected
+
+
+def test_compare_checks_d_squared_once(monkeypatch):
+    calls = []
+    check = ChainComplex.check_complex
+
+    def counted(cx):
+        calls.append(cx)
+        return check(cx)
+
+    monkeypatch.setattr(ChainComplex, "check_complex", counted)
+    assert compare_with_schur_functor((2, 1, 1, 0), 4).ok
+    assert len(calls) == 1
+
+
+def test_bh_build_still_checks_d_squared(monkeypatch):
+    # d_2 gains a basis vector that d_1 does not kill
+    lam = (2, 1, 1, 0)
+    i = next(i for i, col in enumerate(build_bh_complex(lam).differential(1).columns) if col)
+    differential = tableaux._bh_differential
+
+    def broken(labels_k, labels_km1, k, *caches):
+        d = differential(labels_k, labels_km1, k, *caches)
+        return d + Matrix.from_entries(d.nrows, d.ncols, [(i, 0, 1)]) if k == 2 else d
+
+    monkeypatch.setattr(tableaux, "_bh_differential", broken)
+    with pytest.raises(ValueError, match="d o d"):
+        build_bh_complex(lam)
+
+
+def test_compare_never_passes_a_supplied_fb_that_is_not_a_complex():
+    # both complexes get the same nonzero into d_2, so they still agree
+    # entrywise; only the truncation's own d o d check can catch it
+    lam = (2, 1, 1, 0)
+    fb = truncated_resolution(lam)
+    bh = build_bh_complex(lam)
+    d2 = fb.differential(2)
+    j, (i, _) = next((j, col[0]) for j, col in enumerate(d2.columns) if col)
+    fb_d2 = d2 + Matrix.from_entries(d2.nrows, d2.ncols, [(i, j, 1)])
+    row = bh.labels[1].index(bh_label_of_bar_tuple(fb.labels[1][i]))
+    col = bh.labels[2].index(bh_label_of_bar_tuple(fb.labels[2][j]))
+    bh_d2 = bh.differential(2)
+    bh_d2 = bh_d2 + Matrix.from_entries(bh_d2.nrows, bh_d2.ncols, [(row, col, 1)])
+    fb_hacked = ChainComplex(fb.labels, {**fb.differentials, 2: fb_d2})
+    bh_hacked = ChainComplex(bh.labels, {**bh.differentials, 2: bh_d2})
+    assert fb_hacked.first_nonzero_composite() == 2
+    assert all(reference_compare(lam, 4, fb_hacked, bh_hacked).matrices_equal.values())
+    with pytest.raises(ValueError, match="d o d"):
+        compare_with_schur_functor(lam, fb=fb_hacked, bh=bh_hacked)
+
+
 def test_compare_small_cases():
     for lam in [(1, 1), (2, 0), (2, 1, 0), (1, 1, 1), (3, 0, 0)]:
         report = compare_with_schur_functor(lam)
@@ -393,6 +487,7 @@ def test_compare_negative_control():
     report = compare_with_schur_functor(lam, bh=hacked)
     assert not report.ok
     assert not all(report.matrices_equal.values())
+    assert report == reference_compare(lam, len(lam), truncated_resolution(lam), hacked)
 
 
 def test_compare_detects_an_extra_nonzero():
@@ -414,6 +509,20 @@ def test_compare_detects_an_extra_nonzero():
     assert not report.ok
     assert report.degree_match and report.matrices_equal[1]
     assert not report.matrices_equal[2]
+    assert report == reference_compare(lam, len(lam), fb, hacked)
+
+
+def test_compare_reads_the_bh_cokernel_when_the_matrices_differ():
+    # doubling the BH d_1 leaves torsion in its cokernel, the truncation's
+    # cokernel stays free
+    lam = (2, 1, 1, 0)
+    fb = truncated_resolution(lam)
+    bh = build_bh_complex(lam)
+    d1 = bh.differential(1)
+    doubled = ChainComplex(bh.labels, {**bh.differentials, 1: d1 + d1})
+    report = compare_with_schur_functor(lam, fb=fb, bh=doubled)
+    assert report.cokernel_ranks == (standard_tableau_count(lam), -1)
+    assert report == reference_compare(lam, len(lam), fb, doubled)
 
 
 def test_compare_detects_a_non_bijective_relabelling():
@@ -441,6 +550,7 @@ def test_compare_detects_a_non_bijective_relabelling():
     assert not report.ok
     assert not report.matrices_equal[top]
     assert all(report.matrices_equal[k] for k in range(1, top))
+    assert report == reference_compare(lam, len(lam), fb_hacked, bh_hacked)
 
 
 def test_tableau_counters_match_hook_formulas():
