@@ -23,8 +23,8 @@ print("two tableaux of column shape:", tableau_hom(((1, 2), ())).rows, "\n")
 r = 4
 for lam in enumerate_partitions(r, r):
     fb = truncated_resolution(lam)
-    bh = build_bh_complex(lam, r)
-    report = compare_with_schur_functor(lam, r, fb=fb, bh=bh)
+    bh = build_bh_complex(lam)
+    report = compare_with_schur_functor(lam, fb=fb, bh=bh)
     d1 = bh.differential(1)
     snf = smith_normal_form(d1)
     print(f"lambda = {lam}")

@@ -139,7 +139,7 @@ def _build_variant(variant, lam):
     if variant == "schur-functor":
         return truncated_resolution(lam)
     if variant == "bh":
-        return build_bh_complex(lam, len(lam))
+        return build_bh_complex(lam)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -173,10 +173,6 @@ def complex_document(cx, lam, variant):
 
 def cmd_resolve(args):
     lam = _parse_composition(args.lam, args.n, args.r)
-    if args.variant in ("bh", "schur-functor") and args.n < args.r:
-        raise ValueError(f"variant {args.variant} needs n >= r")
-    if args.variant == "bh" and not is_partition(lam):
-        raise ValueError("variant bh needs a partition")
     cx = _build_variant(args.variant, lam)
     doc = complex_document(cx, lam, args.variant)
     _emit(_indented_json(doc) + "\n", args.output)
@@ -249,20 +245,13 @@ def _maybe_corrupt(cx, corrupt):
     return ChainComplex(cx.labels, {**cx.differentials, k: mat}, cx.homotopies)
 
 
-def _fail(record):
-    print(json.dumps(record, separators=(",", ":")))
-    return False
-
-
 def _check_exactness(n, r, lams, corrupt):
-    ok = True
     for lam in lams:
         borel = corrupt(build_borel_resolution(lam))
         report = verify_exactness(borel)
         if not report.ok:
-            ok = _fail({"check": "exactness", "variant": "borel",
-                        "lambda": list(lam),
-                        "failures": [str(entry) for entry in report.failures()]})
+            yield {"check": "exactness", "variant": "borel", "lambda": list(lam),
+                   "failures": [str(entry) for entry in report.failures()]}
         if not is_partition(lam):
             continue
         weyl = corrupt(build_weyl_resolution(lam))
@@ -270,28 +259,24 @@ def _check_exactness(n, r, lams, corrupt):
         h0 = HomologyGroup(expected, ())
         report = verify_exactness(weyl, expected={0: h0})
         if not report.ok:
-            ok = _fail({"check": "exactness", "variant": "weyl",
-                        "lambda": list(lam), "expected_rank": expected,
-                        "failures": [str(entry) for entry in report.failures()]})
-    return ok
+            yield {"check": "exactness", "variant": "weyl", "lambda": list(lam),
+                   "expected_rank": expected,
+                   "failures": [str(entry) for entry in report.failures()]}
 
 
 def _check_homotopy(n, r, lams, corrupt):
-    ok = True
     for lam in lams:
         cx = corrupt(build_borel_resolution(lam))
         for k in range(0, cx.hi + 1):
             lhs = (cx.differential(k + 1) @ cx.homotopy(k)
                    + cx.homotopy(k - 1) @ cx.differential(k))
             if lhs != Matrix.identity(cx.rank(k)):
-                ok = _fail({"check": "homotopy", "lambda": list(lam), "degree": k})
+                yield {"check": "homotopy", "lambda": list(lam), "degree": k}
         if cx.differential(0) @ cx.homotopy(-1) != Matrix.identity(1):
-            ok = _fail({"check": "homotopy", "lambda": list(lam), "degree": -1})
-    return ok
+            yield {"check": "homotopy", "lambda": list(lam), "degree": -1}
 
 
-def _check_oracle(n, r):
-    ok = True
+def _check_oracle(n, r, lams, corrupt):
     mats = enumerate_weight_matrices(n, r)
     for omega in mats:
         fo = endo_of_basis(omega)
@@ -300,30 +285,26 @@ def _check_oracle(n, r):
             composed = decode(compose(fo, endo_of_basis(pi)))
             convolved = green_convolution(omega, pi)
             if not (direct == composed == convolved):
-                ok = _fail({"check": "oracle", "omega": [list(rw) for rw in omega],
-                            "pi": [list(rw) for rw in pi]})
-    return ok
+                yield {"check": "oracle", "omega": [list(rw) for rw in omega],
+                       "pi": [list(rw) for rw in pi]}
 
 
-def _check_associativity(n, r, samples=1000, seed=0):
-    ok = True
+def _check_associativity(n, r, lams, corrupt):
     mats = enumerate_weight_matrices(n, r)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     if len(mats) ** 3 <= 10000:
         triples = [(a, b, c) for a in mats for b in mats for c in mats]
     else:
-        triples = [tuple(rng.choice(mats) for _ in range(3)) for _ in range(samples)]
+        triples = [tuple(rng.choice(mats) for _ in range(3)) for _ in range(1000)]
     for a, b, c in triples:
         left = multiply(multiply(basis_element(a), basis_element(b)), basis_element(c))
         right = multiply(basis_element(a), multiply(basis_element(b), basis_element(c)))
         if left != right:
-            ok = _fail({"check": "associativity", "triple": [
-                [list(rw) for rw in m] for m in (a, b, c)]})
-    return ok
+            yield {"check": "associativity", "triple": [
+                [list(rw) for rw in m] for m in (a, b, c)]}
 
 
-def _check_filtration(n, r):
-    ok = True
+def _check_filtration(n, r, lams, corrupt):
     uppers = enumerate_weight_matrices(n, r, upper_triangular=True)
     for omega in uppers:
         s = filtration_degree(omega)
@@ -331,9 +312,8 @@ def _check_filtration(n, r):
             t = filtration_degree(pi)
             for key, _ in structure_constants(omega, pi):
                 if not (is_upper_triangular(key) and filtration_degree(key) >= s + t):
-                    ok = _fail({"check": "filtration",
-                                "omega": [list(rw) for rw in omega],
-                                "pi": [list(rw) for rw in pi]})
+                    yield {"check": "filtration", "omega": [list(rw) for rw in omega],
+                           "pi": [list(rw) for rw in pi]}
     bound = max_chain_length(n, r)
     support = set(enumerate_weight_matrices(n, r, min_degree=1))
     generators = tuple(support)
@@ -347,77 +327,87 @@ def _check_filtration(n, r):
         if not support:
             break
     if support:
-        ok = _fail({"check": "filtration", "nilpotency": False,
-                    "power": bound + 1})
-    return ok
+        yield {"check": "filtration", "nilpotency": False, "power": bound + 1}
 
 
-def _check_embedding(n, r):
-    ok = True
+def _check_embedding(n, r, lams, corrupt):
     for sigma in all_permutations(r):
         ws = permutation_weight_matrix(sigma, n)
         for tau in all_permutations(r):
             expected = permutation_weight_matrix(compose_permutations(sigma, tau), n)
             terms = structure_constants(ws, permutation_weight_matrix(tau, n))
             if terms != ((expected, 1),):
-                ok = _fail({"check": "embedding", "sigma": list(sigma),
-                            "tau": list(tau)})
-    return ok
+                yield {"check": "embedding", "sigma": list(sigma), "tau": list(tau)}
 
 
-def _check_boltje(n, r, lams):
-    ok = True
+def _check_boltje(n, r, lams, corrupt):
     for lam in filter(is_partition, lams):
-        report = compare_with_schur_functor(lam, n)
+        report = compare_with_schur_functor(lam)
         if not report.ok:
-            ok = _fail({"check": "boltje", "lambda": list(lam),
-                        "degree_match": report.degree_match,
-                        "matrices_equal": {str(k): v for k, v in
-                                           report.matrices_equal.items()},
-                        "cokernel_ranks": list(report.cokernel_ranks),
-                        "expected": report.standard_count})
-    return ok
+            yield {"check": "boltje", "lambda": list(lam),
+                   "degree_match": report.degree_match,
+                   "matrices_equal": {str(k): v for k, v in report.matrices_equal.items()},
+                   "cokernel_ranks": list(report.cokernel_ranks),
+                   "expected": report.standard_count}
 
 
-def _check_divided(n, r, lams, seed=0):
-    ok = True
-    rng = random.Random(seed)
+def _check_divided(n, r, lams, corrupt):
+    rng = random.Random(0)
     for lam in lams:
         for _ in range(5):
             g = tuple(tuple(rng.randrange(-3, 4) for _ in range(n)) for _ in range(n))
             good, failures = verify_equivariance(lam, g)
             if not good:
-                ok = _fail({"check": "divided", "lambda": list(lam),
-                            "g": [list(rw) for rw in g],
-                            "failures": len(failures)})
+                yield {"check": "divided", "lambda": list(lam),
+                       "g": [list(rw) for rw in g], "failures": len(failures)}
     for _ in range(20):
         g = tuple(tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(n))
         h = tuple(tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(n))
         if multiply(tensor_power_action(g, r), tensor_power_action(h, r)) != \
                 tensor_power_action(matmul(g, h), r):
-            ok = _fail({"check": "divided", "multiplicative": False})
-    return ok
+            yield {"check": "divided", "multiplicative": False}
 
 
-CHECKS = ("exactness", "homotopy", "oracle", "associativity", "filtration",
-          "embedding", "boltje", "divided")
-# checks that compare with permutations of r letters, which need n >= r
-NEEDS_N_GE_R = ("embedding", "boltje")
-# checks that build complexes, the only ones --corrupt can change
-BUILDS_COMPLEXES = ("exactness", "homotopy")
+def _n_below_r(n, r, lams):
+    return "n < r" if n < r else None
+
+
+def _n_below_r_or_no_partition(n, r, lams):
+    return _n_below_r(n, r, lams) or (None if any(map(is_partition, lams))
+                                      else "no partition")
+
+
+# name -> (suite, why it is skipped on (n, r, lams) or None, whether it
+# builds the complexes that --corrupt changes).  A suite takes
+# (n, r, lams, corrupt) and yields one JSON record per failure; embedding
+# and boltje compare with permutations of r letters, which need n >= r.
+SUITES = {
+    "exactness": (_check_exactness, None, True),
+    "homotopy": (_check_homotopy, None, True),
+    "oracle": (_check_oracle, None, False),
+    "associativity": (_check_associativity, None, False),
+    "filtration": (_check_filtration, None, False),
+    "embedding": (_check_embedding, _n_below_r, False),
+    "boltje": (_check_boltje, _n_below_r_or_no_partition, False),
+    "divided": (_check_divided, None, False),
+}
 
 
 def cmd_verify(args):
     n, r = args.n, args.r
     checks = args.checks.split(",")
     for name in checks:
-        if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r}; available: {', '.join(CHECKS)}")
+        if name not in SUITES:
+            raise ValueError(f"unknown check {name!r}; available: {', '.join(SUITES)}")
+    if len(set(checks)) < len(checks):
+        raise ValueError(f"--checks {args.checks} names a check more than once")
     # exactness over F_p follows from the groups over Z (universal
     # coefficients), so the primes are only validated
     for p in map(int, args.mod.split(",") if args.mod else ()):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+    if args.all and args.lam:
+        raise ValueError("--lambda and --all are exclusive")
     if args.all:
         lams = list(enumerate_compositions(n, r))
     elif args.lam:
@@ -426,7 +416,7 @@ def cmd_verify(args):
         lams = list(enumerate_partitions(n, r))
     directive = None if args.corrupt is None else _parse_corrupt(args.corrupt)
     unchanged = ValueError(f"--corrupt {args.corrupt} changed no differential")
-    if directive and not set(checks) & set(BUILDS_COMPLEXES):
+    if directive and not any(SUITES[name][2] for name in checks):
         raise unchanged
     changed = []
 
@@ -437,30 +427,17 @@ def cmd_verify(args):
 
     ok = True
     for name in checks:
+        suite, skip, builds_complexes = SUITES[name]
+        reason = skip and skip(n, r, lams)
+        if reason:
+            print(f"skipped {name} ({reason})")
+            continue
         changed.clear()
-        if name in NEEDS_N_GE_R and n < r:
-            print(f"skipped {name} (n < r)")
-            continue
-        if name == "boltje" and not any(map(is_partition, lams)):
-            print("skipped boltje (no partition)")
-            continue
-        if name == "exactness":
-            good = _check_exactness(n, r, lams, corrupt)
-        elif name == "homotopy":
-            good = _check_homotopy(n, r, lams, corrupt)
-        elif name == "oracle":
-            good = _check_oracle(n, r)
-        elif name == "associativity":
-            good = _check_associativity(n, r)
-        elif name == "filtration":
-            good = _check_filtration(n, r)
-        elif name == "embedding":
-            good = _check_embedding(n, r)
-        elif name == "boltje":
-            good = _check_boltje(n, r, lams)
-        else:
-            good = _check_divided(n, r, lams)
-        if directive and name in BUILDS_COMPLEXES and not any(changed):
+        good = True
+        for record in suite(n, r, lams, corrupt):
+            print(json.dumps(record, separators=(",", ":")))
+            good = False
+        if directive and builds_complexes and not any(changed):
             raise unchanged
         print(f"{'ok' if good else 'FAIL'} {name} (n={n}, r={r})")
         ok = ok and good

@@ -259,10 +259,10 @@ def _functionals(shape):
     return enumerate_weight_matrices(n, r, col_sums=multilinear_weight(n, r), row_sums=shape)
 
 
-def _basis_labels(lam, n, k):
+def _basis_labels(lam, k):
     """Degree-k labels: (functional, hom 1, ..., hom k) weight matrices
     running over dominance chains above lam, in canonical chain order."""
-    r = sum(lam)
+    n, r = len(lam), sum(lam)
     labels = []
     for chain in enumerate_dominance_chains(lam, k):
         shapes = chain + (lam,)
@@ -316,21 +316,17 @@ def _bh_differential(labels_k, labels_km1, k, compositions, first_homs):
     return Matrix.from_columns(len(labels_km1), columns)
 
 
-def _bh_complex_unchecked(lam, n=None):
+def _bh_complex_unchecked(lam):
     """The permutation-module complex, with d o d left unchecked."""
     lam = tuple(lam)
-    if n is None:
-        n = len(lam)
-    if len(lam) < n:
-        lam = lam + (0,) * (n - len(lam))
     if not is_partition(lam):
         raise ValueError("the complex is built for partitions")
-    if n < sum(lam):
+    if len(lam) < sum(lam):
         raise ValueError("needs n >= r for multilinear content")
     labels = {}
     k = 0
     while True:
-        basis = _basis_labels(lam, n, k)
+        basis = _basis_labels(lam, k)
         if not basis:
             break
         labels[k] = basis
@@ -341,14 +337,14 @@ def _bh_complex_unchecked(lam, n=None):
     return ChainComplex(labels, diffs)
 
 
-def build_bh_complex(lam, n=None):
-    """Permutation-module complex of a partition, degrees >= 0, checked to
-    be a complex.
+def build_bh_complex(lam):
+    """Permutation-module complex of a partition lam with n = len(lam)
+    parts, n >= r, in degrees >= 0, checked to be a complex.
 
     Degree -1 (the co-Specht module) is presented as the cokernel of the
     degree-1 differential rather than stored with a basis.
     """
-    cx = _bh_complex_unchecked(lam, n)
+    cx = _bh_complex_unchecked(lam)
     cx.check_complex()
     return cx
 
@@ -362,7 +358,6 @@ class ComparisonReport:
     bijection, plus the cokernel rank check at the bottom."""
 
     lam: tuple
-    n: int
     degree_match: bool
     matrices_equal: dict  # degree -> bool
     cokernel_ranks: tuple  # (truncation, BH); -1 where the cokernel has torsion
@@ -384,8 +379,9 @@ def _columns_agree(fb_d, bh_d, rows, cols):
                for col, j in zip(fb_d.columns, cols))
 
 
-def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
-    """Check the two complexes agree entrywise under the tableau bijection.
+def compare_with_schur_functor(lam, fb=None, bh=None):
+    """Check the two complexes of lam, n = len(lam), agree entrywise under
+    the tableau bijection.
 
     Only the truncation's d o d is checked: inside `truncated_resolution`,
     or here when fb is supplied, which raises for an fb that is not a
@@ -398,16 +394,12 @@ def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
     from .schurfunctor import truncated_resolution
 
     lam = tuple(lam)
-    if n is None:
-        n = len(lam)
-    if len(lam) < n:
-        lam = lam + (0,) * (n - len(lam))
     if fb is None:
         fb = truncated_resolution(lam)
     else:
         fb.check_complex()
     if bh is None:
-        bh = _bh_complex_unchecked(lam, n)
+        bh = _bh_complex_unchecked(lam)
 
     degree_match = (fb.lo, fb.hi) == (bh.lo, bh.hi) and all(
         fb.rank(k) == bh.rank(k) for k in fb.degrees())
@@ -443,7 +435,7 @@ def compare_with_schur_functor(lam, n=None, fb=None, bh=None):
     fb_rank = cokernel_rank(fb)
     isomorphic = degree_match and all(matrices_equal.values())
     return ComparisonReport(
-        lam, n, degree_match, matrices_equal,
+        lam, degree_match, matrices_equal,
         (fb_rank, fb_rank if isomorphic else cokernel_rank(bh)),
         standard_tableau_count(lam))
 

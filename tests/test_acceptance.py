@@ -206,8 +206,8 @@ def test_criterion_08_permutation_complex_comparison():
         n = r
         for lam in enumerate_partitions(n, r):
             fb = truncated_resolution(lam)
-            bh = build_bh_complex(lam, n)
-            report = compare_with_schur_functor(lam, n, fb=fb, bh=bh)
+            bh = build_bh_complex(lam)
+            report = compare_with_schur_functor(lam, fb=fb, bh=bh)
             assert report.ok, (lam, report.matrices_equal, report.cokernel_ranks)
             for cx in (fb, bh):
                 exact = verify_exactness(cx, list(range(1, cx.hi + 1)))

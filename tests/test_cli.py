@@ -116,6 +116,18 @@ def test_resolve_bh_needs_partition(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("-n", "2", "-r", "3", "--lambda", "2,1", "--variant", "bh"),  # n < r
+    ("-n", "2", "-r", "3", "--lambda", "2,1", "--variant", "schur-functor"),
+    ("-n", "3", "-r", "3", "--lambda", "1,2,0", "--variant", "bh"),  # no partition
+])
+def test_resolve_refuses_before_building(capsys, argv):
+    code, out, err = run(capsys, "resolve", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "-n", "2", "-r", "2", "--all",
                        "--checks", "exactness,homotopy,oracle", "--mod", "2,3,5")
@@ -212,10 +224,13 @@ def test_verify_divided_fails_on_a_wrong_action(capsys, monkeypatch):
     monkeypatch.setattr(dividedpowers, "gl_action",
                         lambda g, pi: {k: c + 1 for k, c in real(g, pi).items()})
     code, out, _ = run(capsys, "verify", "-n", "3", "-r", "3", "--checks", "divided")
-    assert code != 0
-    assert "FAIL divided (n=3, r=3)" in out.splitlines()
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL divided (n=3, r=3)"
     records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
-    assert records and all(rec["check"] == "divided" for rec in records)
+    assert len(records) == 15 and all(rec["check"] == "divided" for rec in records)
+    # the records themselves, byte for byte: one per partition and drawn g
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "122c0d342ab0815b2b2d13ef9ee88c2655f9dbf03866293099b2fd9f1fc1d2ec")
 
 
 def test_verify_unknown_check(capsys):
@@ -223,6 +238,21 @@ def test_verify_unknown_check(capsys):
                        "--checks", "nonsense")
     assert code == 2
     assert "unknown check" in err
+
+
+def test_verify_refuses_lambda_with_all_before_any_check(capsys):
+    code, out, err = run(capsys, "verify", "-n", "2", "-r", "2", "--lambda", "1,1", "--all")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --lambda and --all are exclusive\n"
+
+
+def test_verify_refuses_a_repeated_check_before_any_check(capsys):
+    code, out, err = run(capsys, "verify", "-n", "2", "-r", "2",
+                         "--checks", "oracle,exactness,oracle")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --checks oracle,exactness,oracle names a check more than once\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -316,3 +346,40 @@ def test_verify_corrupt_fails_the_benchmark_control(capsys):
                        "--checks", "exactness", "--corrupt", "1,0,0,1")
     assert code == 1
     assert "FAIL exactness (n=3, r=3)" in out.splitlines()
+
+
+ALL_CHECKS = "exactness,homotopy,oracle,associativity,filtration,embedding,boltje,divided"
+
+
+@pytest.mark.parametrize("argv, expected_code, expected_out", [
+    (("-n", "3", "-r", "3", "--all", "--checks", ALL_CHECKS, "--mod", "2,3,5"), 0,
+     "".join(f"ok {name} (n=3, r=3)\n" for name in ALL_CHECKS.split(","))),
+    (("-n", "2", "-r", "3", "--checks", "boltje,exactness,embedding"), 0,
+     "skipped boltje (n < r)\nok exactness (n=2, r=3)\nskipped embedding (n < r)\n"),
+    (("-n", "3", "-r", "3", "--checks", "boltje", "--lambda", "1,2,0"), 0,
+     "skipped boltje (no partition)\n"),
+    (("-n", "2", "-r", "2", "--lambda", "1,1", "--checks", "exactness,homotopy",
+      "--corrupt", "1,3,2,1"), 2,
+     '{"check":"exactness","variant":"weyl","lambda":[1,1],"expected_rank":1,'
+     '"failures":["(0, HomologyGroup(free_rank=1, torsion=(2,)))"]}\n'
+     "FAIL exactness (n=2, r=2)\n"),
+    (("-n", "2", "-r", "2", "--checks", "oracle", "--corrupt", "1,0,0,1"), 2, ""),
+])
+def test_verify_stdout_is_pinned(capsys, argv, expected_code, expected_out):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == expected_code
+    assert out == expected_out
+
+
+def test_verify_records_of_every_corrupted_check_are_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "-n", "3", "-r", "3", "--all",
+                       "--checks", ALL_CHECKS, "--mod", "2,3,5", "--corrupt", "1,0,0,1")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    assert [rec["check"] for rec in records] == ["exactness"] * 11 + ["homotopy"] * 18
+    summaries = [line for line in out.splitlines() if not line.startswith("{")]
+    assert summaries == [f"{'FAIL' if name in ('exactness', 'homotopy') else 'ok'} "
+                         f"{name} (n=3, r=3)" for name in ALL_CHECKS.split(",")]
+    # each record printed before its check's summary line, byte for byte
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "c99aa50f33f4d450607b7b69e507fbf61556dfd84154527bef1eb5a05c1665ae")

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports, and every private function
+or class it defines, is used in that module.
 
 `__init__.py` is left out: it imports names only to re-export them.
 """
@@ -33,3 +34,28 @@ def test_module_uses_every_name_it_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def unreferenced_private_definitions(tree):
+    """Module-level private functions and classes that the module names
+    nowhere outside their own definition."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            inside = set(map(id, ast.walk(node)))
+            if not any(isinstance(other, ast.Name) and other.id == node.name
+                       and id(other) not in inside for other in ast.walk(tree)):
+                yield node.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_uses_every_private_definition(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = sorted(unreferenced_private_definitions(tree))
+    assert not unused, f"{path.name} defines {unused} and never uses them"
+
+
+def test_a_private_function_used_only_by_itself_is_reported():
+    tree = ast.parse("def _fail(x):\n    return _fail(x - 1) if x else 0\n\n"
+                     "def _used():\n    pass\n\nVALUE = _used()\n")
+    assert list(unreferenced_private_definitions(tree)) == ["_fail"]
