@@ -8,13 +8,14 @@ requires w0 upper triangular; the induced (full) variant lets w0 range over
 all weight matrices.
 
 The differential is the alternating sum over adjacent positions of the
-algebra product, re-expanded in the lower-degree tuple basis.  The Borel
-variant carries an explicit contracting homotopy: prepend the diagonal
-idempotent matching the row sums of w0, killing tuples whose w0 is already
-diagonal.
+algebra product, re-expanded in the lower-degree tuple basis: it is
+`complexes.alternating_differential` with the structure constants as the
+product.  A builder enumerates each degree's basis once, through
+`complexes.bases`, and hands the bases to the differentials and homotopies;
+bases are not cached, so a dropped complex frees them.  The Borel variant
+carries an explicit contracting homotopy: prepend the diagonal idempotent
+matching the row sums of w0, killing tuples whose w0 is already diagonal.
 """
-
-from functools import lru_cache
 
 from .combinatorics import (
     diagonal_matrix,
@@ -23,7 +24,7 @@ from .combinatorics import (
     matrix_marginal,
     max_chain_length,
 )
-from .complexes import ChainComplex, Matrix
+from .complexes import ChainComplex, Matrix, alternating_differential, bases
 from .schur import structure_constants
 
 VARIANTS = ("borel", "full")
@@ -36,9 +37,22 @@ def _normalize(lam):
     return lam
 
 
-@lru_cache(maxsize=None)
-def _bar_basis(lam, k, variant, nu):
+def enumerate_bar_basis(lam, k, variant="borel", nu=None):
+    """Degree-k tuple basis, canonical order; empty above the chain bound.
+
+    With nu, only the weight block: the tuples whose leading matrix has row
+    sums nu, in the order they have in the whole basis.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    if k < 0:
+        raise ValueError("degree must be non-negative")
+    lam = _normalize(lam)
+    if nu is not None:
+        nu = tuple(nu)
     n, r = len(lam), sum(lam)
+    if k >= max_chain_length(n, r):
+        return ()
     upper = variant == "borel"
     if k == 0:
         heads = enumerate_weight_matrices(n, r, col_sums=lam, row_sums=nu,
@@ -66,100 +80,55 @@ def _bar_basis(lam, k, variant, nu):
     return tuple(sorted(tuples, reverse=True))
 
 
-def _basis(lam, k, variant, nu):
-    # differential reads its bases here, so that a trace of
-    # enumerate_bar_basis counts each basis a builder asks for once
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    lam = _normalize(lam)
-    if nu is not None:
-        nu = tuple(nu)
-    if k >= max_chain_length(len(lam), sum(lam)):
-        return ()
-    return _bar_basis(lam, k, variant, nu)
-
-
-def enumerate_bar_basis(lam, k, variant="borel", nu=None):
-    """Degree-k tuple basis, canonical order; empty above the chain bound.
-
-    With nu, only the weight block: the tuples whose leading matrix has row
-    sums nu, in the order they have in the whole basis.
-    """
-    return _basis(lam, k, variant, nu)
-
-
-def differential(lam, k, variant="borel", nu=None):
-    """Matrix of the degree-k differential (k >= 1) on tuple bases.
+def differential(cur, prev):
+    """Matrix of the differential from the tuple basis cur of a degree
+    k >= 1 to the basis prev of degree k - 1.
 
     Products keep the row sums of the left factor, so the differential
-    preserves the leading row sums; with nu it is the diagonal block of the
-    whole differential on the nu weight block.
+    preserves the leading row sums; on the bases of a weight block it is the
+    diagonal block of the whole differential on that block.
     """
-    if k < 1:
-        raise ValueError("the tuple differential starts at degree 1")
-    cur = _basis(lam, k, variant, nu)
-    prev = _basis(lam, k - 1, variant, nu)
-    index = {lab: i for i, lab in enumerate(prev)}
+    return alternating_differential(cur, prev, lambda t, a, b: structure_constants(a, b))
+
+
+def augmentation_row(basis0):
+    """Borel degree-0 differential onto the rank-one module: a tuple of the
+    degree-0 basis maps to 1 exactly when its matrix is diagonal, that is,
+    the diagonal of the resolved composition."""
+    return Matrix.from_columns(1, [{0: 1} if is_diagonal(w0) else {} for (w0,) in basis0])
+
+
+def homotopy(cur, nxt):
+    """Borel contracting homotopy from the basis cur of a degree k >= -1 to
+    the basis nxt of degree k + 1; the degree -1 basis is ((),).
+
+    A tuple whose leading matrix is not diagonal gains in front the diagonal
+    matrix of that leading matrix's row sums; a tuple whose leading matrix
+    is diagonal maps to zero.  The generator () of degree -1 maps to the
+    degree-0 tuple whose matrix is diagonal.
+    """
+    index = {lab: i for i, lab in enumerate(nxt)}
     columns = []
     for tup in cur:
-        col = {}
-        for t in range(k):
-            sign = -1 if t % 2 else 1
-            for key, c in structure_constants(tup[t], tup[t + 1]):
-                i = index[tup[:t] + (key,) + tup[t + 2:]]
-                col[i] = col.get(i, 0) + sign * c
-        columns.append(col)
-    return Matrix.from_columns(len(prev), columns)
-
-
-def augmentation_row(lam):
-    """Borel degree-0 differential onto the rank-one module: a tuple maps to
-    1 exactly when its matrix is the diagonal of the resolved composition."""
-    lam = _normalize(lam)
-    basis = enumerate_bar_basis(lam, 0, "borel")
-    target = diagonal_matrix(lam)
-    return Matrix.from_columns(1, [{0: 1} if w0 == target else {} for (w0,) in basis])
-
-
-def homotopy(lam, k):
-    """Borel contracting homotopy from degree k to degree k + 1 (k >= -1)."""
-    lam = _normalize(lam)
-    nxt = enumerate_bar_basis(lam, k + 1, "borel")
-    index = {lab: i for i, lab in enumerate(nxt)}
-    if k == -1:
-        return Matrix.from_columns(len(nxt), [{index[(diagonal_matrix(lam),)]: 1}])
-    columns = []
-    for tup in enumerate_bar_basis(lam, k, "borel"):
-        w0 = tup[0]
-        if is_diagonal(w0):
+        if not tup:
+            columns.append({i: 1 for i, (w0,) in enumerate(nxt) if is_diagonal(w0)})
+        elif is_diagonal(tup[0]):
             columns.append({})
         else:
-            columns.append({index[(diagonal_matrix(matrix_marginal(w0, 2)),) + tup]: 1})
+            columns.append({index[(diagonal_matrix(matrix_marginal(tup[0], 2)),) + tup]: 1})
     return Matrix.from_columns(len(nxt), columns)
-
-
-def _bases(lam, variant, nu=None):
-    """Bases of every nonempty degree; the first empty degree ends them."""
-    labels = {}
-    k = 0
-    while basis := enumerate_bar_basis(lam, k, variant, nu):
-        labels[k] = basis
-        k += 1
-    return labels
 
 
 def build_borel_resolution(lam):
     """Augmented bar resolution of the rank-one module over the Borel
     subalgebra, with differentials and contracting homotopies."""
     lam = _normalize(lam)
-    labels = {-1: ((),), **_bases(lam, "borel")}
+    labels = {-1: ((),), **bases(lambda k: enumerate_bar_basis(lam, k, "borel"))}
     hi = max(labels)
-    diffs = {0: augmentation_row(lam)}
+    diffs = {0: augmentation_row(labels[0])}
     for k in range(1, hi + 1):
-        diffs[k] = differential(lam, k, "borel")
-    homotopies = {k: homotopy(lam, k) for k in range(-1, hi)}
+        diffs[k] = differential(labels[k], labels[k - 1])
+    homotopies = {k: homotopy(labels[k], labels[k + 1]) for k in range(-1, hi)}
     cx = ChainComplex(labels, diffs, homotopies)
     cx.check_complex()
     return cx
@@ -173,9 +142,8 @@ def build_weyl_resolution(lam, nu=None):
     With nu, only the nu weight block, a direct summand of the complex.
     """
     lam = _normalize(lam)
-    labels = _bases(lam, "full", nu)
-    diffs = {k: differential(lam, k, "full", nu) for k in range(1, max(labels) + 1)}
+    labels = bases(lambda k: enumerate_bar_basis(lam, k, "full", nu))
+    diffs = {k: differential(labels[k], labels[k - 1]) for k in range(1, len(labels))}
     cx = ChainComplex(labels, diffs)
     cx.check_complex()
     return cx
-

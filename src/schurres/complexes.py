@@ -13,6 +13,11 @@ an ordered tuple of basis labels and the differential into the degree
 below; optional homotopy matrices map one degree up.  It holds nothing
 else: what a complex resolves (its composition, n and r) stays with the
 caller that built it.
+
+Every complex of the package is of bar type and is built by two functions:
+`bases` enumerates each degree's basis once, up to the first empty degree,
+and `alternating_differential` assembles the alternating sum of adjacent
+products on two such bases, given the builder's product.
 """
 
 
@@ -136,7 +141,12 @@ class Matrix:
         return Matrix(self.ncols, self.nrows, tuple(map(tuple, cols)))
 
     def submatrix(self, row_idx, col_idx):
-        """Rows row_idx and columns col_idx, in the order given."""
+        """Rows row_idx and columns col_idx, in the order given; an index
+        outside the shape raises ValueError."""
+        if not all(0 <= i < self.nrows for i in row_idx):
+            raise ValueError("row index outside the matrix")
+        if not all(0 <= j < self.ncols for j in col_idx):
+            raise ValueError("column index outside the matrix")
         where = {}
         for new, old in enumerate(row_idx):
             where.setdefault(old, []).append(new)
@@ -225,3 +235,35 @@ class ChainComplex:
 
     def euler_characteristic(self):
         return sum((1 if k % 2 == 0 else -1) * self.rank(k) for k in self.degrees())
+
+
+def bases(basis_of_degree):
+    """{k: basis_of_degree(k)} for k = 0, 1, ... up to the first empty
+    basis, which ends them; each degree is asked for once."""
+    out = {}
+    k = 0
+    while basis := basis_of_degree(k):
+        out[k] = basis
+        k += 1
+    return out
+
+
+def alternating_differential(cur, prev, product):
+    """Matrix of a bar-type differential from the basis cur to the basis prev.
+
+    A label is a tuple of factors (x_0, ..., x_k).  Its image is the sum over
+    t < k of (-1)^t times the labels with x_t, x_{t+1} replaced by each key
+    of `product(t, x_t, x_{t+1})`, an iterable of (key, coefficient) pairs,
+    weighted by its coefficient; every such label must lie in prev.
+    """
+    index = {lab: i for i, lab in enumerate(prev)}
+    columns = []
+    for lab in cur:
+        col = {}
+        for t in range(len(lab) - 1):
+            sign = -1 if t % 2 else 1
+            for key, c in product(t, lab[t], lab[t + 1]):
+                i = index[lab[:t] + (key,) + lab[t + 2:]]
+                col[i] = col.get(i, 0) + sign * c
+        columns.append(col)
+    return Matrix.from_columns(len(prev), columns)

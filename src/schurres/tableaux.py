@@ -18,17 +18,19 @@ strict dominance chain above the partition: a dual-basis functional on the
 first permutation module followed by k homomorphisms with upper-triangular
 matrices.  As in every complex, labels are weight matrices (a factor's
 tableau appears as its matrix); tableaux are used only inside the
-homomorphism kernel.  The differential composes adjacent factors with
-alternating signs; compositions are re-expanded over tableau homomorphisms
-by evaluating at the canonical (row-filling) tableau, with no reference to
+homomorphism kernel.  The bases and the alternating-sum differential come
+from `complexes.bases` and `complexes.alternating_differential`, as for the
+bar complexes; only the product is this module's own, and it never reads
 the weight-matrix structure constants, so the comparison with the
-idempotent-truncated resolution is a genuine two-route check.  Only that
-one column of a composition is formed (the left homomorphism applied to the
-right one's column at the canonical tableau), and each distinct adjacent
-pair is composed, checked and expanded once per build of a complex; the
-expansions live in a dict owned by that build.  Likewise each distinct
-first homomorphism's matrix is transposed into sparse rows once per build,
-and each functional's row in it is found through a dict.
+idempotent-truncated resolution is a genuine two-route check.  At t = 0 the
+product precomposes the functional with the first homomorphism, whose
+matrix is read into rows once per build of a complex; at t >= 1 it composes
+adjacent homomorphisms and re-expands the composition over tableau
+homomorphisms by evaluating at the canonical (row-filling) tableau.  Only
+that one column of a composition is formed (the left homomorphism applied
+to the right one's column at the canonical tableau), and each distinct
+adjacent pair is composed, checked and expanded once per build; the
+expansions live in a dict owned by that build.
 
 The comparison with the truncation relabels each truncation column through
 the basis bijection (a kept bar tuple names the label whose functional is
@@ -58,7 +60,7 @@ from .combinatorics import (
     matrix_marginal,
     transpose_matrix,
 )
-from .complexes import ChainComplex, Matrix
+from .complexes import ChainComplex, Matrix, alternating_differential, bases
 from .homology import homology
 from .schurfunctor import multilinear_weight
 
@@ -273,47 +275,12 @@ def _basis_labels(lam, k):
 
 
 def _resolve_first_hom(hom):
-    """Rows of hom(`hom`) as sparse (column, value) tuples, one per
-    functional on its codomain, and the functionals its columns run over."""
-    return (_tableau_hom_matrix(hom).transpose().columns,
-            _functionals(matrix_marginal(hom, 1)))
-
-
-def _bh_differential(labels_k, labels_km1, k, compositions, first_homs):
-    """Degree-k differential.  `compositions` maps each adjacent pair (left,
-    right) of homs already composed in this build to its expansion, a tuple
-    of (merged hom, coefficient); `first_homs` maps each first hom already
-    resolved in this build to `_resolve_first_hom`."""
-    index = {lab: i for i, lab in enumerate(labels_km1)}
-    position = {fun: _functionals(matrix_marginal(fun, 2)).index(fun)
-                for fun in {lab[0] for lab in labels_k}}
-    columns = []
-    for lab in labels_k:
-        functional, homs = lab[0], lab[1:]
-        col = {}
-        # t = 0: precompose the functional with the first homomorphism
-        first = first_homs.get(homs[0])
-        if first is None:
-            first = first_homs[homs[0]] = _resolve_first_hom(homs[0])
-        rows, next_domain = first
-        for j, c in rows[position[functional]]:
-            i = index[(next_domain[j],) + homs[1:]]
-            col[i] = col.get(i, 0) + c
-        # t >= 1: compose adjacent homomorphisms, re-expanded over tableaux
-        for t in range(1, k):
-            sign = -1 if t % 2 else 1
-            pair = homs[t - 1], homs[t]
-            terms = compositions.get(pair)
-            if terms is None:
-                expansion = _composition_at_canonical_column(*pair)
-                if not all(map(is_upper_triangular, expansion)):
-                    raise ValueError("composition left the upper-triangular span")
-                terms = compositions[pair] = tuple(expansion.items())
-            for merged, c in terms:
-                i = index[(functional,) + homs[:t - 1] + (merged,) + homs[t + 1:]]
-                col[i] = col.get(i, 0) + sign * c
-        columns.append(col)
-    return Matrix.from_columns(len(labels_km1), columns)
+    """hom(`hom`) by rows: {functional on its codomain: its row, as
+    (functional on its domain, coefficient) pairs}."""
+    domain = _functionals(matrix_marginal(hom, 1))
+    rows = _tableau_hom_matrix(hom).transpose().columns
+    return {fun: tuple((domain[j], c) for j, c in row)
+            for fun, row in zip(_functionals(matrix_marginal(hom, 2)), rows, strict=True)}
 
 
 def _bh_complex_unchecked(lam):
@@ -323,16 +290,27 @@ def _bh_complex_unchecked(lam):
         raise ValueError("the complex is built for partitions")
     if len(lam) < sum(lam):
         raise ValueError("needs n >= r for multilinear content")
-    labels = {}
-    k = 0
-    while True:
-        basis = _basis_labels(lam, k)
-        if not basis:
-            break
-        labels[k] = basis
-        k += 1
-    compositions, first_homs = {}, {}
-    diffs = {k: _bh_differential(labels[k], labels[k - 1], k, compositions, first_homs)
+    # owned by this build: each first hom read by rows, and each adjacent
+    # pair (left, right) of homs composed, as (merged hom, coefficient) pairs
+    first_homs, compositions = {}, {}
+
+    def product(t, left, right):
+        if t == 0:
+            # precompose the functional `left` with the first hom `right`
+            rows = first_homs.get(right)
+            if rows is None:
+                rows = first_homs[right] = _resolve_first_hom(right)
+            return rows[left]
+        terms = compositions.get((left, right))
+        if terms is None:
+            expansion = _composition_at_canonical_column(left, right)
+            if not all(map(is_upper_triangular, expansion)):
+                raise ValueError("composition left the upper-triangular span")
+            terms = compositions[left, right] = tuple(expansion.items())
+        return terms
+
+    labels = bases(lambda k: _basis_labels(lam, k))
+    diffs = {k: alternating_differential(labels[k], labels[k - 1], product)
              for k in range(1, len(labels))}
     return ChainComplex(labels, diffs)
 
@@ -389,17 +367,18 @@ def compare_with_schur_functor(lam, fb=None, bh=None):
     truncation's under a bijective relabelling make it a complex too, and
     differing ones fail the report.  The cokernel of the BH complex is
     computed only when the matrices differ; otherwise it is the
-    truncation's.
+    truncation's.  The BH complex is built first, so a lam that is not a
+    partition with n >= r is refused before any bar basis is enumerated.
     """
     from .schurfunctor import truncated_resolution
 
     lam = tuple(lam)
+    if bh is None:
+        bh = _bh_complex_unchecked(lam)
     if fb is None:
         fb = truncated_resolution(lam)
     else:
         fb.check_complex()
-    if bh is None:
-        bh = _bh_complex_unchecked(lam)
 
     degree_match = (fb.lo, fb.hi) == (bh.lo, bh.hi) and all(
         fb.rank(k) == bh.rank(k) for k in fb.degrees())

@@ -1,5 +1,6 @@
 import pytest
 
+from schurres import barcomplex
 from schurres.barcomplex import (
     augmentation_row,
     build_borel_resolution,
@@ -90,14 +91,14 @@ def test_block_differential_is_a_submatrix_of_the_full_one():
             for k, basis in enumerate(full):
                 assert enumerate_bar_basis(lam, k, "full", nu) == tuple(
                     tup for tup in basis if matrix_marginal(tup[0], 2) == nu)
+        blocks = {nu: [enumerate_bar_basis(lam, k, "full", nu) for k in range(len(full))]
+                  for nu in comps}
         for k in range(1, len(full)):
-            full_d = differential(lam, k, "full")
+            full_d = differential(full[k], full[k - 1])
             position = [{tup: i for i, tup in enumerate(full[j])} for j in (k - 1, k)]
-            for nu in comps:
-                rows, cols = ([position[j][tup]
-                               for tup in enumerate_bar_basis(lam, k - 1 + j, "full", nu)]
-                              for j in (0, 1))
-                assert differential(lam, k, "full", nu) == full_d.submatrix(rows, cols)
+            for block in blocks.values():
+                rows, cols = ([position[j][tup] for tup in block[k - 1 + j]] for j in (0, 1))
+                assert differential(block[k], block[k - 1]) == full_d.submatrix(rows, cols)
 
 
 def test_weyl_block_resolution():
@@ -164,8 +165,8 @@ def test_direct_sum_shape():
 
 
 def test_differential_example():
-    d1 = differential((1, 1), 1, "borel")
     basis0 = enumerate_bar_basis((1, 1), 0)
+    d1 = differential(enumerate_bar_basis((1, 1), 1), basis0)
     col_target = basis0.index((U11,))
     assert d1 == Matrix.from_entries(2, 1, [(col_target, 0, 1)])
 
@@ -173,34 +174,32 @@ def test_differential_example():
 def test_differential_squares_to_zero():
     for lam in enumerate_compositions(3, 3):
         for variant in ("borel", "full"):
-            k = 1
-            prev = differential(lam, 1, variant)
-            while True:
-                cur_basis = enumerate_bar_basis(lam, k + 1, variant)
-                if not cur_basis:
-                    break
-                cur = differential(lam, k + 1, variant)
+            basis = [enumerate_bar_basis(lam, k, variant) for k in range(max_chain_length(3, 3))]
+            diffs = [differential(basis[k], basis[k - 1])
+                     for k in range(1, len(basis)) if basis[k]]
+            for prev, cur in zip(diffs, diffs[1:]):
                 assert (prev @ cur).is_zero()
-                prev, k = cur, k + 1
 
 
 def test_empty_degree_gives_empty_matrix():
-    d = differential((2, 0), 1, "borel")
+    d = differential(enumerate_bar_basis((2, 0), 1, "borel"),
+                     enumerate_bar_basis((2, 0), 0, "borel"))
     assert (d.nrows, d.ncols) == (1, 0)
 
 
 def test_homotopy_examples():
-    s_minus1 = homotopy((1, 1), -1)
-    basis0 = enumerate_bar_basis((1, 1), 0)
+    basis = {-1: ((),), **{k: enumerate_bar_basis((1, 1), k) for k in range(3)}}
+    s_minus1 = homotopy(basis[-1], basis[0])
+    basis0 = basis[0]
     assert s_minus1.rows[basis0.index((D11,))][0] == 1
     assert s_minus1.rows[basis0.index((U11,))][0] == 0
 
-    s0 = homotopy((1, 1), 0)
+    s0 = homotopy(basis[0], basis[1])
     assert s0.rows[0][basis0.index((D11,))] == 0
     assert s0.rows[0][basis0.index((U11,))] == 1
 
     # homotopy out of the top degree is the empty matrix
-    s1 = homotopy((1, 1), 1)
+    s1 = homotopy(basis[1], basis[2])
     assert (s1.nrows, s1.ncols) == (0, 1)
 
 
@@ -271,7 +270,36 @@ def test_mod_p_exactness_small():
 
 
 def test_augmentation_row():
-    row = augmentation_row((1, 1))
     basis0 = enumerate_bar_basis((1, 1), 0)
+    row = augmentation_row(basis0)
     assert row.rows[0][basis0.index((D11,))] == 1
     assert row.rows[0][basis0.index((U11,))] == 0
+
+
+@pytest.mark.parametrize("build, lam, variant", [
+    (build_borel_resolution, (2, 1, 1), "borel"),
+    (build_weyl_resolution, (2, 1, 1), "full"),
+])
+def test_each_build_enumerates_each_degree_once(monkeypatch, build, lam, variant):
+    # once per degree plus the first empty one, and no differential or
+    # homotopy asks again; the second build enumerates its weight matrices
+    # as the first did, so no basis cache hides it
+    def counting(log, real):
+        def counted(*args, **kwargs):
+            log.append(args)
+            return real(*args, **kwargs)
+        return counted
+
+    calls, matrices = [], []
+    monkeypatch.setattr(barcomplex, "enumerate_bar_basis",
+                        counting(calls, barcomplex.enumerate_bar_basis))
+    monkeypatch.setattr(barcomplex, "enumerate_weight_matrices",
+                        counting(matrices, barcomplex.enumerate_weight_matrices))
+    per_build = []
+    for _ in range(2):
+        calls.clear()
+        matrices.clear()
+        cx = build(lam)
+        assert [args[:3] for args in calls] == [(lam, k, variant) for k in range(cx.hi + 2)]
+        per_build.append(len(matrices))
+    assert per_build[0] == per_build[1] > 0

@@ -1,0 +1,55 @@
+"""The benchmark's layer spans still see the functions they name.
+
+bench/spans.py wraps each layer's function by module and name, and its
+Tracer skips a name that no longer resolves, so that the benchmark outlives
+a refactor.  A renamed method, or a changed call that a count hook reads,
+would then report zeros without failing anything (bench/test_bench.py
+checks only the plain functions).  These tests read the layer table from
+bench/ without changing it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from schurres import schurfunctor
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load_spans()
+
+
+@pytest.mark.parametrize("layer", sorted(spans.LAYERS))
+def test_every_layer_resolves_to_a_function_of_the_package(layer):
+    # looked up as Tracer.install looks it up, methods (Class.method) included
+    module_name, attr, _ = spans.LAYERS[layer]
+    owner_name, _, name = attr.rpartition(".")
+    owner = importlib.import_module(module_name)
+    if owner_name:
+        owner = getattr(owner, owner_name)
+    assert callable(vars(owner).get(name)), f"{layer} names no function of {module_name}"
+
+
+def test_traced_truncation_counts_its_block_labels():
+    # the bar-basis span sees only calls through the name enumerate_bar_basis,
+    # so kept_ratio reads 0 if a builder enumerates its bases another way
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        schurfunctor.truncated_resolution((2, 1, 0))
+    finally:
+        uninstall()
+    report = tracer.report()
+    assert report["barcomplex.enumerate_bar_basis"]["full_labels_in_truncation"] > 0
+    assert report[spans.TRUNCATION]["kept_ratio"] == 1.0
+    assert report["barcomplex.differential"]["nnz"] > 0

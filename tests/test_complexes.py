@@ -141,6 +141,19 @@ def test_builders_reject_bad_shapes():
         Matrix.from_rows([[1]]) + Matrix.from_rows([[1, 2]])
 
 
+def test_submatrix_rejects_indices_outside_the_shape():
+    mat = Matrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="column index"):
+        mat.submatrix([0, 1], [-1])  # not the last column
+    with pytest.raises(ValueError, match="row index"):
+        mat.submatrix([5, 0], [0])  # not a zero row
+    with pytest.raises(ValueError, match="column index"):
+        mat.submatrix([0], [2])
+    with pytest.raises(ValueError, match="row index"):
+        mat.submatrix([-1], [0])
+    assert mat.submatrix([1, 1], [1, 0]) == Matrix.from_rows([[4, 3], [4, 3]])
+
+
 def test_matrix_is_immutable():
     mat = Matrix.from_rows([[1, 0], [2, 3]])
     assert isinstance(mat.rows, tuple) and all(isinstance(row, tuple) for row in mat.rows)

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from schurres import tableaux
+from schurres import barcomplex, tableaux
 from schurres.combinatorics import (
     dominates,
     enumerate_compositions,
@@ -354,11 +354,19 @@ def test_bh_complex_axiom():
             build_bh_complex(lam).check_complex()
 
 
-def test_bh_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_bh_complex((1, 2))
-    with pytest.raises(ValueError, match="n >= r"):
-        build_bh_complex((2, 1))
+def test_bh_rejects_bad_input(monkeypatch):
+    # the comparison refuses before the truncation enumerates any bar basis
+    def refuse(*args):
+        raise AssertionError("a bar basis was enumerated")
+
+    monkeypatch.setattr(barcomplex, "enumerate_bar_basis", refuse)
+    for build in (build_bh_complex, compare_with_schur_functor):
+        with pytest.raises(ValueError, match="partitions"):
+            build((1, 2))
+        with pytest.raises(ValueError, match="partitions"):
+            build((1, 1, 2, 0))
+        with pytest.raises(ValueError, match="n >= r"):
+            build((2, 1))
 
 
 def bh_label_of_bar_tuple(tup):
@@ -424,13 +432,14 @@ def test_bh_build_still_checks_d_squared(monkeypatch):
     # d_2 gains a basis vector that d_1 does not kill
     lam = (2, 1, 1, 0)
     i = next(i for i, col in enumerate(build_bh_complex(lam).differential(1).columns) if col)
-    differential = tableaux._bh_differential
+    assemble = tableaux.alternating_differential
 
-    def broken(labels_k, labels_km1, k, *caches):
-        d = differential(labels_k, labels_km1, k, *caches)
+    def broken(cur, prev, product):
+        d = assemble(cur, prev, product)
+        k = len(cur[0]) - 1  # a degree-k label holds a functional and k homs
         return d + Matrix.from_entries(d.nrows, d.ncols, [(i, 0, 1)]) if k == 2 else d
 
-    monkeypatch.setattr(tableaux, "_bh_differential", broken)
+    monkeypatch.setattr(tableaux, "alternating_differential", broken)
     with pytest.raises(ValueError, match="d o d"):
         build_bh_complex(lam)
 
