@@ -8,6 +8,7 @@ two runs with identical flags produce byte-identical files.  Exit codes:
 """
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -89,12 +90,19 @@ def _parse_matrix(text, n, r):
     return m
 
 
-def _emit(text, path):
+@contextlib.contextmanager
+def _output(path):
+    """The file at path, opened for writing, or stdout when path is empty."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text, path):
+    with _output(path) as out:
+        out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +167,8 @@ def complex_document(cx, lam, variant):
         },
         "degrees": list(cx.degrees()),
         "ranks": {str(k): cx.rank(k) for k in cx.degrees()},
-        "basis": {str(k): cx.labels[k] for k in cx.degrees()},
+        # lists, so that the writer streams each basis label by label
+        "basis": {str(k): list(cx.labels[k]) for k in cx.degrees()},
         "differentials": {str(k): _matrix_doc(cx.differential(k))
                           for k in range(cx.lo + 1, cx.hi + 1)},
     }
@@ -175,48 +184,89 @@ def cmd_resolve(args):
     lam = _parse_composition(args.lam, args.n, args.r)
     cx = _build_variant(args.variant, lam)
     doc = complex_document(cx, lam, args.variant)
-    _emit(_indented_json(doc) + "\n", args.output)
+    with _output(args.output) as out:
+        _indented_json(doc, out)
+        out.write("\n")
     return 0
 
 
-def _indented_json(obj):
-    """The text of `json.dumps(obj, indent=2)` for dicts with string keys,
-    lists, tuples, ints and strings.
+JSON_CHUNK = 1 << 16
+
+
+def _indented_json(obj, out):
+    """Write the text of `json.dumps(obj, indent=2)` to out, in writes of
+    about JSON_CHUNK characters, for dicts with string keys, lists, tuples,
+    ints and strings.
 
     With `indent` set, json.dumps runs the stdlib's pure-Python encoder;
-    here only leaves and keys go through json.dumps, an all-int sequence is
-    written in one join, and any other tuple once per distinct value and
-    depth, since labels repeat the same weight matrices many times.
+    here only leaves and keys go through json.dumps.  Dicts and lists are
+    written item by item, so no text of a whole document or degree is held;
+    an all-int sequence is joined at once, and any other tuple is formatted
+    once per distinct value and depth, since labels repeat the same weight
+    matrices many times.
     """
-    tuples = {}
+    parts = []
+    size = 0
 
-    def write(value, depth):
-        if not isinstance(value, (dict, list, tuple)):
-            return json.dumps(value)
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        if isinstance(value, dict):
-            return container("{}", [json.dumps(key) + ": " + write(item, depth + 1)
-                                    for key, item in value.items()], depth)
-        if all(type(item) is int for item in value):
-            return container("[]", map(str, value), depth)
-        key = (value, depth) if isinstance(value, tuple) else None
-        try:
-            text = tuples.get(key)
-        except TypeError:  # a tuple holding a list or a dict is no key
-            key = text = None
-        if text is None:
-            text = container("[]", [write(item, depth + 1) for item in value], depth)
-            if key is not None:
-                tuples[key] = text
-        return text
+    def emit(text):
+        nonlocal size
+        parts.append(text)
+        size += len(text)
+        if size >= JSON_CHUNK:
+            out.write("".join(parts))
+            parts.clear()
+            size = 0
 
-    def container(brackets, items, depth):
+    _stream_json(obj, 0, {}, emit)
+    out.write("".join(parts))
+
+
+def _stream_json(value, depth, tuples, emit):
+    """Pass the text of value at depth to emit: a non-empty dict, list or
+    tuple item by item, unless its items are all ints, and anything else
+    whole."""
+    if isinstance(value, dict) and value:
+        brackets = "{}"
+        items = ((json.dumps(key) + ": ", item) for key, item in value.items())
+    elif (isinstance(value, (list, tuple)) and value
+          and not all(type(item) is int for item in value)):
+        brackets = "[]"
+        items = (("", item) for item in value)
+    else:
+        emit(_json_text(value, depth, tuples))
+        return
+    indent = "\n" + "  " * (depth + 1)
+    sep = brackets[0] + indent
+    for head, item in items:
+        if isinstance(item, (dict, list)):
+            emit(sep + head)
+            _stream_json(item, depth + 1, tuples, emit)
+        else:
+            emit(sep + head + _json_text(item, depth + 1, tuples))
+        sep = "," + indent
+    emit("\n" + "  " * depth + brackets[1])
+
+
+def _json_text(value, depth, tuples):
+    """The text of value at depth; a tuple's text is kept in tuples under
+    (value, depth) and reused."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    if not isinstance(value, dict) and all(type(item) is int for item in value):
         indent = "\n" + "  " * (depth + 1)
-        return (brackets[0] + indent + ("," + indent).join(items)
-                + "\n" + "  " * depth + brackets[1])
-
-    return write(obj, 0)
+        return "[" + indent + ("," + indent).join(map(str, value)) + "\n" + "  " * depth + "]"
+    key = (value, depth) if isinstance(value, tuple) else None
+    try:
+        text = tuples.get(key)
+    except TypeError:  # a tuple holding a list or a dict is no key
+        key = text = None
+    if text is None:
+        pieces = []
+        _stream_json(value, depth, tuples, pieces.append)
+        text = "".join(pieces)
+        if key is not None:
+            tuples[key] = text
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,18 @@ free modules.
 A matrix is stored by columns: each column is a tuple of (row, value) pairs
 in increasing row order, holding no zero.  Differentials are very sparse, so
 every operation walks these pairs and never a dense cell grid; `rows` builds
-a dense view on request.  Matrices are built once, through `from_columns`,
-`from_entries` or `from_rows`; no code changes a built matrix or stores
-anything on it, so a cached matrix can be handed to every caller.  Entries
-are unbounded Python integers; shapes are explicit so rank-zero degrees
-serialize and multiply consistently.  A chain complex stores, per degree,
-an ordered tuple of basis labels and the differential into the degree
-below; optional homotopy matrices map one degree up.  It holds nothing
-else: what a complex resolves (its composition, n and r) stays with the
-caller that built it.
+a dense view on request.  Every builder and operation (`from_entries`,
+`from_rows`, `identity`, `+`, `-`, `@`, `transpose`, `submatrix`) produces
+its columns as {row: value} dicts and hands them to `from_columns`, the one
+place that makes pair tuples; it makes one tuple per distinct pair of the
+matrix and shares it between the columns that hold it.  No code changes a
+built matrix or stores anything on it, so a cached matrix can be handed to
+every caller.  Entries are unbounded Python integers; shapes are explicit
+so rank-zero degrees serialize and multiply consistently.  A chain complex
+stores, per degree, an ordered tuple of basis labels and the differential
+into the degree below; optional homotopy matrices map one degree up.  It
+holds nothing else: what a complex resolves (its composition, n and r)
+stays with the caller that built it.
 
 Every complex of the package is of bar type and is built by two functions:
 `bases` enumerates each degree's basis once, up to the first empty degree,
@@ -25,8 +28,9 @@ class Matrix:
     """Immutable sparse integer matrix with explicit shape, held by columns.
 
     `columns[j]` is the tuple of (row, value) pairs of column j, rows
-    increasing, no zeros.  The constructor trusts its columns to be in that
-    form; the `from_*` builders produce it.
+    increasing, no zeros; equal pairs are one shared tuple.  The
+    constructor trusts its columns to be in that form; `from_columns`
+    produces it.
     """
 
     __slots__ = ("nrows", "ncols", "columns")
@@ -48,17 +52,21 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(((i, 1),) for i in range(n)))
+        return cls.from_columns(n, ({i: 1} for i in range(n)))
 
     @classmethod
     def from_columns(cls, nrows, columns):
         """Matrix whose column j holds the j-th {row: value} dict of the
         iterable columns; zero values are dropped.  Each dict is converted
         as it arrives, so a generator of columns keeps one dict alive at a
-        time."""
+        time.  Equal (row, value) pairs share one tuple across the matrix:
+        a differential repeats few values in each row, and a fresh tuple
+        per entry would cost most of the matrix's memory."""
+        pool = {}
         cols = []
         for col in columns:
-            col = tuple(sorted((i, v) for i, v in col.items() if v))
+            col = tuple(sorted(pool.setdefault(entry, entry)
+                               for entry in col.items() if entry[1]))
             if col and not (0 <= col[0][0] and col[-1][0] < nrows):
                 raise ValueError("row index outside the matrix")
             cols.append(col)
@@ -83,9 +91,8 @@ class Matrix:
         width = len(rows[0]) if rows else ncols
         if any(len(row) != width for row in rows) or ncols not in (None, width):
             raise ValueError("matrix shape mismatch")
-        return cls(len(rows), width,
-                   tuple(tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
-                         for j in range(width)))
+        return cls.from_columns(len(rows), ({i: row[j] for i, row in enumerate(rows)}
+                                            for j in range(width)))
 
     @property
     def rows(self):
@@ -113,8 +120,8 @@ class Matrix:
         return Matrix.from_columns(self.nrows, cols)
 
     def __neg__(self):
-        return Matrix(self.nrows, self.ncols,
-                      tuple(tuple((i, -v) for i, v in col) for col in self.columns))
+        return Matrix.from_columns(self.nrows, ({i: -v for i, v in col}
+                                                for col in self.columns))
 
     def __sub__(self, other):
         return self + (-other)
@@ -134,11 +141,11 @@ class Matrix:
         return Matrix.from_columns(self.nrows, products())
 
     def transpose(self):
-        cols = [[] for _ in range(self.nrows)]
+        cols = [{} for _ in range(self.nrows)]
         for j, col in enumerate(self.columns):
             for i, v in col:
-                cols[i].append((j, v))
-        return Matrix(self.ncols, self.nrows, tuple(map(tuple, cols)))
+                cols[i][j] = v
+        return Matrix.from_columns(self.ncols, cols)
 
     def submatrix(self, row_idx, col_idx):
         """Rows row_idx and columns col_idx, in the order given; an index
@@ -150,19 +157,20 @@ class Matrix:
         where = {}
         for new, old in enumerate(row_idx):
             where.setdefault(old, []).append(new)
-        cols = []
-        for j in col_idx:
-            cols.append(tuple(sorted((new, v) for i, v in self.columns[j]
-                                     for new in where.get(i, ()))))
-        return Matrix(len(row_idx), len(col_idx), tuple(cols))
+        return Matrix.from_columns(len(row_idx), ({new: v for i, v in self.columns[j]
+                                                   for new in where.get(i, ())}
+                                                  for j in col_idx))
 
     def is_zero(self):
         return not any(self.columns)
 
     def entries(self):
         """Nonzero entries as (row, col, value) triplets, row-major order."""
-        return [(i, j, v) for i, row in enumerate(self.transpose().columns)
-                for j, v in row]
+        rows = [[] for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                rows[i].append((i, j, v))
+        return [entry for row in rows for entry in row]
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -257,13 +265,14 @@ def alternating_differential(cur, prev, product):
     weighted by its coefficient; every such label must lie in prev.
     """
     index = {lab: i for i, lab in enumerate(prev)}
-    columns = []
-    for lab in cur:
-        col = {}
-        for t in range(len(lab) - 1):
-            sign = -1 if t % 2 else 1
-            for key, c in product(t, lab[t], lab[t + 1]):
-                i = index[lab[:t] + (key,) + lab[t + 2:]]
-                col[i] = col.get(i, 0) + sign * c
-        columns.append(col)
-    return Matrix.from_columns(len(prev), columns)
+
+    def columns():
+        for lab in cur:
+            col = {}
+            for t in range(len(lab) - 1):
+                sign = -1 if t % 2 else 1
+                for key, c in product(t, lab[t], lab[t + 1]):
+                    i = index[lab[:t] + (key,) + lab[t + 2:]]
+                    col[i] = col.get(i, 0) + sign * c
+            yield col
+    return Matrix.from_columns(len(prev), columns())

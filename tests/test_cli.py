@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import io
 import json
 import time
 
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from schurres import dividedpowers
 from schurres.barcomplex import build_weyl_resolution
-from schurres.cli import _indented_json, _maybe_corrupt, main
+from schurres.cli import JSON_CHUNK, _indented_json, _maybe_corrupt, main
 
 
 def run(capsys, *argv):
@@ -183,7 +185,36 @@ json_values = st.recursive(
 @example({"a\"b": ((1, 2), [(1, 2)], ((1, 2), (3, -4)), ("x", (1, 2))), "c": (1, 2)})
 @example([[((0, 1), (1, 0)), ((0, 1), (1, 0))], ((0, 1), (1, 0)), [10 ** 30, -7]])
 def test_indented_json_matches_json_dumps(value):
-    assert _indented_json(value) == json.dumps(value, indent=2)
+    out = io.StringIO()
+    _indented_json(value, out)
+    assert out.getvalue() == json.dumps(value, indent=2)
+
+
+class RecordedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_indented_json_writes_in_chunks_and_leaves_no_cycle():
+    value = {"basis": [((i, i + 1), (2, 0)) for i in range(6000)],
+             "entries": [(i, i % 7, -1) for i in range(6000)]}
+    out = RecordedWrites()
+    gc.collect()
+    gc.disable()
+    try:
+        _indented_json(value, out)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert out.getvalue() == json.dumps(value, indent=2)
+    assert len(out.sizes) > 4
+    assert all(JSON_CHUNK <= size < JSON_CHUNK + 100 for size in out.sizes[:-1])
+    assert unreachable == 0
 
 
 def test_verify_accepts_a_large_prime_modulus(capsys):

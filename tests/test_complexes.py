@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurres.complexes import Matrix
+from schurres.schurfunctor import truncated_resolution
+from schurres.tableaux import build_bh_complex
 
 # mostly zeros, so columns are sparse and sums often cancel
 ENTRIES = st.sampled_from((0, 0, 0, 0, -2, -1, 1, 2, 5))
@@ -112,6 +114,52 @@ def test_is_zero_and_entries_match_dense(a):
 def test_equality_matches_dense(a, b):
     same = (a.nrows, a.ncols, a.rows) == (b.nrows, b.ncols, b.rows)
     assert (a.matrix() == b.matrix()) == same
+
+
+def pair_objects_and_values(mat):
+    """How many (row, value) tuple objects mat holds, and how many distinct
+    pairs they spell."""
+    pairs = [pair for col in mat.columns for pair in col]
+    return len({id(pair) for pair in pairs}), len(set(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_matrices(), st.data())
+def test_every_builder_shares_equal_pairs(a, data):
+    b = data.draw(dense_matrices(a.nrows, a.ncols))
+    c = data.draw(dense_matrices(a.ncols, data.draw(st.integers(0, 6))))
+    # repeated rows and columns make a submatrix repeat its pairs
+    row_idx = data.draw(st.lists(st.integers(0, a.nrows - 1), max_size=9)) if a.nrows else []
+    col_idx = data.draw(st.lists(st.integers(0, a.ncols - 1), max_size=9)) if a.ncols else []
+    mat = a.matrix()
+    built = {
+        "from_rows": mat,
+        "from_entries": Matrix.from_entries(a.nrows, a.ncols, a.entries()),
+        "from_columns": Matrix.from_columns(
+            a.nrows, [{i: a.rows[i][j] for i in range(a.nrows)} for j in range(a.ncols)]),
+        "identity": Matrix.identity(a.nrows),
+        "add": mat + b.matrix(),
+        "sub": mat - b.matrix(),
+        "neg": -mat,
+        "matmul": mat @ c.matrix(),
+        "transpose": mat.transpose(),
+        "submatrix": mat.submatrix(row_idx, col_idx),
+    }
+    for name, result in built.items():
+        objects, values = pair_objects_and_values(result)
+        assert objects == values, name
+
+
+@pytest.mark.parametrize("build", [truncated_resolution, build_bh_complex])
+def test_differentials_share_most_pairs(build):
+    cx = build((2, 1, 1, 1, 0))
+    objects = nnz = 0
+    for k in range(cx.lo + 1, cx.hi + 1):
+        mat = cx.differential(k)
+        objects += pair_objects_and_values(mat)[0]
+        nnz += sum(map(len, mat.columns))
+    assert nnz > 1000
+    assert objects <= 0.3 * nnz
 
 
 def test_cancelling_products_and_empty_shapes():
