@@ -26,11 +26,13 @@ idempotent-truncated resolution is a genuine two-route check.  At t = 0 the
 product precomposes the functional with the first homomorphism, whose
 matrix is read into rows once per build of a complex; at t >= 1 it composes
 adjacent homomorphisms and re-expands the composition over tableau
-homomorphisms by evaluating at the canonical (row-filling) tableau.  Only
-that one column of a composition is formed (the left homomorphism applied
-to the right one's column at the canonical tableau), and each distinct
-adjacent pair is composed, checked and expanded once per build; the
-expansions live in a dict owned by that build.
+homomorphisms by evaluating at the canonical (row-filling) tableau.  Basis
+tableaux come in descending order of their weight matrices, and the
+canonical tableau, which fills each row with the smallest entries left, is
+always the first of them, so its column is column 0.  Only that one column
+of a composition is formed (the left homomorphism applied to the right
+one's column 0), and each distinct adjacent pair is composed, checked and
+expanded once per build; the expansions live in a dict owned by that build.
 
 The comparison with the truncation relabels each truncation column through
 the basis bijection (a kept bar tuple names the label whose functional is
@@ -41,11 +43,12 @@ without the d o d check that `build_bh_complex` makes: the truncation's
 d o d is checked, and equal matrices under a bijective relabelling carry
 it over.
 
-Homomorphism matrices are cached; `tableau_hom` hands out the cached
-`Matrix` itself, which no caller can change.  A matrix is built from the
-ways to split each row of a source tableau into blocks: these are taken
-from a cached table of position splits, keyed by row length and block
-sizes, combined once per weight matrix and read against every source.
+Homomorphism matrices are cached by weight matrix: `tableau_hom(omega)` is
+the one builder, and it hands out the cached `Matrix` itself, which no
+caller can change.  A matrix is built from the ways to split each row of a
+source tableau into blocks: these are taken from a cached table of position
+splits, keyed by row length and block sizes, combined once per weight
+matrix and read against every source.
 """
 
 from dataclasses import dataclass
@@ -62,7 +65,7 @@ from .combinatorics import (
 )
 from .complexes import ChainComplex, Matrix, alternating_differential, bases
 from .homology import homology
-from .schurfunctor import multilinear_weight
+from .schurfunctor import multilinear_weight, truncated_resolution
 
 # ---------------------------------------------------------------------------
 # tableaux and the matrix correspondence
@@ -92,7 +95,6 @@ def matrix_of_tableau(tab):
     return tuple(tuple(row) for row in m)
 
 
-@lru_cache(maxsize=None)
 def row_semistandard_tableaux(lam, mu):
     """All row-semistandard tableaux of shape lam and content mu, ordered by
     their weight matrices (canonical order)."""
@@ -143,19 +145,15 @@ def _position_splits(length, sizes):
     return tuple(out)
 
 
-def tableau_hom(tab):
-    """Matrix of the homomorphism attached to a row-semistandard tableau.
+@lru_cache(maxsize=None)
+def tableau_hom(omega):
+    """Matrix of the homomorphism attached to a weight matrix (the tableau
+    `tableau_of_matrix(omega)`).
 
     Columns run over the multilinear tableaux of the content shape, rows
     over those of the tableau's shape; every entry is 0 or 1.  The matrix
     is cached and immutable.
     """
-    return _tableau_hom_matrix(matrix_of_tableau(tab))
-
-
-@lru_cache(maxsize=None)
-def _tableau_hom_matrix(omega):
-    """Matrix of the homomorphism attached to a weight matrix."""
     n = len(omega)
     lam = matrix_marginal(omega, 2)
     mu = matrix_marginal(omega, 1)
@@ -200,13 +198,12 @@ def expand_in_tableau_basis(mat, target_shape, source_shape):
     """Write an equivariant map between permutation modules as a combination
     of tableau homomorphisms.
 
-    Reads the matrix's column at the canonical tableau of the source shape
-    and expands it with `expand_canonical_column`.  Returns {weight matrix
-    of the tableau: coefficient}.
+    Reads the matrix's column at the canonical tableau of the source shape,
+    which is column 0, and expands it with `expand_canonical_column`.
+    Returns {weight matrix of the tableau: coefficient}.
     """
-    col = multilinear_tableaux(source_shape).index(canonical_tableau(source_shape))
     column = [0] * mat.nrows
-    for i, v in mat.columns[col]:
+    for i, v in mat.columns[0]:
         column[i] = v
     return expand_canonical_column(column, target_shape, source_shape)
 
@@ -240,13 +237,12 @@ def _composition_at_canonical_column(left, right):
     """Expansion of hom(left) o hom(right) over weight matrices.
 
     Only the product's column at the canonical tableau of the source shape
-    is formed: hom(left) applied to that one column of hom(right).
+    is formed: hom(left) applied to column 0 of hom(right).
     """
     source_shape = matrix_marginal(right, 1)
-    col = multilinear_tableaux(source_shape).index(canonical_tableau(source_shape))
-    left_hom = _tableau_hom_matrix(left)
+    left_hom = tableau_hom(left)
     column = [0] * left_hom.nrows
-    for k, v in _tableau_hom_matrix(right).columns[col]:
+    for k, v in tableau_hom(right).columns[0]:
         for i, a in left_hom.columns[k]:
             column[i] += a * v
     return expand_canonical_column(column, matrix_marginal(left, 2), source_shape)
@@ -278,7 +274,7 @@ def _resolve_first_hom(hom):
     """hom(`hom`) by rows: {functional on its codomain: its row, as
     (functional on its domain, coefficient) pairs}."""
     domain = _functionals(matrix_marginal(hom, 1))
-    rows = _tableau_hom_matrix(hom).transpose().columns
+    rows = tableau_hom(hom).transpose().columns
     return {fun: tuple((domain[j], c) for j, c in row)
             for fun, row in zip(_functionals(matrix_marginal(hom, 2)), rows, strict=True)}
 
@@ -370,8 +366,6 @@ def compare_with_schur_functor(lam, fb=None, bh=None):
     truncation's.  The BH complex is built first, so a lam that is not a
     partition with n >= r is refused before any bar basis is enumerated.
     """
-    from .schurfunctor import truncated_resolution
-
     lam = tuple(lam)
     if bh is None:
         bh = _bh_complex_unchecked(lam)
@@ -390,15 +384,16 @@ def compare_with_schur_functor(lam, fb=None, bh=None):
             # where each truncation label of degree k sits among the BH
             # labels, None unless that relabelling is bijective: a kept bar
             # tuple names the BH label whose functional is its transposed
-            # leading matrix and whose homs are its tail matrices
+            # leading matrix and whose homs are its tail matrices, and a
+            # label with no BH counterpart leaves it not bijective
             index = {lab: i for i, lab in enumerate(bh.labels[k])}
             out = []
             for tup in fb.labels[k]:
                 head = heads.get(tup[0])
                 if head is None:
                     head = heads[tup[0]] = transpose_matrix(tup[0])
-                out.append(index[(head,) + tup[1:]])
-            return out if len(set(out)) == len(out) else None
+                out.append(index.get((head,) + tup[1:]))
+            return out if None not in out and len(set(out)) == len(out) else None
 
         rows = positions(fb.lo)
         for k in range(fb.lo + 1, fb.hi + 1):

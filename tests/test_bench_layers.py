@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from schurres import schurfunctor
+from schurres import schurfunctor, tableaux
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -53,3 +53,15 @@ def test_traced_truncation_counts_its_block_labels():
     assert report["barcomplex.enumerate_bar_basis"]["full_labels_in_truncation"] > 0
     assert report[spans.TRUNCATION]["kept_ratio"] == 1.0
     assert report["barcomplex.differential"]["nnz"] > 0
+
+
+def test_traced_comparison_counts_its_tableau_homs():
+    # the hom span sees only calls through the name tableau_hom, so it reads
+    # nothing if the complex builds its homs through another name
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        tableaux.compare_with_schur_functor((2, 1, 1, 0))
+    finally:
+        uninstall()
+    assert tracer.report()["tableaux.tableau_hom"].get("calls", 0) > 0

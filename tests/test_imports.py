@@ -1,5 +1,6 @@
 """Every name a module of the package imports, and every private function
-or class it defines, is used in that module.
+or class it defines, is used in that module, and every import sits at
+module level.
 
 `__init__.py` is left out: it imports names only to re-export them.
 """
@@ -59,3 +60,24 @@ def test_a_private_function_used_only_by_itself_is_reported():
     tree = ast.parse("def _fail(x):\n    return _fail(x - 1) if x else 0\n\n"
                      "def _used():\n    pass\n\nVALUE = _used()\n")
     assert list(unreferenced_private_definitions(tree)) == ["_fail"]
+
+
+def imports_inside_functions(tree):
+    """Line numbers of import statements inside a function body."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    yield inner.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_imports_only_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = sorted(set(imports_inside_functions(tree)))
+    assert not lines, f"{path.name} imports inside a function at lines {lines}"
+
+
+def test_an_import_inside_a_function_is_reported():
+    tree = ast.parse("import os\n\ndef f():\n    from math import pi\n    return pi\n")
+    assert list(imports_inside_functions(tree)) == [4]

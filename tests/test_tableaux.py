@@ -114,6 +114,15 @@ def test_canonical_tableau_and_action():
     assert act((3, 1, 2), t) == ((1, 3), (2,))
 
 
+def test_canonical_tableau_is_the_first_basis_tableau():
+    # the BH build reads a hom's column at the canonical tableau as column 0
+    shapes = [s for n in range(1, 7) for r in range(n + 1)
+              for s in enumerate_compositions(n, r)]
+    assert len(shapes) == 1274
+    for s in shapes:
+        assert multilinear_tableaux(s)[0] == canonical_tableau(s), s
+
+
 def test_position_splits_match_a_permutation_brute_force():
     """Cutting every ordering of the positions of a row into consecutive
     blocks and sorting each block gives each split, once per ordering of
@@ -137,9 +146,9 @@ def test_position_splits_match_a_permutation_brute_force():
 def test_tableau_hom_identity_and_row_collapse():
     lam = (2, 1, 0)
     diag = tuple(tuple(lam[s] if s == t else 0 for t in range(3)) for s in range(3))
-    assert tableau_hom(tableau_of_matrix(diag)) == Matrix.identity(
+    assert tableau_hom(diag) == Matrix.identity(
         len(multilinear_tableaux(lam)))
-    collapse = tableau_hom(((1, 2), ()))  # shape (2,0), content (1,1)
+    collapse = tableau_hom(matrix_of_tableau(((1, 2), ())))  # shape (2,0), content (1,1)
     assert collapse.nrows == 1 and collapse.ncols == 2
     assert collapse.rows == ((1, 1),)
 
@@ -154,7 +163,7 @@ def test_tableau_hom_is_equivariant():
     for lam in enumerate_compositions(3, 3):
         for mu in enumerate_compositions(3, 3):
             for tab in row_semistandard_tableaux(lam, mu):
-                hom = tableau_hom(tab)
+                hom = tableau_hom(matrix_of_tableau(tab))
                 for sigma in all_permutations(3):
                     assert action_matrix(sigma, lam) @ hom \
                         == hom @ action_matrix(sigma, mu)
@@ -168,7 +177,7 @@ def test_permutation_tableau_hom_permutes_basis():
         t_delta = canonical_tableau(delta)
         for sigma in all_permutations(r):
             ws = permutation_weight_matrix(sigma, r)
-            hom = tableau_hom(tableau_of_matrix(ws)).rows
+            hom = tableau_hom(ws).rows
             # a permutation matrix's transpose is the inverse permutation's
             inv = weight_matrix_permutation(transpose_matrix(ws))
             for tau in all_permutations(r):
@@ -184,11 +193,11 @@ def test_composition_matches_structure_constants():
     for n, r in [(2, 2), (3, 2), (3, 3)]:
         mats = enumerate_weight_matrices(n, r)
         for om in mats:
-            hom_left = tableau_hom(tableau_of_matrix(om))
+            hom_left = tableau_hom(om)
             for pi in mats:
                 if matrix_marginal(om, 1) != matrix_marginal(pi, 2):
                     continue
-                product = hom_left @ tableau_hom(tableau_of_matrix(pi))
+                product = hom_left @ tableau_hom(pi)
                 expansion = expand_in_tableau_basis(
                     product, matrix_marginal(om, 2), matrix_marginal(pi, 1))
                 assert expansion == dict(structure_constants(om, pi))
@@ -209,7 +218,7 @@ def reference_bh_differential(labels_k, labels_km1, k):
     mat = [[0] * len(labels_k) for _ in labels_km1]
     for col, lab in enumerate(labels_k):
         functional, homs = lab[0], lab[1:]
-        hom1 = tableau_hom(tableau_of_matrix(homs[0])).rows
+        hom1 = tableau_hom(homs[0]).rows
         fun_index = multilinear_tableaux(matrix_marginal(functional, 2)).index(
             tableau_of_matrix(functional))
         next_domain = multilinear_tableaux(matrix_marginal(homs[0], 1))
@@ -221,8 +230,7 @@ def reference_bh_differential(labels_k, labels_km1, k):
         for t in range(1, k):
             sign = -1 if t % 2 else 1
             left, right = homs[t - 1], homs[t]
-            product_matrix = (tableau_hom(tableau_of_matrix(left))
-                              @ tableau_hom(tableau_of_matrix(right)))
+            product_matrix = tableau_hom(left) @ tableau_hom(right)
             expansion = expand_in_tableau_basis(
                 product_matrix, matrix_marginal(left, 2), matrix_marginal(right, 1))
             for omega, c in expansion.items():
@@ -254,13 +262,11 @@ def test_canonical_column_expansion_matches_the_full_product():
     for n, r in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
         mats = enumerate_weight_matrices(n, r)
         for om in mats:
-            left = tableau_of_matrix(om)
             for pi in mats:
                 if matrix_marginal(om, 1) != matrix_marginal(pi, 2):
                     continue
-                right = tableau_of_matrix(pi)
                 full = expand_in_tableau_basis(
-                    tableau_hom(left) @ tableau_hom(right),
+                    tableau_hom(om) @ tableau_hom(pi),
                     matrix_marginal(om, 2), matrix_marginal(pi, 1))
                 assert tableaux._composition_at_canonical_column(om, pi) == full
 
@@ -301,7 +307,7 @@ def test_bh_build_detects_a_non_equivariant_hom(monkeypatch):
     lam = (2, 1, 1, 0)
     left, _ = min(adjacent_pairs(build_bh_complex(lam)))
     corrupt = left
-    hom_of = tableaux._tableau_hom_matrix
+    hom_of = tableaux.tableau_hom
 
     def patched(omega):
         mat = hom_of(omega)
@@ -309,7 +315,7 @@ def test_bh_build_detects_a_non_equivariant_hom(monkeypatch):
             return mat
         return Matrix.from_columns(mat.nrows, [{mat.nrows - 1: 1}] * mat.ncols)
 
-    monkeypatch.setattr(tableaux, "_tableau_hom_matrix", patched)
+    monkeypatch.setattr(tableaux, "tableau_hom", patched)
     with pytest.raises(ValueError, match="not equivariant"):
         build_bh_complex(lam)
 
@@ -328,12 +334,12 @@ def test_bh_build_detects_a_composition_outside_the_triangular_span(monkeypatch)
 def test_tableau_hom_is_immutable():
     tab = ((1, 2), ())
     d1 = build_bh_complex((1, 1)).differential(1)
-    hom = tableau_hom(tab)
+    hom = tableau_hom(matrix_of_tableau(tab))
     with pytest.raises(TypeError):
         hom.rows[0][0] = 99
     with pytest.raises(AttributeError):
         hom.columns = ((), ())
-    assert tableau_hom(tab).rows == ((1, 1),)
+    assert tableau_hom(matrix_of_tableau(tab)).rows == ((1, 1),)
     assert build_bh_complex((1, 1)).differential(1) == d1
 
 
@@ -562,6 +568,19 @@ def test_compare_detects_a_non_bijective_relabelling():
     assert not report.matrices_equal[top]
     assert all(report.matrices_equal[k] for k in range(1, top))
     assert report == reference_compare(lam, fb_hacked, bh_hacked)
+
+
+def test_compare_reports_a_truncation_label_missing_from_the_bh_complex():
+    # ranks still match, but one truncation label has no BH counterpart
+    lam = (2, 1, 1, 0)
+    bh = build_bh_complex(lam)
+    labels1 = list(bh.labels[1])
+    labels1[0] = ((9,),) + labels1[0][1:]
+    hacked = ChainComplex({**bh.labels, 1: tuple(labels1)}, bh.differentials)
+    report = compare_with_schur_functor(lam, bh=hacked)
+    assert report.degree_match
+    assert not report.ok
+    assert report.matrices_equal == {1: False, 2: False, 3: True}
 
 
 def test_tableau_counters_match_hook_formulas():
