@@ -5,6 +5,11 @@ resolve (build a complex and emit one JSON document), verify (run named
 invariant suites over one or all compositions).  Output is deterministic:
 two runs with identical flags produce byte-identical files.  Exit codes:
 0 success, 1 verification failure, 2 usage error.
+
+resolve holds the complex and its homology, and while writing, the text
+of each distinct weight matrix at each depth and the row buckets of one
+differential or homotopy at a time: the document keeps each Matrix, and
+the writer streams its entries from its columns.
 """
 
 import argparse
@@ -152,10 +157,13 @@ def _build_variant(variant, lam):
 
 
 def _matrix_doc(mat):
-    return {"rows": mat.nrows, "cols": mat.ncols, "entries": mat.entries()}
+    return {"rows": mat.nrows, "cols": mat.ncols, "entries": mat}
 
 
 def complex_document(cx, lam, variant):
+    """The `resolve` document of cx: plain JSON values, except that each
+    matrix's "entries" is the Matrix itself, which `_indented_json` writes
+    as the list of its (row, col, value) triplets."""
     doc = {
         "metadata": {
             "tool": "schurres",
@@ -195,15 +203,18 @@ JSON_CHUNK = 1 << 16
 
 def _indented_json(obj, out):
     """Write the text of `json.dumps(obj, indent=2)` to out, in writes of
-    about JSON_CHUNK characters, for dicts with string keys, lists, tuples,
-    ints and strings.
+    about JSON_CHUNK characters, for dicts, lists, tuples, ints and strings,
+    with a Matrix standing for the list of its entries().  Weight-matrix
+    texts are looked up by equality, so a bool in a tuple of ints can take
+    the text of the equal all-int tuple: bools belong in keys only.
 
     With `indent` set, json.dumps runs the stdlib's pure-Python encoder;
     here only leaves and keys go through json.dumps.  Dicts and lists are
     written item by item, so no text of a whole document or degree is held;
-    an all-int sequence is joined at once, and any other tuple is formatted
-    once per distinct value and depth, since labels repeat the same weight
-    matrices many times.
+    an all-int sequence is joined at once, a Matrix is written from its
+    columns, and only weight matrices (tuples of int tuples) keep their
+    text, once per distinct value and depth: labels never repeat, but they
+    repeat the same weight matrices many times.
     """
     parts = []
     size = 0
@@ -221,51 +232,90 @@ def _indented_json(obj, out):
     out.write("".join(parts))
 
 
-def _stream_json(value, depth, tuples, emit):
+def _stream_json(value, depth, matrices, emit):
     """Pass the text of value at depth to emit: a non-empty dict, list or
-    tuple item by item, unless its items are all ints, and anything else
-    whole."""
+    tuple item by item, unless its items are all ints, a Matrix entry by
+    entry, and anything else whole."""
+    if isinstance(value, Matrix):
+        _stream_entries(value, depth, emit)
+        return
     if isinstance(value, dict) and value:
         brackets = "{}"
-        items = ((json.dumps(key) + ": ", item) for key, item in value.items())
+        items = ((_key_text(key), item) for key, item in value.items())
     elif (isinstance(value, (list, tuple)) and value
           and not all(type(item) is int for item in value)):
         brackets = "[]"
         items = (("", item) for item in value)
     else:
-        emit(_json_text(value, depth, tuples))
+        emit(_json_text(value, depth, matrices))
         return
     indent = "\n" + "  " * (depth + 1)
     sep = brackets[0] + indent
     for head, item in items:
-        if isinstance(item, (dict, list)):
+        if isinstance(item, (dict, list, Matrix)):
             emit(sep + head)
-            _stream_json(item, depth + 1, tuples, emit)
+            _stream_json(item, depth + 1, matrices, emit)
         else:
-            emit(sep + head + _json_text(item, depth + 1, tuples))
+            emit(sep + head + _json_text(item, depth + 1, matrices))
         sep = "," + indent
     emit("\n" + "  " * depth + brackets[1])
 
 
-def _json_text(value, depth, tuples):
-    """The text of value at depth; a tuple's text is kept in tuples under
-    (value, depth) and reused."""
+def _key_text(key):
+    """The text of a dict key and its colon: as json.dumps does, an int,
+    float, bool or None key becomes the string of its JSON text."""
+    if key is None or isinstance(key, (int, float)):
+        key = json.dumps(key)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return json.dumps(key) + ": "
+
+
+def _stream_entries(mat, depth, emit):
+    """Pass the text of the list mat.entries() at depth to emit, one
+    triplet at a time: the columns are bucketed by row, so that only the
+    buckets of this one matrix are held."""
+    if not any(mat.columns):
+        emit("[]")
+        return
+    rows = [[] for _ in range(mat.nrows)]
+    for j, col in enumerate(mat.columns):
+        for i, v in col:
+            rows[i].append((j, v))
+    indent = "\n" + "  " * (depth + 1)
+    inner = indent + "  "
+    triplet = "[" + inner + "%d," + inner + "%d," + inner + "%d" + indent + "]"
+    sep = "[" + indent
+    for i, row in enumerate(rows):
+        for j, v in row:
+            emit(sep + triplet % (i, j, v))
+            sep = "," + indent
+    emit("\n" + "  " * depth + "]")
+
+
+def _json_text(value, depth, matrices):
+    """The text of value at depth; a weight matrix's text is kept in
+    matrices under (value, depth) and reused."""
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
     if not isinstance(value, dict) and all(type(item) is int for item in value):
         indent = "\n" + "  " * (depth + 1)
         return "[" + indent + ("," + indent).join(map(str, value)) + "\n" + "  " * depth + "]"
-    key = (value, depth) if isinstance(value, tuple) else None
+    # value is a non-empty tuple here; a weight matrix, a tuple of int
+    # tuples, is told by its first item alone
+    first = value[0]
+    key = (value, depth) if type(first) is tuple and first and type(first[0]) is int else None
     try:
-        text = tuples.get(key)
+        text = matrices.get(key)
     except TypeError:  # a tuple holding a list or a dict is no key
         key = text = None
     if text is None:
         pieces = []
-        _stream_json(value, depth, tuples, pieces.append)
+        _stream_json(value, depth, matrices, pieces.append)
         text = "".join(pieces)
         if key is not None:
-            tuples[key] = text
+            matrices[key] = text
     return text
 
 
@@ -541,7 +591,12 @@ def build_parser():
     p.add_argument("--mod", help="comma-separated primes, each checked to be prime; "
                    "exactness over F_p follows from the result over Z by "
                    "universal coefficients")
-    p.add_argument("--corrupt", help=argparse.SUPPRESS)
+    p.add_argument("--corrupt", metavar="K,I,J,DELTA",
+                   help="testing only: add DELTA to entry (I, J) of d_K in every "
+                   "complex that exactness and homotopy build, as a negative "
+                   "control; exactness cannot detect a change that leaves every "
+                   "homology group as it was, so a control that must fail needs "
+                   "one that changes a group, such as H_0, or breaks d o d")
     p.set_defaults(func=cmd_verify)
     return parser
 

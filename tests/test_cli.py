@@ -3,13 +3,22 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from schurres import dividedpowers
-from schurres.barcomplex import build_weyl_resolution
-from schurres.cli import JSON_CHUNK, _indented_json, _maybe_corrupt, main
+from schurres.barcomplex import build_borel_resolution, build_weyl_resolution
+from schurres.cli import (
+    JSON_CHUNK,
+    _indented_json,
+    _maybe_corrupt,
+    _stream_entries,
+    complex_document,
+    main,
+)
+from schurres.complexes import ChainComplex, Matrix
 
 
 def run(capsys, *argv):
@@ -174,7 +183,8 @@ json_leaves = st.integers() | st.text()
 json_values = st.recursive(
     json_leaves,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(st.text(), inner, max_size=4)),
+                   | st.dictionaries(st.text() | st.integers() | st.booleans() | st.none(),
+                                     inner, max_size=4)),
     max_leaves=30)
 
 
@@ -184,6 +194,7 @@ json_values = st.recursive(
 @example(['"quoted"', "back\\slash", "\x00\x1f\n\t", "\u00e9\u2211\U0001f600"])
 @example({"a\"b": ((1, 2), [(1, 2)], ((1, 2), (3, -4)), ("x", (1, 2))), "c": (1, 2)})
 @example([[((0, 1), (1, 0)), ((0, 1), (1, 0))], ((0, 1), (1, 0)), [10 ** 30, -7]])
+@example({1: 2, -3: [], None: {}, False: "", "k": {True: (), 0.5: [1]}})
 def test_indented_json_matches_json_dumps(value):
     out = io.StringIO()
     _indented_json(value, out)
@@ -215,6 +226,74 @@ def test_indented_json_writes_in_chunks_and_leaves_no_cycle():
     assert len(out.sizes) > 4
     assert all(JSON_CHUNK <= size < JSON_CHUNK + 100 for size in out.sizes[:-1])
     assert unreachable == 0
+
+
+def test_indented_json_refuses_a_key_json_refuses():
+    with pytest.raises(TypeError):
+        _indented_json({(1, 2): 0}, io.StringIO())
+
+
+@st.composite
+def sparse_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cells = st.tuples(st.integers(0, max(nrows - 1, 0)), st.integers(0, max(ncols - 1, 0)))
+    entries = draw(st.dictionaries(cells, st.integers(-10 ** 20, 10 ** 20).filter(bool),
+                                   max_size=12)) if nrows and ncols else {}
+    return Matrix.from_entries(nrows, ncols, [(i, j, v) for (i, j), v in entries.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.integers(0, 4))
+@example(Matrix.zeros(0, 0), 0)
+@example(Matrix.zeros(0, 3), 2)
+@example(Matrix.zeros(3, 0), 4)
+@example(Matrix.zeros(2, 2), 1)
+def test_streamed_entries_match_the_entries_list(mat, depth):
+    pieces = []
+    _stream_entries(mat, depth, pieces.append)
+    expected = json.dumps(mat.entries(), indent=2).replace("\n", "\n" + "  " * depth)
+    assert "".join(pieces) == expected
+
+
+def with_entry_lists(doc):
+    """doc with each Matrix written out as its entries() list."""
+    if isinstance(doc, Matrix):
+        return doc.entries()
+    if isinstance(doc, dict):
+        return {key: with_entry_lists(value) for key, value in doc.items()}
+    return doc
+
+
+@pytest.mark.parametrize("cx, lam, variant", [
+    # d_1 is zero, d_2 is stored and zero, and d_3 is missing
+    (ChainComplex({0: [((1,),)], 1: [((1,),), ((2,),)], 2: [((3,),)], 3: []},
+                  {2: Matrix.zeros(2, 1)}), (1,), "weyl"),
+    (build_borel_resolution((2, 1, 0)), (2, 1, 0), "borel"),
+])
+def test_resolve_document_matches_json_dumps_of_its_entry_lists(cx, lam, variant):
+    doc = complex_document(cx, lam, variant)
+    out = io.StringIO()
+    _indented_json(doc, out)
+    assert out.getvalue() == json.dumps(with_entry_lists(doc), indent=2)
+
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_resolve_document_and_its_writer_hold_little_beyond_the_complex():
+    # the writer keeps the text of weight matrices only, never of labels,
+    # and buckets the entries of one matrix at a time; holding every
+    # label's text and every entry list took 1.7 MB here
+    cx = build_weyl_resolution((2, 2, 1))
+    tracemalloc.start()
+    try:
+        _indented_json(complex_document(cx, (2, 2, 1), "weyl"), Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2 ** 20
 
 
 def test_verify_accepts_a_large_prime_modulus(capsys):
