@@ -12,9 +12,10 @@ algebra product, re-expanded in the lower-degree tuple basis: it is
 `complexes.alternating_differential` with the structure constants as the
 product.  A builder enumerates each degree's basis once, through
 `complexes.bases`, and hands the bases to the differentials and homotopies;
-bases are not cached, so a dropped complex frees them.  The Borel variant
-carries an explicit contracting homotopy: prepend the diagonal idempotent
-matching the row sums of w0, killing tuples whose w0 is already diagonal.
+bases are not cached, so a dropped complex frees them, and d o d is left
+to the code that judges the complex.  The Borel variant carries an explicit
+contracting homotopy: prepend the diagonal idempotent matching the row sums
+of w0, killing tuples whose w0 is already diagonal.
 """
 
 from .combinatorics import (
@@ -129,9 +130,7 @@ def build_borel_resolution(lam):
     for k in range(1, hi + 1):
         diffs[k] = differential(labels[k], labels[k - 1])
     homotopies = {k: homotopy(labels[k], labels[k + 1]) for k in range(-1, hi)}
-    cx = ChainComplex(labels, diffs, homotopies)
-    cx.check_complex()
-    return cx
+    return ChainComplex(labels, diffs, homotopies)
 
 
 def build_weyl_resolution(lam, nu=None):
@@ -144,6 +143,4 @@ def build_weyl_resolution(lam, nu=None):
     lam = _normalize(lam)
     labels = bases(lambda k: enumerate_bar_basis(lam, k, "full", nu))
     diffs = {k: differential(labels[k], labels[k - 1]) for k in range(1, len(labels))}
-    cx = ChainComplex(labels, diffs)
-    cx.check_complex()
-    return cx
+    return ChainComplex(labels, diffs)

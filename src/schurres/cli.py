@@ -9,7 +9,8 @@ two runs with identical flags produce byte-identical files.  Exit codes:
 resolve holds the complex and its homology, and while writing, the text
 of each distinct weight matrix at each depth and the row buckets of one
 differential or homotopy at a time: the document keeps each Matrix, and
-the writer streams its entries from its columns.
+the writer streams its entries() one triplet at a time.  The complex is
+checked to be one (d o d = 0) before anything is written.
 """
 
 import argparse
@@ -191,6 +192,7 @@ def complex_document(cx, lam, variant):
 def cmd_resolve(args):
     lam = _parse_composition(args.lam, args.n, args.r)
     cx = _build_variant(args.variant, lam)
+    cx.check_complex()
     doc = complex_document(cx, lam, args.variant)
     with _output(args.output) as out:
         _indented_json(doc, out)
@@ -211,8 +213,8 @@ def _indented_json(obj, out):
     With `indent` set, json.dumps runs the stdlib's pure-Python encoder;
     here only leaves and keys go through json.dumps.  Dicts and lists are
     written item by item, so no text of a whole document or degree is held;
-    an all-int sequence is joined at once, a Matrix is written from its
-    columns, and only weight matrices (tuples of int tuples) keep their
+    an all-int sequence is joined at once, a Matrix is written entry by
+    entry, and only weight matrices (tuples of int tuples) keep their
     text, once per distinct value and depth: labels never repeat, but they
     repeat the same weight matrices many times.
     """
@@ -273,24 +275,18 @@ def _key_text(key):
 
 
 def _stream_entries(mat, depth, emit):
-    """Pass the text of the list mat.entries() at depth to emit, one
-    triplet at a time: the columns are bucketed by row, so that only the
-    buckets of this one matrix are held."""
+    """Pass the text of the list of mat.entries() at depth to emit, one
+    triplet at a time."""
     if not any(mat.columns):
         emit("[]")
         return
-    rows = [[] for _ in range(mat.nrows)]
-    for j, col in enumerate(mat.columns):
-        for i, v in col:
-            rows[i].append((j, v))
     indent = "\n" + "  " * (depth + 1)
     inner = indent + "  "
     triplet = "[" + inner + "%d," + inner + "%d," + inner + "%d" + indent + "]"
     sep = "[" + indent
-    for i, row in enumerate(rows):
-        for j, v in row:
-            emit(sep + triplet % (i, j, v))
-            sep = "," + indent
+    for entry in mat.entries():
+        emit(sep + triplet % entry)
+        sep = "," + indent
     emit("\n" + "  " * depth + "]")
 
 
@@ -366,7 +362,9 @@ def _check_exactness(n, r, lams, corrupt):
 
 def _check_homotopy(n, r, lams, corrupt):
     for lam in lams:
-        cx = corrupt(build_borel_resolution(lam))
+        cx = build_borel_resolution(lam)
+        cx.check_complex()
+        cx = corrupt(cx)
         for k in range(0, cx.hi + 1):
             lhs = (cx.differential(k + 1) @ cx.homotopy(k)
                    + cx.homotopy(k - 1) @ cx.differential(k))

@@ -20,7 +20,9 @@ stays with the caller that built it.
 Every complex of the package is of bar type and is built by two functions:
 `bases` enumerates each degree's basis once, up to the first empty degree,
 and `alternating_differential` assembles the alternating sum of adjacent
-products on two such bases, given the builder's product.
+products on two such bases, given the builder's product.  Builders only
+build: `ChainComplex.check_complex`, the one d o d walk, is called once per
+complex by the code that hands out a verdict or a document resting on it.
 """
 
 
@@ -165,12 +167,15 @@ class Matrix:
         return not any(self.columns)
 
     def entries(self):
-        """Nonzero entries as (row, col, value) triplets, row-major order."""
+        """Nonzero entries as (row, col, value) triplets, yielded in
+        row-major order from the columns bucketed by row once."""
         rows = [[] for _ in range(self.nrows)]
         for j, col in enumerate(self.columns):
             for i, v in col:
-                rows[i].append((i, j, v))
-        return [entry for row in rows for entry in row]
+                rows[i].append((j, v))
+        for i, row in enumerate(rows):
+            for j, v in row:
+                yield i, j, v
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -218,8 +223,9 @@ class ChainComplex:
             return self.homotopies[k]
         return Matrix.zeros(self.rank(k + 1), self.rank(k))
 
-    def first_nonzero_composite(self):
-        """The lowest degree k with d_{k-1} d_k nonzero, or None.
+    def check_complex(self):
+        """Raise ValueError, naming the lowest degree k with d_{k-1} d_k
+        nonzero, unless consecutive differentials compose to zero.
 
         The composite is walked column by column and never stored; the walk
         stops at the first column that holds a nonzero entry.
@@ -232,14 +238,7 @@ class ChainComplex:
                     for i, a in left[j]:
                         acc[i] = acc.get(i, 0) + a * v
                 if any(acc.values()):
-                    return k
-        return None
-
-    def check_complex(self):
-        """Raise unless consecutive differentials compose to zero."""
-        k = self.first_nonzero_composite()
-        if k is not None:
-            raise ValueError(f"d o d != 0 between degrees {k} and {k - 2}")
+                    raise ValueError(f"d o d != 0 between degrees {k} and {k - 2}")
 
     def euler_characteristic(self):
         return sum((1 if k % 2 == 0 else -1) * self.rank(k) for k in self.degrees())

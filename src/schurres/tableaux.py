@@ -38,10 +38,10 @@ The comparison with the truncation relabels each truncation column through
 the basis bijection (a kept bar tuple names the label whose functional is
 its transposed leading matrix), sorts it and compares it with the matching
 column of the complex; no triplet sets are formed, and each leading matrix
-is transposed once per comparison.  The comparison builds the complex
-without the d o d check that `build_bh_complex` makes: the truncation's
-d o d is checked, and equal matrices under a bijective relabelling carry
-it over.
+is transposed once per comparison.  Like every builder, `build_bh_complex`
+does not walk d o d; the comparison checks the truncation's d o d once,
+and equal matrices under a bijective relabelling carry it over to the
+complex.
 
 Homomorphism matrices are cached by weight matrix: `tableau_hom(omega)` is
 the one builder, and it hands out the cached `Matrix` itself, which no
@@ -279,8 +279,14 @@ def _resolve_first_hom(hom):
             for fun, row in zip(_functionals(matrix_marginal(hom, 2)), rows, strict=True)}
 
 
-def _bh_complex_unchecked(lam):
-    """The permutation-module complex, with d o d left unchecked."""
+def build_bh_complex(lam):
+    """Permutation-module complex of a partition lam with n = len(lam)
+    parts, n >= r, in degrees >= 0; d o d is left to
+    `ChainComplex.check_complex`.
+
+    Degree -1 (the co-Specht module) is presented as the cokernel of the
+    degree-1 differential rather than stored with a basis.
+    """
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError("the complex is built for partitions")
@@ -309,18 +315,6 @@ def _bh_complex_unchecked(lam):
     diffs = {k: alternating_differential(labels[k], labels[k - 1], product)
              for k in range(1, len(labels))}
     return ChainComplex(labels, diffs)
-
-
-def build_bh_complex(lam):
-    """Permutation-module complex of a partition lam with n = len(lam)
-    parts, n >= r, in degrees >= 0, checked to be a complex.
-
-    Degree -1 (the co-Specht module) is presented as the cokernel of the
-    degree-1 differential rather than stored with a basis.
-    """
-    cx = _bh_complex_unchecked(lam)
-    cx.check_complex()
-    return cx
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +351,21 @@ def compare_with_schur_functor(lam, fb=None, bh=None):
     """Check the two complexes of lam, n = len(lam), agree entrywise under
     the tableau bijection.
 
-    Only the truncation's d o d is checked: inside `truncated_resolution`,
-    or here when fb is supplied, which raises for an fb that is not a
-    complex.  The BH complex is built unchecked: differentials equal to the
-    truncation's under a bijective relabelling make it a complex too, and
-    differing ones fail the report.  The cokernel of the BH complex is
-    computed only when the matrices differ; otherwise it is the
-    truncation's.  The BH complex is built first, so a lam that is not a
-    partition with n >= r is refused before any bar basis is enumerated.
+    Only the truncation's d o d is checked, once, whether fb is supplied
+    or built here; an fb that is not a complex raises ValueError.  The BH
+    complex is not checked: differentials equal to the truncation's under a
+    bijective relabelling make it a complex too, and differing ones fail
+    the report.  The cokernel of the BH complex is computed only when the
+    matrices differ; otherwise it is the truncation's.  The BH complex is
+    built first, so a lam that is not a partition with n >= r is refused
+    before any bar basis is enumerated.
     """
     lam = tuple(lam)
     if bh is None:
-        bh = _bh_complex_unchecked(lam)
+        bh = build_bh_complex(lam)
     if fb is None:
         fb = truncated_resolution(lam)
-    else:
-        fb.check_complex()
+    fb.check_complex()
 
     degree_match = (fb.lo, fb.hi) == (bh.lo, bh.hi) and all(
         fb.rank(k) == bh.rank(k) for k in fb.degrees())

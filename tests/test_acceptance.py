@@ -133,7 +133,8 @@ def test_criterion_04_bar_identities():
     for n in (1, 2, 3):
         for r in range(0, 5):
             for lam in enumerate_compositions(n, r):
-                cx = build_borel_resolution(lam)  # d o d checked at build
+                cx = build_borel_resolution(lam)
+                cx.check_complex()
                 assert cx.differential(0) @ cx.homotopy(-1) == Matrix.identity(1)
                 for k in range(0, cx.hi + 1):
                     lhs = (cx.differential(k + 1) @ cx.homotopy(k)

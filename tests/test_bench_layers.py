@@ -56,12 +56,15 @@ def test_traced_truncation_counts_its_block_labels():
 
 
 def test_traced_comparison_counts_its_tableau_homs():
-    # the hom span sees only calls through the name tableau_hom, so it reads
-    # nothing if the complex builds its homs through another name
+    # the hom and build spans see only calls through the names tableau_hom
+    # and build_bh_complex, so each reads nothing if the comparison builds
+    # the complex, or the complex its homs, through another name
     tracer = spans.Tracer()
     uninstall = tracer.install()
     try:
         tableaux.compare_with_schur_functor((2, 1, 1, 0))
     finally:
         uninstall()
-    assert tracer.report()["tableaux.tableau_hom"].get("calls", 0) > 0
+    report = tracer.report()
+    assert report["tableaux.tableau_hom"].get("calls", 0) > 0
+    assert report["tableaux.build_bh_complex"].get("calls", 0) >= 1

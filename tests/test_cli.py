@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from schurres import dividedpowers
+from schurres import barcomplex, dividedpowers, tableaux
 from schurres.barcomplex import build_borel_resolution, build_weyl_resolution
 from schurres.cli import (
     JSON_CHUNK,
@@ -19,6 +19,8 @@ from schurres.cli import (
     main,
 )
 from schurres.complexes import ChainComplex, Matrix
+from schurres.schurfunctor import truncated_resolution
+from schurres.tableaux import build_bh_complex
 
 
 def run(capsys, *argv):
@@ -251,14 +253,14 @@ def sparse_matrices(draw):
 def test_streamed_entries_match_the_entries_list(mat, depth):
     pieces = []
     _stream_entries(mat, depth, pieces.append)
-    expected = json.dumps(mat.entries(), indent=2).replace("\n", "\n" + "  " * depth)
+    expected = json.dumps(list(mat.entries()), indent=2).replace("\n", "\n" + "  " * depth)
     assert "".join(pieces) == expected
 
 
 def with_entry_lists(doc):
     """doc with each Matrix written out as its entries() list."""
     if isinstance(doc, Matrix):
-        return doc.entries()
+        return list(doc.entries())
     if isinstance(doc, dict):
         return {key: with_entry_lists(value) for key, value in doc.items()}
     return doc
@@ -388,13 +390,13 @@ def test_corrupt_builds_a_copy():
 def test_corrupt_leaves_the_built_complex_unchanged():
     cx = build_weyl_resolution((1, 1, 1))
     before = {k: mat.rows for k, mat in cx.differentials.items()}
-    i, j, v = cx.differential(2).entries()[0]
+    i, j, v = next(cx.differential(2).entries())
     bad = _maybe_corrupt(cx, (2, i, j, -v))
     assert {k: mat.rows for k, mat in cx.differentials.items()} == before
     assert isinstance(before[2], tuple)
     # the cancelled entry is dropped, not stored as a zero
     assert bad.differential(2).rows[i][j] == 0
-    assert len(bad.differential(2).entries()) == len(cx.differential(2).entries()) - 1
+    assert len(list(bad.differential(2).entries())) == len(list(cx.differential(2).entries())) - 1
     assert all(bad.differential(k) is cx.differential(k) for k in before if k != 2)
 
 
@@ -493,3 +495,85 @@ def test_verify_records_of_every_corrupted_check_are_pinned(capsys):
     # each record printed before its check's summary line, byte for byte
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "c99aa50f33f4d450607b7b69e507fbf61556dfd84154527bef1eb5a05c1665ae")
+
+
+VARIANTS = ("borel", "weyl", "schur-functor", "bh")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The complexes that ChainComplex.check_complex walks, in call order."""
+    calls = []
+    check = ChainComplex.check_complex
+
+    def counted(cx):
+        calls.append(cx)
+        return check(cx)
+
+    monkeypatch.setattr(ChainComplex, "check_complex", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, count", [
+    # one walk per Borel and per Weyl complex of the four partitions
+    (("verify", "-n", "3", "-r", "4", "--checks", "exactness"), 8),
+    # one walk per Borel complex of the three partitions
+    (("verify", "-n", "3", "-r", "3", "--checks", "homotopy"), 3),
+    # one walk per truncation of the five partitions; the BH complex is not walked
+    (("verify", "-n", "4", "-r", "4", "--checks", "boltje"), 5),
+    *((("resolve", "-n", "3", "-r", "3", "--lambda", "2,1", "--variant", variant), 1)
+      for variant in VARIANTS),
+])
+def test_each_verdict_walks_d_squared_once_per_complex(capsys, walks, argv, count):
+    assert main(list(argv)) == 0
+    assert len(walks) == count
+
+
+@pytest.mark.parametrize("build", [build_borel_resolution, build_weyl_resolution,
+                                   truncated_resolution, build_bh_complex])
+def test_builders_do_not_walk_d_squared(walks, build):
+    build((2, 1, 0))
+    assert walks == []
+
+
+@pytest.fixture
+def doubled_first_products(monkeypatch):
+    """Every builder's alternating sum with its t = 0 products doubled:
+    d_1 d_2 then sends a label (x0, x1, x2) to 2 x0 x1 x2, not 0."""
+    for module in (barcomplex, tableaux):
+        assemble = module.alternating_differential
+
+        def broken(cur, prev, product, assemble=assemble):
+            return assemble(cur, prev, lambda t, a, b: (
+                [(key, 2 * c) for key, c in product(t, a, b)] if t == 0
+                else product(t, a, b)))
+
+        monkeypatch.setattr(module, "alternating_differential", broken)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_resolve_refuses_a_complex_whose_product_breaks_d_squared(
+        capsys, doubled_first_products, variant):
+    code, out, err = run(capsys, "resolve", "-n", "3", "-r", "3", "--lambda", "1,1,1",
+                         "--variant", variant)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: d o d != 0 between degrees ")
+
+
+@pytest.mark.parametrize("check, expected_code, expected_last_line", [
+    ("exactness", 1, "FAIL exactness (n=3, r=3)"),
+    # the homotopy identities presume a complex, and the comparison checks
+    # its truncation: both refuse one whose d o d is not zero
+    ("homotopy", 2, None),
+    ("boltje", 2, None),
+])
+def test_verify_judges_a_complex_whose_product_breaks_d_squared(
+        capsys, doubled_first_products, check, expected_code, expected_last_line):
+    code, out, err = run(capsys, "verify", "-n", "3", "-r", "3", "--lambda", "1,1,1",
+                         "--checks", check)
+    assert code == expected_code
+    if expected_last_line:
+        assert out.splitlines()[-1] == expected_last_line
+        assert '"failures":["(\'complex axiom\', None)"' in out
+    else:
+        assert out == "" and err.startswith("error: d o d != 0 between degrees ")

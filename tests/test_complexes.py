@@ -105,7 +105,7 @@ def test_transpose_and_submatrix_match_dense(a, data):
 @settings(max_examples=200, deadline=None)
 @given(dense_matrices())
 def test_is_zero_and_entries_match_dense(a):
-    assert a.matrix().entries() == a.entries()
+    assert list(a.matrix().entries()) == a.entries()
     assert a.matrix().is_zero() == (not a.entries())
 
 

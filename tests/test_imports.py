@@ -1,16 +1,19 @@
 """Every name a module of the package imports, and every private function
-or class it defines, is used in that module, and every import sits at
-module level.
+or class it defines, is used in that module; every public function, class
+and method it defines is named somewhere in the project outside its own
+definition; and every import sits at module level.
 
 `__init__.py` is left out: it imports names only to re-export them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schurres"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "schurres"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -60,6 +63,58 @@ def test_a_private_function_used_only_by_itself_is_reported():
     tree = ast.parse("def _fail(x):\n    return _fail(x - 1) if x else 0\n\n"
                      "def _used():\n    pass\n\nVALUE = _used()\n")
     assert list(unreferenced_private_definitions(tree)) == ["_fail"]
+
+
+def referenced_names(tree):
+    """Every name the tree reads, as a plain name, an attribute or an
+    imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def public_definitions(tree):
+    """Module-level public functions and classes, and the public methods of
+    those classes; dunders are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (method for method in node.body
+                            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def unreferenced_public_definitions(tree, references):
+    """Public definitions of tree that `references`, a Counter of the names
+    read across the project, holds only inside their own definitions."""
+    for node in public_definitions(tree):
+        if not node.name.startswith("_"):
+            inside = Counter(referenced_names(node))
+            if references[node.name] <= inside[node.name]:
+                yield node.name
+
+
+def test_every_public_definition_is_named_outside_itself():
+    references = Counter()
+    for folder in ("src", "tests", "demos", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            references.update(referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = {path.name: sorted(unreferenced_public_definitions(
+                  ast.parse(path.read_text(encoding="utf-8")), references))
+              for path in MODULES}
+    assert not any(unused.values()), f"defined and never named elsewhere: {unused}"
+
+
+def test_a_public_method_named_only_by_itself_is_reported():
+    source = ("class Walk:\n    def first(self):\n        return self.first()\n\n"
+              "    def used(self):\n        pass\n\nWalk().used()\n")
+    tree = ast.parse(source)
+    references = Counter(referenced_names(tree))
+    assert list(unreferenced_public_definitions(tree, references)) == ["first"]
 
 
 def imports_inside_functions(tree):

@@ -434,22 +434,6 @@ def test_compare_checks_d_squared_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_bh_build_still_checks_d_squared(monkeypatch):
-    # d_2 gains a basis vector that d_1 does not kill
-    lam = (2, 1, 1, 0)
-    i = next(i for i, col in enumerate(build_bh_complex(lam).differential(1).columns) if col)
-    assemble = tableaux.alternating_differential
-
-    def broken(cur, prev, product):
-        d = assemble(cur, prev, product)
-        k = len(cur[0]) - 1  # a degree-k label holds a functional and k homs
-        return d + Matrix.from_entries(d.nrows, d.ncols, [(i, 0, 1)]) if k == 2 else d
-
-    monkeypatch.setattr(tableaux, "alternating_differential", broken)
-    with pytest.raises(ValueError, match="d o d"):
-        build_bh_complex(lam)
-
-
 def test_compare_never_passes_a_supplied_fb_that_is_not_a_complex():
     # both complexes get the same nonzero into d_2, so they still agree
     # entrywise; only the truncation's own d o d check can catch it
@@ -465,7 +449,8 @@ def test_compare_never_passes_a_supplied_fb_that_is_not_a_complex():
     bh_d2 = bh_d2 + Matrix.from_entries(bh_d2.nrows, bh_d2.ncols, [(row, col, 1)])
     fb_hacked = ChainComplex(fb.labels, {**fb.differentials, 2: fb_d2})
     bh_hacked = ChainComplex(bh.labels, {**bh.differentials, 2: bh_d2})
-    assert fb_hacked.first_nonzero_composite() == 2
+    with pytest.raises(ValueError, match="between degrees 2 and 0"):
+        fb_hacked.check_complex()
     assert all(reference_compare(lam, fb_hacked, bh_hacked).matrices_equal.values())
     with pytest.raises(ValueError, match="d o d"):
         compare_with_schur_functor(lam, fb=fb_hacked, bh=bh_hacked)
