@@ -21,11 +21,8 @@ from .schur import (
     format_element,
     idempotent,
     identity,
-    is_borel_element,
-    is_ideal_element,
     multiply,
     multiply_basis,
-    transpose_involution,
 )
 from .oracles import (
     TensorEndomorphism,

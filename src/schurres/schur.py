@@ -12,9 +12,13 @@ computed by folding the slices in one at a time: a dict maps each partial
 sum of the slices chosen so far, packed into one integer, to its weighted
 count.  Each slice set is a table built once per process from its two
 margins, and each packed key is decoded once per process into a key matrix
-that every expansion holding it shares.  Coefficients are
-unbounded-precision integers throughout; zero coefficients are dropped
-eagerly so equality is structural.
+that every expansion holding it shares.  Only composable pairs, where the
+column sums of the left factor equal the row sums of the right one, are
+expanded and cached; any other product is zero, and is answered from the
+two factors' margins, cached per matrix, without storing anything.  The
+product of two elements pairs each left term only with the right terms it
+composes with.  Coefficients are unbounded-precision integers throughout;
+zero coefficients are dropped eagerly so equality is structural.
 """
 
 import json
@@ -24,11 +28,8 @@ from math import factorial
 from .combinatorics import (
     diagonal_matrix,
     enumerate_compositions,
-    filtration_degree,
-    is_upper_triangular,
     matrix_marginal,
     multinomial,
-    transpose_matrix,
     unsorted_weight_matrices,
 )
 
@@ -52,18 +53,34 @@ def _slice_table(row_sums, col_sums, width):
 
 
 @lru_cache(maxsize=None)
+def _margins(omega):
+    """(column sums, row sums) of a weight matrix, cached per matrix."""
+    return matrix_marginal(omega, 1), matrix_marginal(omega, 2)
+
+
 def structure_constants(omega, pi):
     """Expansion of a basis product as ((key, coefficient), ...).
 
-    Empty when the column sums of omega differ from the row sums of pi.
+    Empty when the column sums of omega differ from the row sums of pi; such
+    a pair is answered from the margins alone and is not cached.  The
+    function's `cache_info` and `cache_clear` act on the cache of composable
+    pairs.
+    """
+    if _margins(omega)[0] != _margins(pi)[1]:
+        return ()
+    return _composable_product(omega, pi)
+
+
+@lru_cache(maxsize=None)
+def _composable_product(omega, pi):
+    """The expansion of a basis product whose inner margins agree.
+
     The fold weights each partial sum by the product of its slices'
     multinomials.  A tensor theta with key K has multiplicity
     prod K! / prod theta! = (prod K! / prod_t (total of slice t)!) * prod_t
     (multinomial of slice t), so each key is scaled once at the end.
     """
     n = len(omega)
-    if matrix_marginal(omega, 1) != matrix_marginal(pi, 2):
-        return ()
     width = sum(map(sum, omega)).bit_length() or 1  # every entry of a key is <= r
     acc = {0: 1}
     scale = 1
@@ -82,6 +99,10 @@ def structure_constants(omega, pi):
         key, weight = _unpack(packed, n, width)
         out.append((key, acc[packed] * weight // scale))
     return tuple(out)
+
+
+structure_constants.cache_info = _composable_product.cache_info
+structure_constants.cache_clear = _composable_product.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -150,9 +171,12 @@ class AlgebraElement:
         if isinstance(other, int):
             return AlgebraElement(self.n, self.r, {k: other * c for k, c in self.terms.items()})
         self._check(other)
+        by_row_sums = {}
+        for b, cb in other.terms.items():
+            by_row_sums.setdefault(_margins(b)[1], []).append((b, cb))
         terms = {}
         for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
+            for b, cb in by_row_sums.get(_margins(a)[0], ()):
                 c = ca * cb
                 for key, m in structure_constants(a, b):
                     terms[key] = terms.get(key, 0) + c * m
@@ -198,21 +222,6 @@ def identity(n, r):
     """Sum of all diagonal idempotents; the unit of the algebra."""
     terms = {diagonal_matrix(lam): 1 for lam in enumerate_compositions(n, r)}
     return AlgebraElement(n, r, terms)
-
-
-def transpose_involution(x):
-    """The anti-automorphism transposing every basis key."""
-    return AlgebraElement(x.n, x.r, {transpose_matrix(k): c for k, c in x.terms.items()})
-
-
-def is_borel_element(x):
-    """True when every key is upper triangular."""
-    return all(is_upper_triangular(k) for k in x.terms)
-
-
-def is_ideal_element(x, s):
-    """True when every key is upper triangular of filtration degree >= s."""
-    return all(is_upper_triangular(k) and filtration_degree(k) >= s for k in x.terms)
 
 
 def format_element(x):

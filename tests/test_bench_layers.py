@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from schurres import schurfunctor, tableaux
+from schurres import oracles, schur, schurfunctor, tableaux
+from schurres.combinatorics import matrix_marginal
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -68,3 +69,21 @@ def test_traced_comparison_counts_its_tableau_homs():
     report = tracer.report()
     assert report["tableaux.tableau_hom"].get("calls", 0) > 0
     assert report["tableaux.build_bh_complex"].get("calls", 0) >= 1
+
+
+def test_traced_product_reports_its_structure_constant_hit_ratio():
+    # hit_ratio is read from structure_constants.cache_info, and the span
+    # counts only the term pairs that compose
+    x = oracles.tensor_power_action(((1, 2, 0), (0, 1, -1), (3, 0, 1)), 3)
+    y = oracles.tensor_power_action(((2, 0, 1), (1, 1, 0), (0, -1, 1)), 3)
+    composable = sum(matrix_marginal(a, 1) == matrix_marginal(b, 2)
+                     for a in x.terms for b in y.terms)
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        schur.multiply(x, y)
+    finally:
+        uninstall()
+    report = tracer.report()["schur.structure_constants"]
+    assert report["calls"] == composable < len(x.terms) * len(y.terms)
+    assert 0.0 <= report["hit_ratio"] <= 1.0

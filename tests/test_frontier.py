@@ -52,3 +52,13 @@ def test_resolve_at_2_1_1_1_fits_144_mib(tmp_path):
     assert done.returncode == 0, done.stderr[-2000:]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "fba4f2316fb26fff0a438099c3277522b768e80ac1ca7c7a6cc3426cb6287fe7"
+
+
+@pytest.mark.slow
+def test_filtration_at_4_4_fits_48_mib():
+    # about 22 MiB of address space when only composable basis products are
+    # cached, against about 73 MiB when every vanishing product held an entry
+    done = run_limited(48 << 20, "-m", "schurres.cli", "verify", "-n", "4", "-r", "4",
+                       "--checks", "filtration")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "ok filtration (n=4, r=4)\n"

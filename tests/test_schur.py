@@ -22,12 +22,9 @@ from schurres.schur import (
     format_element,
     idempotent,
     identity,
-    is_borel_element,
-    is_ideal_element,
     multiply,
     multiply_basis,
     structure_constants,
-    transpose_involution,
     zero,
 )
 from schurres.schurfunctor import truncated_resolution
@@ -147,6 +144,51 @@ def test_structure_constants_match_the_reference_on_random_pairs(pair):
     check_against_reference(*pair)
 
 
+def reference_product(x, y):
+    """x * y by the double loop over every pair of terms, composable or not."""
+    terms = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            for key, m in structure_constants(a, b):
+                terms[key] = terms.get(key, 0) + ca * cb * m
+    return AlgebraElement(x.n, x.r, terms)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements at n <= 3, r <= 3; most of their term pairs do not compose."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    terms = st.dictionaries(st.sampled_from(enumerate_weight_matrices(n, r)),
+                            st.integers(-3, 3), max_size=8)
+    return AlgebraElement(n, r, draw(terms)), AlgebraElement(n, r, draw(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pairs())
+def test_products_match_the_double_loop_over_all_term_pairs(pair):
+    x, y = pair
+    assert x * y == reference_product(x, y)
+
+
+def test_a_pair_that_cannot_compose_adds_no_cache_entry():
+    omega, pi = ((2, 0), (0, 1)), ((1, 0), (1, 1))  # column sums (2, 1), row sums (1, 2)
+    before = structure_constants.cache_info()
+    assert structure_constants(omega, pi) == ()
+    assert structure_constants.cache_info() == before
+
+
+def test_all_basis_products_at_3_3_cache_only_the_composable_pairs():
+    mats = enumerate_weight_matrices(3, 3)
+    composable = sum(matrix_marginal(omega, 1) == matrix_marginal(pi, 2)
+                     for omega in mats for pi in mats)
+    assert (len(mats), composable) == (165, 2973)
+    structure_constants.cache_clear()
+    for omega in mats:
+        for pi in mats:
+            multiply_basis(omega, pi)
+    assert structure_constants.cache_info().currsize == composable
+
+
 def test_products_sharing_a_key_share_one_key_object():
     mats = enumerate_weight_matrices(3, 3)
     seen = {}
@@ -225,6 +267,21 @@ def test_unit_laws_exhaustive():
                 right = multiply(x, e)
                 assert left == (x if matrix_marginal(om, 2) == lam else zero(n, r))
                 assert right == (x if matrix_marginal(om, 1) == lam else zero(n, r))
+
+
+def transpose_involution(x):
+    """The anti-automorphism transposing every basis key."""
+    return AlgebraElement(x.n, x.r, {transpose_matrix(k): c for k, c in x.terms.items()})
+
+
+def is_borel_element(x):
+    """True when every key is upper triangular."""
+    return all(is_upper_triangular(k) for k in x.terms)
+
+
+def is_ideal_element(x, s):
+    """True when every key is upper triangular of filtration degree >= s."""
+    return all(is_upper_triangular(k) and filtration_degree(k) >= s for k in x.terms)
 
 
 def test_transpose_involution():
