@@ -7,17 +7,18 @@ monomial functionals.
 """
 
 from schurres import (
+    basis_element,
     compose,
     decode,
     endo_of_basis,
     enumerate_weight_matrices,
     format_element,
     green_convolution,
-    idempotent,
     identity,
     multiply,
     multiply_basis,
 )
+from schurres.combinatorics import diagonal_matrix
 
 n = r = 2
 print(f"S({n},{r}) has basis indexed by {len(enumerate_weight_matrices(n, r))} "
@@ -41,7 +42,7 @@ print("   ", format_element(conv), "(agrees:", conv == product, ")")
 print("\nDiagonal idempotents decompose the identity:")
 one = identity(2, 2)
 print("    identity =", format_element(one))
-e1, e2 = idempotent((2, 0)), idempotent((1, 1))
+e1, e2 = (basis_element(diagonal_matrix(lam)) for lam in ((2, 0), (1, 1)))
 print("    orthogonality:", format_element(multiply(e1, e2)))
 
 print("\nExhaustive triangulation over all basis pairs of S(2,2):")

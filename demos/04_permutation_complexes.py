@@ -11,7 +11,6 @@ from schurres import (
     build_bh_complex,
     compare_with_schur_functor,
     enumerate_partitions,
-    matrix_of_tableau,
     smith_normal_form,
     standard_tableau_count,
     tableau_hom,
@@ -19,7 +18,7 @@ from schurres import (
 )
 
 print("the homomorphism attached to the one-row tableau 1 2 collapses the")
-print("two tableaux of column shape:", tableau_hom(matrix_of_tableau(((1, 2), ()))).rows, "\n")
+print("two tableaux of column shape:", tableau_hom(((1, 1), (0, 0))).rows, "\n")
 
 r = 4
 for lam in enumerate_partitions(r, r):

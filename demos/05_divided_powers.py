@@ -11,6 +11,7 @@ by the matrix's image in the algebra, which this script checks on full bases.
 import random
 
 from schurres import (
+    AlgebraElement,
     basis_element,
     divided_basis,
     divided_power_of_vector,
@@ -19,7 +20,6 @@ from schurres import (
     gl_action,
     multiply,
     tensor_power_action,
-    to_algebra_element,
     verify_equivariance,
 )
 
@@ -34,14 +34,14 @@ rho = tensor_power_action(g, sum(lam))
 print(f"\nthe shear {g} acting on the monomial basis of degree {lam}:")
 for pi in divided_basis(lam):
     image = gl_action(g, pi)
-    assert to_algebra_element(image, 2, 2) == multiply(rho, basis_element(pi))
+    assert AlgebraElement(2, 2, image) == multiply(rho, basis_element(pi))
     print(f"    {pi} -> {image}")
 
 print("\nthe image of the shear in the algebra:")
 print("   ", format_element(rho))
 
 pi = ((2, 0), (0, 0))
-lhs = to_algebra_element(gl_action(g, pi), 2, 2)
+lhs = AlgebraElement(2, 2, gl_action(g, pi))
 rhs = multiply(rho, basis_element(pi))
 print(f"\nact-then-identify  {format_element(lhs)}")
 print(f"identify-then-act  {format_element(rhs)}")

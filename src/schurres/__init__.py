@@ -13,13 +13,11 @@ from .combinatorics import (
     matrix_marginal,
     max_chain_length,
     pair_weight,
-    weight,
 )
 from .schur import (
     AlgebraElement,
     basis_element,
     format_element,
-    idempotent,
     identity,
     multiply,
     multiply_basis,
@@ -56,12 +54,10 @@ from .schurfunctor import (
     multilinear_weight,
     permutation_weight_matrix,
     truncated_resolution,
-    weight_matrix_permutation,
 )
 from .tableaux import (
     build_bh_complex,
     compare_with_schur_functor,
-    matrix_of_tableau,
     row_semistandard_tableaux,
     semistandard_tableau_count,
     standard_tableau_count,
@@ -73,7 +69,6 @@ from .dividedpowers import (
     divided_power_of_vector,
     divided_product,
     gl_action,
-    to_algebra_element,
     verify_equivariance,
 )
 

@@ -21,7 +21,6 @@ keeps serialized output reproducible byte for byte.
 """
 
 from functools import lru_cache
-from itertools import product as _product
 from math import comb
 
 
@@ -54,16 +53,6 @@ def multinomial(parts):
 
 # ---------------------------------------------------------------------------
 # weights and marginals
-
-def weight(u, n):
-    """Content of a multi-index: entry x counts positions equal to x."""
-    counts = [0] * n
-    for v in u:
-        if not 1 <= v <= n:
-            raise ValueError(f"multi-index entry {v} outside 1..{n}")
-        counts[v - 1] += 1
-    return tuple(counts)
-
 
 def pair_weight(i, j, n):
     """Weight matrix of a pair of multi-indices (position-by-position count)."""
@@ -134,12 +123,6 @@ def enumerate_compositions(n, r):
 @lru_cache(maxsize=None)
 def enumerate_partitions(n, r):
     return tuple(c for c in enumerate_compositions(n, r) if is_partition(c))
-
-
-@lru_cache(maxsize=None)
-def enumerate_multi_indices(n, r):
-    """All multi-indices; scan order is not part of the canonical contract."""
-    return tuple(_product(range(1, n + 1), repeat=r))
 
 
 @lru_cache(maxsize=None)

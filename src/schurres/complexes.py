@@ -5,12 +5,13 @@ A matrix is stored by columns: each column is a tuple of (row, value) pairs
 in increasing row order, holding no zero.  Differentials are very sparse, so
 every operation walks these pairs and never a dense cell grid; `rows` builds
 a dense view on request.  Every builder and operation (`from_entries`,
-`from_rows`, `identity`, `+`, `-`, `@`, `transpose`, `submatrix`) produces
-its columns as {row: value} dicts and hands them to `from_columns`, the one
-place that makes pair tuples; it makes one tuple per distinct pair of the
-matrix and shares it between the columns that hold it.  No code changes a
-built matrix or stores anything on it, so a cached matrix can be handed to
-every caller.  Entries are unbounded Python integers; shapes are explicit
+`identity`, `+`, `-`, `@`, `transpose`) produces its columns as {row: value}
+dicts and hands them to `from_columns`, the one place that makes pair
+tuples; it makes one tuple per distinct pair of the matrix and shares it
+between the columns that hold it.  A product's columns come from one
+generator, which `@` stores and `ChainComplex.check_complex` only tests.
+No code changes a built matrix or stores anything on it, so a cached matrix
+can be handed to every caller.  Entries are unbounded Python integers; shapes are explicit
 so rank-zero degrees serialize and multiply consistently.  A chain complex
 stores, per degree, an ordered tuple of basis labels and the differential
 into the degree below; optional homotopy matrices map one degree up.  It
@@ -85,17 +86,6 @@ class Matrix:
             cols[j][i] = v
         return cls.from_columns(nrows, cols)
 
-    @classmethod
-    def from_rows(cls, rows, ncols=None):
-        rows = [tuple(row) for row in rows]
-        if not rows and ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        width = len(rows[0]) if rows else ncols
-        if any(len(row) != width for row in rows) or ncols not in (None, width):
-            raise ValueError("matrix shape mismatch")
-        return cls.from_columns(len(rows), ({i: row[j] for i, row in enumerate(rows)}
-                                            for j in range(width)))
-
     @property
     def rows(self):
         """Dense read-only view: a fresh tuple of row tuples."""
@@ -131,16 +121,7 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
-        left = self.columns
-
-        def products():
-            for col in other.columns:
-                acc = {}
-                for k, v in col:
-                    for i, a in left[k]:
-                        acc[i] = acc.get(i, 0) + a * v
-                yield acc
-        return Matrix.from_columns(self.nrows, products())
+        return Matrix.from_columns(self.nrows, _product_columns(self, other))
 
     def transpose(self):
         cols = [{} for _ in range(self.nrows)]
@@ -148,23 +129,6 @@ class Matrix:
             for i, v in col:
                 cols[i][j] = v
         return Matrix.from_columns(self.ncols, cols)
-
-    def submatrix(self, row_idx, col_idx):
-        """Rows row_idx and columns col_idx, in the order given; an index
-        outside the shape raises ValueError."""
-        if not all(0 <= i < self.nrows for i in row_idx):
-            raise ValueError("row index outside the matrix")
-        if not all(0 <= j < self.ncols for j in col_idx):
-            raise ValueError("column index outside the matrix")
-        where = {}
-        for new, old in enumerate(row_idx):
-            where.setdefault(old, []).append(new)
-        return Matrix.from_columns(len(row_idx), ({new: v for i, v in self.columns[j]
-                                                   for new in where.get(i, ())}
-                                                  for j in col_idx))
-
-    def is_zero(self):
-        return not any(self.columns)
 
     def entries(self):
         """Nonzero entries as (row, col, value) triplets, yielded in
@@ -231,17 +195,21 @@ class ChainComplex:
         stops at the first column that holds a nonzero entry.
         """
         for k in range(self.lo + 2, self.hi + 1):
-            left = self.differential(k - 1).columns
-            for col in self.differential(k).columns:
-                acc = {}
-                for j, v in col:
-                    for i, a in left[j]:
-                        acc[i] = acc.get(i, 0) + a * v
-                if any(acc.values()):
-                    raise ValueError(f"d o d != 0 between degrees {k} and {k - 2}")
+            columns = _product_columns(self.differential(k - 1), self.differential(k))
+            if any(any(col.values()) for col in columns):
+                raise ValueError(f"d o d != 0 between degrees {k} and {k - 2}")
 
-    def euler_characteristic(self):
-        return sum((1 if k % 2 == 0 else -1) * self.rank(k) for k in self.degrees())
+
+def _product_columns(left, right):
+    """The columns of left @ right as {row: value} dicts, which may hold
+    zeros, one at a time."""
+    left = left.columns
+    for col in right.columns:
+        acc = {}
+        for k, v in col:
+            for i, a in left[k]:
+                acc[i] = acc.get(i, 0) + a * v
+        yield acc
 
 
 def bases(basis_of_degree):

@@ -111,11 +111,6 @@ def matmul(g, h):
 # ---------------------------------------------------------------------------
 # identification with principal modules
 
-def to_algebra_element(x, n, r):
-    """Linear extension of monomial -> basis element of the same matrix."""
-    return AlgebraElement(n, r, dict(x))
-
-
 def verify_equivariance(lam, g):
     """Check, on the whole monomial basis, that acting then identifying
     agrees with identifying then multiplying by the matrix's algebra image.
@@ -127,7 +122,7 @@ def verify_equivariance(lam, g):
     rho = tensor_power_action(g, r)
     failures = []
     for pi in divided_basis(lam):
-        lhs = to_algebra_element(gl_action(g, pi), n, r)
+        lhs = AlgebraElement(n, r, gl_action(g, pi))
         rhs = multiply(rho, basis_element(pi))
         if lhs != rhs:
             failures.append(pi)

@@ -21,12 +21,12 @@ override with the SCHURRES_ORACLE_LIMIT environment variable).
 
 import os
 from functools import lru_cache
-from math import factorial
 
 from .combinatorics import (
     enumerate_weight_matrices,
     flatten,
     matrix_marginal,
+    multinomial,
     pair_weight,
 )
 from .schur import AlgebraElement, identity
@@ -108,14 +108,6 @@ def orbit(omega):
     return tuple(out)
 
 
-def orbit_size(omega):
-    entries = flatten(omega)
-    size = factorial(sum(entries))
-    for v in entries:
-        size //= factorial(v)
-    return size
-
-
 def endo_of_basis(omega):
     """The basis element as a sum of matrix units over its orbit."""
     n = len(omega)
@@ -149,7 +141,7 @@ def decode(f):
         grouped.setdefault(pair_weight(i, j, f.n), []).append(c)
     terms = {}
     for omega, coeffs in grouped.items():
-        if len(coeffs) != orbit_size(omega) or len(set(coeffs)) != 1:
+        if len(coeffs) != multinomial(flatten(omega)) or len(set(coeffs)) != 1:
             raise ValueError("endomorphism is not symmetric-group invariant")
         terms[omega] = coeffs[0]
     return AlgebraElement(f.n, f.r, terms)

@@ -213,11 +213,6 @@ def multiply(x, y):
     return x * y
 
 
-def idempotent(lam):
-    """The diagonal idempotent attached to a composition."""
-    return basis_element(diagonal_matrix(tuple(lam)))
-
-
 def identity(n, r):
     """Sum of all diagonal idempotents; the unit of the algebra."""
     terms = {diagonal_matrix(lam): 1 for lam in enumerate_compositions(n, r)}

@@ -16,7 +16,6 @@ compose right factor first.
 from itertools import permutations as _permutations
 
 from .barcomplex import build_weyl_resolution
-from .combinatorics import matrix_marginal
 
 
 def multilinear_weight(n, r):
@@ -46,22 +45,6 @@ def permutation_weight_matrix(sigma, n):
     for t in range(r):
         m[sigma[t] - 1][t] = 1
     return tuple(tuple(row) for row in m)
-
-
-def weight_matrix_permutation(omega):
-    """Inverse of permutation_weight_matrix; both marginals must be
-    multilinear."""
-    n = len(omega)
-    col = matrix_marginal(omega, 1)
-    row = matrix_marginal(omega, 2)
-    r = sum(col)
-    delta = multilinear_weight(n, r) if n >= r else None
-    if delta is None or col != delta or row != delta:
-        raise ValueError("marginals are not the multilinear weight")
-    images = []
-    for t in range(r):
-        images.append(next(s + 1 for s in range(n) if omega[s][t] == 1))
-    return tuple(images)
 
 
 def truncated_resolution(lam):

@@ -70,29 +70,11 @@ from .schurfunctor import multilinear_weight, truncated_resolution
 # ---------------------------------------------------------------------------
 # tableaux and the matrix correspondence
 
-def is_row_semistandard(tab):
-    return all(all(row[i] <= row[i + 1] for i in range(len(row) - 1)) for row in tab)
-
-
 def tableau_of_matrix(omega):
     """Row s lists t repeated omega[s][t] times, increasing in t."""
     n = len(omega)
     return tuple(tuple(t + 1 for t in range(n) for _ in range(omega[s][t]))
                  for s in range(n))
-
-
-def matrix_of_tableau(tab):
-    """Inverse correspondence; requires a row-semistandard filling."""
-    if not is_row_semistandard(tab):
-        raise ValueError("tableau is not row semistandard")
-    n = len(tab)
-    m = [[0] * n for _ in range(n)]
-    for s, row in enumerate(tab):
-        for v in row:
-            if not 1 <= v <= n:
-                raise ValueError(f"tableau entry {v} outside 1..{n}")
-            m[s][v - 1] += 1
-    return tuple(tuple(row) for row in m)
 
 
 def row_semistandard_tableaux(lam, mu):
@@ -120,12 +102,6 @@ def canonical_tableau(shape):
         rows.append(tuple(range(start, start + length)))
         start += length
     return tuple(rows)
-
-
-def act(sigma, tab):
-    """Symmetric-group action on multilinear tableaux: relabel entries by
-    sigma, then re-sort every row."""
-    return tuple(tuple(sorted(sigma[v - 1] for v in row)) for row in tab)
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +170,23 @@ def _intersection_profile(tab, blocks):
     return tuple(tuple(row) for row in m)
 
 
-def expand_in_tableau_basis(mat, target_shape, source_shape):
-    """Write an equivariant map between permutation modules as a combination
-    of tableau homomorphisms.
-
-    Reads the matrix's column at the canonical tableau of the source shape,
-    which is column 0, and expands it with `expand_canonical_column`.
-    Returns {weight matrix of the tableau: coefficient}.
-    """
-    column = [0] * mat.nrows
-    for i, v in mat.columns[0]:
-        column[i] = v
-    return expand_canonical_column(column, target_shape, source_shape)
-
-
 def expand_canonical_column(column, target_shape, source_shape):
-    """Expand an equivariant map from its image of the canonical tableau.
+    """Write an equivariant map between permutation modules as a combination
+    of tableau homomorphisms, from its image of the canonical tableau.
 
-    `column` lists that image's coefficients on the multilinear tableaux of
-    the target shape.  They are grouped by their intersection profile with
+    `column` is that image, the map's column 0, as the (row, value) pairs of
+    a `Matrix` column over the multilinear tableaux of the target shape.
+    The coefficients are grouped by the tableaux's intersection profile with
     the rows of the canonical tableau of the source shape; equivariance
     forces each profile class to carry one coefficient, which is asserted.
     Returns {weight matrix of the tableau: coefficient}.
     """
-    codomain = multilinear_tableaux(target_shape)
     blocks = canonical_tableau(source_shape)
+    values = dict(column)
     by_profile = {}
-    for image_tab, c in zip(codomain, column, strict=True):
+    for i, image_tab in enumerate(multilinear_tableaux(target_shape)):
         profile = _intersection_profile(image_tab, blocks)
-        by_profile.setdefault(profile, []).append(c)
+        by_profile.setdefault(profile, []).append(values.get(i, 0))
     out = {}
     for profile, coeffs in by_profile.items():
         if len(set(coeffs)) != 1:
@@ -239,13 +203,10 @@ def _composition_at_canonical_column(left, right):
     Only the product's column at the canonical tableau of the source shape
     is formed: hom(left) applied to column 0 of hom(right).
     """
-    source_shape = matrix_marginal(right, 1)
-    left_hom = tableau_hom(left)
-    column = [0] * left_hom.nrows
-    for k, v in tableau_hom(right).columns[0]:
-        for i, a in left_hom.columns[k]:
-            column[i] += a * v
-    return expand_canonical_column(column, matrix_marginal(left, 2), source_shape)
+    right_hom = tableau_hom(right)
+    product = tableau_hom(left) @ Matrix(right_hom.nrows, 1, right_hom.columns[:1])
+    return expand_canonical_column(product.columns[0], matrix_marginal(left, 2),
+                                   matrix_marginal(right, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from schurres.homology import HomologyGroup, homology, homology_groups, verify_e
 from schurres.schurfunctor import multilinear_weight
 from schurres.tableaux import semistandard_tableau_count
 
+from dense import euler_characteristic, submatrix
+
 D20 = ((2, 0), (0, 0))
 U11 = ((1, 1), (0, 0))
 D11 = ((1, 0), (0, 1))
@@ -98,7 +100,7 @@ def test_block_differential_is_a_submatrix_of_the_full_one():
             position = [{tup: i for i, tup in enumerate(full[j])} for j in (k - 1, k)]
             for block in blocks.values():
                 rows, cols = ([position[j][tup] for tup in block[k - 1 + j]] for j in (0, 1))
-                assert differential(block[k], block[k - 1]) == full_d.submatrix(rows, cols)
+                assert differential(block[k], block[k - 1]) == submatrix(full_d, rows, cols)
 
 
 def test_weyl_block_resolution():
@@ -178,7 +180,7 @@ def test_differential_squares_to_zero():
             diffs = [differential(basis[k], basis[k - 1])
                      for k in range(1, len(basis)) if basis[k]]
             for prev, cur in zip(diffs, diffs[1:]):
-                assert (prev @ cur).is_zero()
+                assert not any((prev @ cur).columns)
 
 
 def test_empty_degree_gives_empty_matrix():
@@ -207,7 +209,7 @@ def test_borel_resolution_small():
     cx = build_borel_resolution((1, 1))
     assert [cx.rank(k) for k in cx.degrees()] == [1, 2, 1]
     assert verify_exactness(cx).ok
-    assert cx.euler_characteristic() == 0
+    assert euler_characteristic(cx) == 0
 
 
 def test_borel_homotopy_identities():
@@ -227,7 +229,7 @@ def test_weyl_resolution_small():
     assert homology(cx, 1).is_trivial
     h0 = homology(cx, 0)
     assert h0.free_rank == 1 and h0.is_free
-    assert cx.euler_characteristic() == h0.free_rank
+    assert euler_characteristic(cx) == h0.free_rank
 
 
 def test_top_composition_has_length_zero():
@@ -256,7 +258,7 @@ def test_weyl_h0_matches_tableau_count():
         h0 = homology(cx, 0)
         assert h0.is_free
         assert h0.free_rank == semistandard_tableau_count(lam, 2)
-        assert cx.euler_characteristic() == h0.free_rank
+        assert euler_characteristic(cx) == h0.free_rank
 
 
 def test_mod_p_exactness_small():

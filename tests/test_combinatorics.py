@@ -8,7 +8,6 @@ from schurres.combinatorics import (
     dominates,
     enumerate_compositions,
     enumerate_dominance_chains,
-    enumerate_multi_indices,
     enumerate_partitions,
     enumerate_weight_matrices,
     filtration_degree,
@@ -19,11 +18,16 @@ from schurres.combinatorics import (
     max_chain_length,
     multinomial,
     pair_weight,
-    weight,
 )
 from math import comb
 
-from weight_tensors import enumerate_weight_tensors, tensor_marginal, triple_weight
+from weight_tensors import (
+    enumerate_multi_indices,
+    enumerate_weight_tensors,
+    tensor_marginal,
+    triple_weight,
+    weight,
+)
 
 
 def brute_matrices(n, r):

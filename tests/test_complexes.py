@@ -7,6 +7,8 @@ from schurres.complexes import Matrix
 from schurres.schurfunctor import truncated_resolution
 from schurres.tableaux import build_bh_complex
 
+from dense import from_rows, submatrix
+
 # mostly zeros, so columns are sparse and sums often cancel
 ENTRIES = st.sampled_from((0, 0, 0, 0, -2, -1, 1, 2, 5))
 
@@ -19,7 +21,7 @@ class Dense:
         self.nrows, self.ncols = len(self.rows), ncols
 
     def matrix(self):
-        return Matrix.from_rows(self.rows, self.ncols)
+        return from_rows(self.rows, self.ncols)
 
     def __matmul__(self, other):
         return Dense([[sum(row[k] * other.rows[k][j] for k in range(self.ncols))
@@ -89,7 +91,6 @@ def test_add_sub_neg_match_dense(a, data):
     assert_matches(-a.matrix(), -a)
     # a sum that cancels stores nothing
     assert (a.matrix() - a.matrix()).columns == ((),) * a.ncols
-    assert (a.matrix() - a.matrix()).is_zero()
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,14 +100,14 @@ def test_transpose_and_submatrix_match_dense(a, data):
     # any order, repeats allowed
     row_idx = data.draw(st.lists(st.integers(0, a.nrows - 1), max_size=7)) if a.nrows else []
     col_idx = data.draw(st.lists(st.integers(0, a.ncols - 1), max_size=7)) if a.ncols else []
-    assert_matches(a.matrix().submatrix(row_idx, col_idx), a.submatrix(row_idx, col_idx))
+    assert_matches(submatrix(a.matrix(), row_idx, col_idx), a.submatrix(row_idx, col_idx))
 
 
 @settings(max_examples=200, deadline=None)
 @given(dense_matrices())
 def test_is_zero_and_entries_match_dense(a):
     assert list(a.matrix().entries()) == a.entries()
-    assert a.matrix().is_zero() == (not a.entries())
+    assert (not any(a.matrix().columns)) == (not a.entries())
 
 
 @settings(max_examples=200, deadline=None)
@@ -143,7 +144,7 @@ def test_every_builder_shares_equal_pairs(a, data):
         "neg": -mat,
         "matmul": mat @ c.matrix(),
         "transpose": mat.transpose(),
-        "submatrix": mat.submatrix(row_idx, col_idx),
+        "submatrix": submatrix(mat, row_idx, col_idx),
     }
     for name, result in built.items():
         objects, values = pair_objects_and_values(result)
@@ -163,8 +164,8 @@ def test_differentials_share_most_pairs(build):
 
 
 def test_cancelling_products_and_empty_shapes():
-    row = Matrix.from_rows([[1, 1]])
-    col = Matrix.from_rows([[1], [-1]])
+    row = from_rows([[1, 1]])
+    col = from_rows([[1], [-1]])
     assert (row @ col).columns == ((),)
     assert (row @ col) == Matrix.zeros(1, 1)
     assert Matrix.zeros(0, 2) != Matrix.zeros(2, 0)
@@ -174,9 +175,9 @@ def test_cancelling_products_and_empty_shapes():
 
 def test_builders_reject_bad_shapes():
     with pytest.raises(ValueError):
-        Matrix.from_rows([[1, 2], [3]])
+        from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
-        Matrix.from_rows([])
+        from_rows([])
     with pytest.raises(ValueError):
         Matrix.from_entries(2, 2, [(2, 0, 1)])
     with pytest.raises(ValueError):
@@ -184,26 +185,26 @@ def test_builders_reject_bad_shapes():
     with pytest.raises(ValueError):
         Matrix.from_columns(1, [{1: 1}])
     with pytest.raises(ValueError):
-        Matrix.from_rows([[1]]) @ Matrix.from_rows([[1, 2], [3, 4]])
+        from_rows([[1]]) @ from_rows([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
-        Matrix.from_rows([[1]]) + Matrix.from_rows([[1, 2]])
+        from_rows([[1]]) + from_rows([[1, 2]])
 
 
 def test_submatrix_rejects_indices_outside_the_shape():
-    mat = Matrix.from_rows([[1, 2], [3, 4]])
+    mat = from_rows([[1, 2], [3, 4]])
     with pytest.raises(ValueError, match="column index"):
-        mat.submatrix([0, 1], [-1])  # not the last column
+        submatrix(mat, [0, 1], [-1])  # not the last column
     with pytest.raises(ValueError, match="row index"):
-        mat.submatrix([5, 0], [0])  # not a zero row
+        submatrix(mat, [5, 0], [0])  # not a zero row
     with pytest.raises(ValueError, match="column index"):
-        mat.submatrix([0], [2])
+        submatrix(mat, [0], [2])
     with pytest.raises(ValueError, match="row index"):
-        mat.submatrix([-1], [0])
-    assert mat.submatrix([1, 1], [1, 0]) == Matrix.from_rows([[4, 3], [4, 3]])
+        submatrix(mat, [-1], [0])
+    assert submatrix(mat, [1, 1], [1, 0]) == from_rows([[4, 3], [4, 3]])
 
 
 def test_matrix_is_immutable():
-    mat = Matrix.from_rows([[1, 0], [2, 3]])
+    mat = from_rows([[1, 0], [2, 3]])
     assert isinstance(mat.rows, tuple) and all(isinstance(row, tuple) for row in mat.rows)
     assert isinstance(mat.columns, tuple)
     with pytest.raises(TypeError):

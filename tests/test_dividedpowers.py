@@ -16,11 +16,10 @@ from schurres.dividedpowers import (
     divided_product,
     gl_action,
     matmul,
-    to_algebra_element,
     verify_equivariance,
 )
 from schurres.oracles import monomial_eval, tensor_power_action
-from schurres.schur import basis_element, multiply, structure_constants, zero
+from schurres.schur import AlgebraElement, basis_element, multiply, structure_constants, zero
 
 
 def random_matrix(rng, n, lo=-3, hi=3):
@@ -193,7 +192,7 @@ def test_equivariance_examples():
     # second generator over three monomials
     g = ((1, 1), (0, 1))
     pi = ((0, 0), (2, 0))
-    lhs = to_algebra_element(gl_action(g, pi), 2, 2)
+    lhs = AlgebraElement(2, 2, gl_action(g, pi))
     rhs = multiply(tensor_power_action(g, 2), basis_element(pi))
     assert len(lhs.terms) == 3 and lhs == rhs
 
@@ -212,8 +211,12 @@ def test_equivariance_on_full_bases_small():
             assert ok
 
 
-def test_to_algebra_element():
-    x = to_algebra_element({((1, 0), (0, 1)): 2}, 2, 2)
+def test_monomials_identify_with_basis_elements_of_the_same_matrix():
+    # verify_equivariance reads an action's {matrix: coefficient} result as
+    # an algebra element; the element copies the terms and drops zeros
+    monomials = {((1, 0), (0, 1)): 2, ((2, 0), (0, 0)): 0}
+    x = AlgebraElement(2, 2, monomials)
+    monomials[((1, 0), (0, 1))] = 5
     assert x == 2 * basis_element(((1, 0), (0, 1)))
-    assert not to_algebra_element({}, 2, 2)
-    assert to_algebra_element({}, 2, 2) == zero(2, 2)
+    assert not AlgebraElement(2, 2, {})
+    assert AlgebraElement(2, 2, {}) == zero(2, 2)

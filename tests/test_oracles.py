@@ -6,10 +6,11 @@ import pytest
 
 from schurres.combinatorics import (
     diagonal_matrix,
-    enumerate_multi_indices,
     enumerate_weight_matrices,
+    flatten,
     is_upper_triangular,
     matrix_marginal,
+    multinomial,
     pair_weight,
 )
 from schurres.oracles import (
@@ -20,11 +21,12 @@ from schurres.oracles import (
     green_convolution,
     monomial_eval,
     orbit,
-    orbit_size,
     tensor_power_action,
 )
 from schurres.schur import AlgebraElement, basis_element, identity, multiply, multiply_basis
 from schurres.dividedpowers import matmul
+
+from weight_tensors import enumerate_multi_indices
 
 
 def tensor_action_endo(g, r):
@@ -45,7 +47,7 @@ def tensor_action_endo(g, r):
 
 def basis_unit_count(n, r):
     """Total matrix units across all basis orbits; equals n**(2*r)."""
-    return sum(orbit_size(omega) for omega in enumerate_weight_matrices(n, r))
+    return sum(multinomial(flatten(omega)) for omega in enumerate_weight_matrices(n, r))
 
 
 def test_endo_of_basis_examples():
@@ -72,7 +74,7 @@ def test_orbit_is_an_immutable_tuple_of_the_orbit_size():
                 pairs = orbit(om)
                 assert isinstance(pairs, tuple)
                 assert all(isinstance(pair, tuple) for pair in pairs)
-                assert len(pairs) == len(set(pairs)) == orbit_size(om)
+                assert len(pairs) == len(set(pairs)) == multinomial(flatten(om))
                 assert all(pair_weight(i, j, n) == om for i, j in pairs)
 
 

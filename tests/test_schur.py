@@ -20,7 +20,6 @@ from schurres.schur import (
     _slice_table,
     basis_element,
     format_element,
-    idempotent,
     identity,
     multiply,
     multiply_basis,
@@ -34,6 +33,11 @@ from weight_tensors import (
     tensor_multiplicity,
     triple_weight,
 )
+
+
+def idempotent(lam):
+    """The diagonal idempotent attached to a composition."""
+    return basis_element(diagonal_matrix(tuple(lam)))
 
 
 def test_tensor_multiplicity_examples():

@@ -9,8 +9,8 @@ from schurres.schurfunctor import (
     multilinear_weight,
     permutation_weight_matrix,
     truncated_resolution,
-    weight_matrix_permutation,
 )
+from tableau_maps import weight_matrix_permutation
 from weight_tensors import enumerate_weight_tensors, tensor_multiplicity
 
 

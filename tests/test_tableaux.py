@@ -24,17 +24,13 @@ from schurres.schurfunctor import (
     compose_permutations,
     multilinear_weight,
     permutation_weight_matrix,
-    weight_matrix_permutation,
 )
 from schurres.tableaux import (
     ComparisonReport,
-    act,
     build_bh_complex,
     canonical_tableau,
     compare_with_schur_functor,
-    expand_in_tableau_basis,
-    is_row_semistandard,
-    matrix_of_tableau,
+    expand_canonical_column,
     multilinear_tableaux,
     row_semistandard_tableaux,
     semistandard_tableau_count,
@@ -42,6 +38,9 @@ from schurres.tableaux import (
     tableau_hom,
     tableau_of_matrix,
 )
+
+from dense import from_rows
+from tableau_maps import act, is_row_semistandard, matrix_of_tableau, weight_matrix_permutation
 
 
 def hooks(rows):
@@ -198,8 +197,8 @@ def test_composition_matches_structure_constants():
                 if matrix_marginal(om, 1) != matrix_marginal(pi, 2):
                     continue
                 product = hom_left @ tableau_hom(pi)
-                expansion = expand_in_tableau_basis(
-                    product, matrix_marginal(om, 2), matrix_marginal(pi, 1))
+                expansion = expand_canonical_column(
+                    product.columns[0], matrix_marginal(om, 2), matrix_marginal(pi, 1))
                 assert expansion == dict(structure_constants(om, pi))
 
 
@@ -208,7 +207,7 @@ def test_expand_detects_non_equivariant():
     # map hitting only one of them cannot be equivariant
     bad = Matrix.from_entries(2, 1, [(0, 0, 1)])
     with pytest.raises(ValueError):
-        expand_in_tableau_basis(bad, (1, 1), (2, 0))
+        expand_canonical_column(bad.columns[0], (1, 1), (2, 0))
 
 
 def reference_bh_differential(labels_k, labels_km1, k):
@@ -231,14 +230,14 @@ def reference_bh_differential(labels_k, labels_km1, k):
             sign = -1 if t % 2 else 1
             left, right = homs[t - 1], homs[t]
             product_matrix = tableau_hom(left) @ tableau_hom(right)
-            expansion = expand_in_tableau_basis(
-                product_matrix, matrix_marginal(left, 2), matrix_marginal(right, 1))
+            expansion = expand_canonical_column(
+                product_matrix.columns[0], matrix_marginal(left, 2), matrix_marginal(right, 1))
             for omega, c in expansion.items():
                 if not is_upper_triangular(omega):
                     raise ValueError("composition left the upper-triangular span")
                 target = (functional,) + homs[:t - 1] + (omega,) + homs[t + 1:]
                 mat[index[target]][col] += sign * c
-    return Matrix.from_rows(mat, len(labels_k))
+    return from_rows(mat, len(labels_k))
 
 
 def adjacent_pairs(cx):
@@ -265,8 +264,8 @@ def test_canonical_column_expansion_matches_the_full_product():
             for pi in mats:
                 if matrix_marginal(om, 1) != matrix_marginal(pi, 2):
                     continue
-                full = expand_in_tableau_basis(
-                    tableau_hom(om) @ tableau_hom(pi),
+                full = expand_canonical_column(
+                    (tableau_hom(om) @ tableau_hom(pi)).columns[0],
                     matrix_marginal(om, 2), matrix_marginal(pi, 1))
                 assert tableaux._composition_at_canonical_column(om, pi) == full
 
@@ -542,8 +541,8 @@ def test_compare_detects_a_non_bijective_relabelling():
     for fb_row, bh_row in zip(fb_rows, bh_rows):
         fb_row[1] = fb_row[0]
         bh_row[lost] = 0
-    fb_d = Matrix.from_rows(fb_rows)
-    bh_d = Matrix.from_rows(bh_rows)
+    fb_d = from_rows(fb_rows)
+    bh_d = from_rows(bh_rows)
     fb_hacked = ChainComplex({**fb.labels, top: tuple(labels)},
                              {**fb.differentials, top: fb_d})
     bh_hacked = ChainComplex(bh.labels, {**bh.differentials, top: bh_d})

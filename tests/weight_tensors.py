@@ -1,14 +1,17 @@
-"""The weight-tensor route to the Schur-algebra product, kept as a test oracle.
+"""Multi-indices and the weight-tensor route to the Schur-algebra product,
+kept as test oracles.
 
-A weight tensor is an n x n x n nested tuple indexed [s][t][q]; marginal
-axes 1, 2, 3 sum out s, t and q respectively.  The product of the basis
-elements of omega and pi sums, over the tensors with axis-3 marginal omega
-and axis-1 marginal pi, the tensor's multiplicity times the basis element of
-its axis-2 marginal.  `reference_structure_constants` is the former
+A multi-index is a tuple of length r with entries in 1..n; its weight
+counts the positions holding each value.  A weight tensor is an n x n x n
+nested tuple indexed [s][t][q]; marginal axes 1, 2, 3 sum out s, t and q
+respectively.  The product of the basis elements of omega and pi sums, over
+the tensors with axis-3 marginal omega and axis-1 marginal pi, the tensor's
+multiplicity times the basis element of its axis-2 marginal.  `reference_structure_constants` is the former
 `schur.structure_constants` body, a Cartesian product over all middle-index
 slices, which the slice-by-slice fold replaced.
 """
 
+from functools import lru_cache
 from itertools import product as _product
 
 from schurres.combinatorics import (
@@ -17,6 +20,22 @@ from schurres.combinatorics import (
     matrix_marginal,
     multinomial,
 )
+
+
+@lru_cache(maxsize=None)
+def enumerate_multi_indices(n, r):
+    """All multi-indices; scan order is not part of the canonical contract."""
+    return tuple(_product(range(1, n + 1), repeat=r))
+
+
+def weight(u, n):
+    """Content of a multi-index: entry x counts positions equal to x."""
+    counts = [0] * n
+    for v in u:
+        if not 1 <= v <= n:
+            raise ValueError(f"multi-index entry {v} outside 1..{n}")
+        counts[v - 1] += 1
+    return tuple(counts)
 
 
 def triple_weight(i, j, k, n):
