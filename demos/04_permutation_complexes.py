@@ -3,7 +3,8 @@ co-Specht modules.
 
 Truncating the induced resolution by the multilinear idempotent lands in
 symmetric-group territory; the result coincides, matrix by matrix, with the
-Boltje-Hartmann complex built purely out of tableaux.  The degree-0
+Boltje-Hartmann complex, built from homomorphisms between permutation
+modules whose bases are words, never from structure constants.  The degree-0
 cokernel is the co-Specht module, free of standard-tableau rank.
 """
 

@@ -52,17 +52,14 @@ from .barcomplex import (
 )
 from .schurfunctor import (
     multilinear_weight,
-    permutation_weight_matrix,
     truncated_resolution,
 )
 from .tableaux import (
     build_bh_complex,
     compare_with_schur_functor,
-    row_semistandard_tableaux,
     semistandard_tableau_count,
     standard_tableau_count,
     tableau_hom,
-    tableau_of_matrix,
 )
 from .dividedpowers import (
     divided_basis,

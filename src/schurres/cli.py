@@ -29,6 +29,7 @@ from .combinatorics import (
     is_partition,
     is_upper_triangular,
     max_chain_length,
+    pair_weight,
 )
 from .complexes import ChainComplex, Matrix
 from .homology import (
@@ -54,7 +55,6 @@ from .schur import (
 from .schurfunctor import (
     all_permutations,
     compose_permutations,
-    permutation_weight_matrix,
     truncated_resolution,
 )
 from .tableaux import (
@@ -429,11 +429,14 @@ def _check_filtration(n, r, lams, corrupt):
 
 
 def _check_embedding(n, r, lams, corrupt):
+    # a permutation sigma is the basis element of the 0/1 weight matrix
+    # pair_weight(sigma, identity, n), with entry (s, t) = 1 when s = sigma(t)
+    identity = tuple(range(1, r + 1))
     for sigma in all_permutations(r):
-        ws = permutation_weight_matrix(sigma, n)
+        ws = pair_weight(sigma, identity, n)
         for tau in all_permutations(r):
-            expected = permutation_weight_matrix(compose_permutations(sigma, tau), n)
-            terms = structure_constants(ws, permutation_weight_matrix(tau, n))
+            expected = pair_weight(compose_permutations(sigma, tau), identity, n)
+            terms = structure_constants(ws, pair_weight(tau, identity, n))
             if terms != ((expected, 1),):
                 yield {"check": "embedding", "sigma": list(sigma), "tau": list(tau)}
 
@@ -501,7 +504,11 @@ def cmd_verify(args):
         raise ValueError(f"--checks {args.checks} names a check more than once")
     # exactness over F_p follows from the groups over Z (universal
     # coefficients), so the primes are only validated
-    for p in map(int, args.mod.split(",") if args.mod else ()):
+    try:
+        primes = [int(p) for p in args.mod.split(",")] if args.mod else []
+    except ValueError:
+        raise ValueError(f"malformed --mod list {args.mod!r}")
+    for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     if args.all and args.lam:

@@ -5,7 +5,7 @@ A matrix is stored by columns: each column is a tuple of (row, value) pairs
 in increasing row order, holding no zero.  Differentials are very sparse, so
 every operation walks these pairs and never a dense cell grid; `rows` builds
 a dense view on request.  Every builder and operation (`from_entries`,
-`identity`, `+`, `-`, `@`, `transpose`) produces its columns as {row: value}
+`identity`, `+`, `@`, `transpose`) produces its columns as {row: value}
 dicts and hands them to `from_columns`, the one place that makes pair
 tuples; it makes one tuple per distinct pair of the matrix and shares it
 between the columns that hold it.  A product's columns come from one
@@ -110,13 +110,6 @@ class Matrix:
                 acc[i] = acc.get(i, 0) + v
             cols.append(acc)
         return Matrix.from_columns(self.nrows, cols)
-
-    def __neg__(self):
-        return Matrix.from_columns(self.nrows, ({i: -v for i, v in col}
-                                                for col in self.columns))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:

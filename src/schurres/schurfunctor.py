@@ -36,17 +36,6 @@ def all_permutations(r):
     return tuple(_permutations(range(1, r + 1)))
 
 
-def permutation_weight_matrix(sigma, n):
-    """0/1 weight matrix with entry (s, t) = 1 exactly when s = sigma(t)."""
-    r = len(sigma)
-    if n < r:
-        raise ValueError("matrix size must be at least the permutation degree")
-    m = [[0] * n for _ in range(n)]
-    for t in range(r):
-        m[sigma[t] - 1][t] = 1
-    return tuple(tuple(row) for row in m)
-
-
 def truncated_resolution(lam):
     """The truncated complex: the multilinear weight block of the induced
     resolution, delta = (1^r, 0^(n-r)) with n = len(lam).  Only tuples whose

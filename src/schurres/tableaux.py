@@ -1,38 +1,40 @@
-"""Row-semistandard tableaux, permutation-module homomorphisms, and the
-Boltje-Hartmann complex of a partition.
+"""Permutation-module homomorphisms and the Boltje-Hartmann complex of a
+partition.
 
-A tableau is a tuple of n rows (possibly empty) of positive integers; it is
-row semistandard when every row is weakly increasing.  Row-semistandard
-tableaux of shape lam and content mu biject with weight matrices whose row
-sums are lam and column sums mu: entry (s, t) counts the t's in row s.
-
-Tableaux of multilinear content (each of 1..r exactly once) index the
-permutation module of their shape.  The homomorphism attached to a tableau
-T of shape lam and content mu sends a multilinear tableau to the sum of
-those multilinear tableaux of shape lam whose row s picks exactly
-matrix(T)[s][t] entries out of row t of the argument; its matrix on the
-tableau bases is 0/1.
+The permutation module of a composition `shape` of r into n >= r parts has
+one basis element per word: a multi-index of length r whose letter v is the
+row (1..n) that holds v + 1.  Its basis is the weight matrices of
+`_functionals(shape)` (row sums shape, column sums the multilinear weight;
+entry (s, v) is 1 when row s holds v + 1), and `multilinear_words(shape)`
+reads the i-th word off the i-th of them, so a word and a functional of one
+index name one basis element.  A weight matrix omega with row sums lam and
+column sums mu names the homomorphism from the module of mu to that of lam
+whose matrix on the words has entry (g, f) equal to 1 exactly when
+`pair_weight(g, f, n) == omega`, and 0 otherwise: the image of f is the sum
+of the words that put omega[s][t] letters s + 1 on the positions where f
+has the letter t + 1.  It is the homomorphism attached to the
+row-semistandard tableau whose row s lists t + 1 omega[s][t] times.
 
 The complex of a partition has, in degree k, one tensor factor chain per
 strict dominance chain above the partition: a dual-basis functional on the
 first permutation module followed by k homomorphisms with upper-triangular
-matrices.  As in every complex, labels are weight matrices (a factor's
-tableau appears as its matrix); tableaux are used only inside the
-homomorphism kernel.  The bases and the alternating-sum differential come
-from `complexes.bases` and `complexes.alternating_differential`, as for the
-bar complexes; only the product is this module's own, and it never reads
-the weight-matrix structure constants, so the comparison with the
-idempotent-truncated resolution is a genuine two-route check.  At t = 0 the
-product precomposes the functional with the first homomorphism, whose
-matrix is read into rows once per build of a complex; at t >= 1 it composes
-adjacent homomorphisms and re-expands the composition over tableau
-homomorphisms by evaluating at the canonical (row-filling) tableau.  Basis
-tableaux come in descending order of their weight matrices, and the
-canonical tableau, which fills each row with the smallest entries left, is
-always the first of them, so its column is column 0.  Only that one column
-of a composition is formed (the left homomorphism applied to the right
-one's column 0), and each distinct adjacent pair is composed, checked and
-expanded once per build; the expansions live in a dict owned by that build.
+matrices.  As in every complex, labels are weight matrices.  The bases and
+the alternating-sum differential come from `complexes.bases` and
+`complexes.alternating_differential`, as for the bar complexes; only the
+product is this module's own, and it never reads the weight-matrix
+structure constants, so the comparison with the idempotent-truncated
+resolution is a genuine two-route check.  At t = 0 the product precomposes
+the functional with the first homomorphism, whose matrix is read into rows
+once per build of a complex (row i is functional i, by the construction of
+the words); at t >= 1 it composes adjacent homomorphisms and re-expands the
+composition from one of its columns.  An equivariant map is determined by
+its image of one source word f, and the target words g of one
+`pair_weight(g, f)` are one orbit of the stabiliser of f, so they carry one
+coefficient: the coefficient of the homomorphism of that weight matrix.
+This holds for every f, so the column read is column 0, the only one
+formed (the left homomorphism applied to the right one's column 0).  Each
+distinct adjacent pair is composed, checked and expanded once per build;
+the expansions live in a dict owned by that build.
 
 The comparison with the truncation relabels each truncation column through
 the basis bijection (a kept bar tuple names the label whose functional is
@@ -45,15 +47,15 @@ complex.
 
 Homomorphism matrices are cached by weight matrix: `tableau_hom(omega)` is
 the one builder, and it hands out the cached `Matrix` itself, which no
-caller can change.  A matrix is built from the ways to split each row of a
-source tableau into blocks: these are taken from a cached table of position
-splits, keyed by row length and block sizes, combined once per weight
-matrix and read against every source.
+caller can change.  A column is built from its source word f: the positions
+of f holding t + 1 take one arrangement of the letters of column t of
+omega, from a cached table keyed by the letter counts.  The arrangements
+are combined once per weight matrix and placed on every source's positions.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product as _product
+from itertools import product as _product
 
 from .combinatorics import (
     enumerate_dominance_chains,
@@ -61,6 +63,7 @@ from .combinatorics import (
     is_partition,
     is_upper_triangular,
     matrix_marginal,
+    pair_weight,
     transpose_matrix,
 )
 from .complexes import ChainComplex, Matrix, alternating_differential, bases
@@ -68,140 +71,89 @@ from .homology import homology
 from .schurfunctor import multilinear_weight, truncated_resolution
 
 # ---------------------------------------------------------------------------
-# tableaux and the matrix correspondence
+# words and tableau homomorphisms
 
-def tableau_of_matrix(omega):
-    """Row s lists t repeated omega[s][t] times, increasing in t."""
-    n = len(omega)
-    return tuple(tuple(t + 1 for t in range(n) for _ in range(omega[s][t]))
-                 for s in range(n))
-
-
-def row_semistandard_tableaux(lam, mu):
-    """All row-semistandard tableaux of shape lam and content mu, ordered by
-    their weight matrices (canonical order)."""
-    lam, mu = tuple(lam), tuple(mu)
-    n = len(lam)
-    mats = enumerate_weight_matrices(n, sum(lam), col_sums=mu, row_sums=lam)
-    return tuple(tableau_of_matrix(w) for w in mats)
+def _functionals(shape):
+    """Weight matrices of the basis of the permutation module of `shape`,
+    in canonical order."""
+    n, r = len(shape), sum(shape)
+    return enumerate_weight_matrices(n, r, col_sums=multilinear_weight(n, r), row_sums=shape)
 
 
 @lru_cache(maxsize=None)
-def multilinear_tableaux(shape):
-    """Basis tableaux of the permutation module: content all ones."""
-    shape = tuple(shape)
-    n = len(shape)
-    return row_semistandard_tableaux(shape, multilinear_weight(n, sum(shape)))
+def multilinear_words(shape):
+    """The words of the basis of the permutation module of `shape`, in the
+    order of `_functionals(shape)`: letter v of the i-th word is the row of
+    the 1 in column v of the i-th functional.  Only the first r columns are
+    read; when n > r the others are zero."""
+    r = sum(shape)
+    return tuple(tuple(col.index(1) + 1 for col in transpose_matrix(fun)[:r])
+                 for fun in _functionals(shape))
 
-
-def canonical_tableau(shape):
-    """Rows filled with consecutive integers: 1..s1, s1+1..s1+s2, ..."""
-    rows = []
-    start = 1
-    for length in shape:
-        rows.append(tuple(range(start, start + length)))
-        start += length
-    return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# tableau homomorphisms
 
 @lru_cache(maxsize=None)
-def _position_splits(length, sizes):
-    """Partitions of the positions 0..length-1 into labeled blocks of the
-    given sizes (which sum to length), each block increasing."""
-    if not sizes:
+def _arrangements(sizes):
+    """The distinct words holding each letter s + 1 exactly sizes[s] times,
+    in increasing order."""
+    if not any(sizes):
         return ((),)
-    out = []
-    for chosen in combinations(range(length), sizes[0]):
-        rest = [i for i in range(length) if i not in chosen]
-        for tail in _position_splits(len(rest), sizes[1:]):
-            out.append((chosen,) + tuple(tuple(rest[i] for i in block) for block in tail))
-    return tuple(out)
+    return tuple((s + 1,) + tail for s, size in enumerate(sizes) if size
+                 for tail in _arrangements(sizes[:s] + (size - 1,) + sizes[s + 1:]))
 
 
 @lru_cache(maxsize=None)
 def tableau_hom(omega):
-    """Matrix of the homomorphism attached to a weight matrix (the tableau
-    `tableau_of_matrix(omega)`).
+    """Matrix of the homomorphism attached to a weight matrix: entry (g, f)
+    is 1 when `pair_weight(g, f, n) == omega`, else 0.
 
-    Columns run over the multilinear tableaux of the content shape, rows
-    over those of the tableau's shape; every entry is 0 or 1.  The matrix
-    is cached and immutable.
+    Columns run over the words of the column-sum shape, rows over those of
+    the row-sum shape.  The matrix is cached and immutable.
     """
-    n = len(omega)
-    lam = matrix_marginal(omega, 2)
-    mu = matrix_marginal(omega, 1)
-    domain = multilinear_tableaux(mu)
-    codomain = multilinear_tableaux(lam)
-    cod_index = {tab: i for i, tab in enumerate(codomain)}
-    # split row t of the source into blocks of sizes omega[.][t]; row s of
-    # the image collects the s-blocks.  The splits depend only on omega, so
-    # they are formed once, on positions in the source read row by row.
-    starts = [sum(mu[:t]) for t in range(n)]
-    per_row = [_position_splits(mu[t], tuple(omega[s][t] for s in range(n)))
-               for t in range(n)]
-    gathers = [tuple(tuple(starts[t] + i for t in range(n) for i in split[t][s])
-                     for s in range(n))
-               for split in _product(*per_row)]
+    index = {g: i for i, g in enumerate(multilinear_words(matrix_marginal(omega, 2)))}
+    # an image of f puts one arrangement of column t of omega on the
+    # positions of f holding t + 1; the arrangements, concatenated over t,
+    # fill the positions of f sorted by (letter, position)
+    fills = [sum(parts, ()) for parts in _product(*map(_arrangements, zip(*omega)))]
     columns = []
-    for source in domain:
-        values = [v for row in source for v in row]
-        col = {}
-        for gather in gathers:
-            i = cod_index[tuple(tuple(sorted([values[g] for g in block])) for block in gather)]
-            col[i] = col.get(i, 0) + 1
-        columns.append(col)
-    return Matrix.from_columns(len(codomain), columns)
-
-
-def _intersection_profile(tab, blocks):
-    """Matrix counting row-of-tab against membership in the given blocks."""
-    n = len(blocks)
-    where = {}
-    for t, block in enumerate(blocks):
-        for v in block:
-            where[v] = t
-    m = [[0] * n for _ in range(n)]
-    for s, row in enumerate(tab):
-        for v in row:
-            m[s][where[v]] += 1
-    return tuple(tuple(row) for row in m)
+    for f in multilinear_words(matrix_marginal(omega, 1)):
+        slot = [0] * len(f)  # slot[v]: where position v comes in that order
+        for k, v in enumerate(sorted(range(len(f)), key=f.__getitem__)):
+            slot[v] = k
+        columns.append({index[tuple([fill[k] for k in slot])]: 1 for fill in fills})
+    return Matrix.from_columns(len(index), columns)
 
 
 def expand_canonical_column(column, target_shape, source_shape):
     """Write an equivariant map between permutation modules as a combination
-    of tableau homomorphisms, from its image of the canonical tableau.
+    of tableau homomorphisms, from its column 0.
 
-    `column` is that image, the map's column 0, as the (row, value) pairs of
-    a `Matrix` column over the multilinear tableaux of the target shape.
-    The coefficients are grouped by the tableaux's intersection profile with
-    the rows of the canonical tableau of the source shape; equivariance
-    forces each profile class to carry one coefficient, which is asserted.
-    Returns {weight matrix of the tableau: coefficient}.
+    `column` is the map's image of the first word f of the source shape, as
+    the (row, value) pairs of a `Matrix` column over the words of the target
+    shape.  The coefficients are grouped by `pair_weight(g, f)` of their
+    words g; equivariance forces each group to carry one coefficient, which
+    is asserted.  Returns {weight matrix: coefficient}.
     """
-    blocks = canonical_tableau(source_shape)
+    n = len(target_shape)
+    first = multilinear_words(source_shape)[0]
     values = dict(column)
-    by_profile = {}
-    for i, image_tab in enumerate(multilinear_tableaux(target_shape)):
-        profile = _intersection_profile(image_tab, blocks)
-        by_profile.setdefault(profile, []).append(values.get(i, 0))
+    by_weight = {}
+    for i, word in enumerate(multilinear_words(target_shape)):
+        by_weight.setdefault(pair_weight(word, first, n), []).append(values.get(i, 0))
     out = {}
-    for profile, coeffs in by_profile.items():
+    for omega, coeffs in by_weight.items():
         if len(set(coeffs)) != 1:
-            raise ValueError("map is not equivariant: profile class with "
+            raise ValueError("map is not equivariant: pair-weight class with "
                              "mixed coefficients")
         if coeffs[0]:
-            out[profile] = coeffs[0]
+            out[omega] = coeffs[0]
     return out
 
 
 def _composition_at_canonical_column(left, right):
     """Expansion of hom(left) o hom(right) over weight matrices.
 
-    Only the product's column at the canonical tableau of the source shape
-    is formed: hom(left) applied to column 0 of hom(right).
+    Only the product's column 0 is formed: hom(left) applied to column 0 of
+    hom(right).
     """
     right_hom = tableau_hom(right)
     product = tableau_hom(left) @ Matrix(right_hom.nrows, 1, right_hom.columns[:1])
@@ -211,12 +163,6 @@ def _composition_at_canonical_column(left, right):
 
 # ---------------------------------------------------------------------------
 # the permutation-module complex
-
-def _functionals(shape):
-    """Weight matrices of the multilinear tableaux of `shape`, in their order."""
-    n, r = len(shape), sum(shape)
-    return enumerate_weight_matrices(n, r, col_sums=multilinear_weight(n, r), row_sums=shape)
-
 
 def _basis_labels(lam, k):
     """Degree-k labels: (functional, hom 1, ..., hom k) weight matrices
@@ -233,7 +179,8 @@ def _basis_labels(lam, k):
 
 def _resolve_first_hom(hom):
     """hom(`hom`) by rows: {functional on its codomain: its row, as
-    (functional on its domain, coefficient) pairs}."""
+    (functional on its domain, coefficient) pairs}.  Row and column i of
+    the hom are word i, read off functional i."""
     domain = _functionals(matrix_marginal(hom, 1))
     rows = tableau_hom(hom).transpose().columns
     return {fun: tuple((domain[j], c) for j, c in row)
@@ -310,7 +257,7 @@ def _columns_agree(fb_d, bh_d, rows, cols):
 
 def compare_with_schur_functor(lam, fb=None, bh=None):
     """Check the two complexes of lam, n = len(lam), agree entrywise under
-    the tableau bijection.
+    the basis bijection.
 
     Only the truncation's d o d is checked, once, whether fb is supplied
     or built here; an fb that is not a complex raises ValueError.  The BH

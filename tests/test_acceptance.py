@@ -17,6 +17,7 @@ from schurres.combinatorics import (
     is_upper_triangular,
     matrix_marginal,
     max_chain_length,
+    pair_weight,
 )
 from schurres.complexes import Matrix
 from schurres.dividedpowers import (
@@ -38,7 +39,6 @@ from schurres.schur import (
 from schurres.schurfunctor import (
     all_permutations,
     compose_permutations,
-    permutation_weight_matrix,
     truncated_resolution,
 )
 from schurres.tableaux import (
@@ -190,12 +190,12 @@ def test_criterion_07_group_embedding():
     t0 = time.time()
     for r in (1, 2, 3, 4):
         n = r
+        identity = tuple(range(1, r + 1))
         for sigma in all_permutations(r):
-            ws = permutation_weight_matrix(sigma, n)
+            ws = pair_weight(sigma, identity, n)
             for tau in all_permutations(r):
-                wt = permutation_weight_matrix(tau, n)
-                expected = permutation_weight_matrix(
-                    compose_permutations(sigma, tau), n)
+                wt = pair_weight(tau, identity, n)
+                expected = pair_weight(compose_permutations(sigma, tau), identity, n)
                 assert multiply_basis(ws, wt) == basis_element(expected)
                 tensors = enumerate_weight_tensors(ws, wt)
                 assert len(tensors) == 1 and tensor_multiplicity(tensors[0]) == 1

@@ -152,10 +152,14 @@ def test_verify_passes(capsys):
     ("1,1,1", 3, "96154a375bb18a2170cea311aa756068c53b85b58f033fbe7ebc61339dc0f920"),
     ("2,1,1,0", 4, "eeef5cc96145305d6850114cf9426c7a0b327d081968ccc2d48b83112d7f37a0"),
     ("2,1,1,1,0", 5, "ef57cd6d247535c6a71c5622a33dd7ccea4d4d3d54149ffcb2f84139c6329adf"),
+    # n > r: the functionals' columns past r are zero
+    ("2,1,0,0", 4, "3af2fb2b95a75fcd75902358245f888c946254a9d67a898f4ceaf7579c8132de"),
+    ("1,1,1,0,0", 5, "b7b9405545b99b5b9b6ad43800768ce92ccdf26ec1ea7e67d0368ae472699969"),
 ])
 def test_resolve_bh_document_bytes_are_pinned(capsys, lam, n, digest):
     # pins the bh labels' serialized form and their order, not only the ranks
-    code, out, _ = run(capsys, "resolve", "-n", str(n), "-r", str(n),
+    r = sum(map(int, lam.split(",")))
+    code, out, _ = run(capsys, "resolve", "-n", str(n), "-r", str(r),
                        "--lambda", lam, "--variant", "bh")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -370,12 +374,14 @@ def test_verify_refuses_a_repeated_check_before_any_check(capsys):
 @pytest.mark.parametrize("argv", [
     ("--checks", "oracle", "--mod", "4"),  # no check reaches the mod-p loop
     ("--lambda", "0,2", "--mod", "4"),  # a composition that is not a partition
+    ("--mod", "2,,3"),  # an empty entry is malformed, as in a composition
 ])
 def test_verify_rejects_a_non_prime_modulus_before_any_check(capsys, argv):
     code, out, err = run(capsys, "verify", "-n", "2", "-r", "2", *argv)
     assert code == 2
     assert out == ""
-    assert err == "error: 4 is not prime\n"
+    assert err == {"4": "error: 4 is not prime\n",
+                   "2,,3": "error: malformed --mod list '2,,3'\n"}[argv[-1]]
 
 
 def test_corrupt_builds_a_copy():

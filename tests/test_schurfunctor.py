@@ -1,13 +1,12 @@
 import pytest
 
-from schurres.combinatorics import enumerate_weight_matrices, matrix_marginal
+from schurres.combinatorics import enumerate_weight_matrices, matrix_marginal, pair_weight
 from schurres.homology import homology
 from schurres.schur import basis_element, multiply_basis
 from schurres.schurfunctor import (
     all_permutations,
     compose_permutations,
     multilinear_weight,
-    permutation_weight_matrix,
     truncated_resolution,
 )
 from tableau_maps import weight_matrix_permutation
@@ -50,12 +49,13 @@ def test_permutation_helpers():
 
 
 def test_permutation_weight_matrix_examples():
-    assert permutation_weight_matrix((1, 2), 2) == ((1, 0), (0, 1))
-    assert permutation_weight_matrix((2, 1), 2) == ((0, 1), (1, 0))
-    padded = permutation_weight_matrix((2, 1), 3)
+    # a permutation's weight matrix is its pair weight against the identity
+    assert pair_weight((1, 2), (1, 2), 2) == ((1, 0), (0, 1))
+    assert pair_weight((2, 1), (1, 2), 2) == ((0, 1), (1, 0))
+    padded = pair_weight((2, 1), (1, 2), 3)
     assert matrix_marginal(padded, 1) == (1, 1, 0)
     for sigma in all_permutations(3):
-        assert weight_matrix_permutation(permutation_weight_matrix(sigma, 3)) == sigma
+        assert weight_matrix_permutation(pair_weight(sigma, (1, 2, 3), 3)) == sigma
     with pytest.raises(ValueError):
         weight_matrix_permutation(((2, 0), (0, 0)))
 
@@ -63,13 +63,13 @@ def test_permutation_weight_matrix_examples():
 def test_group_embedding_small():
     for r in (1, 2, 3):
         n = r
+        identity = identity_permutation(r)
         for sigma in all_permutations(r):
-            ws = permutation_weight_matrix(sigma, n)
+            ws = pair_weight(sigma, identity, n)
             for tau in all_permutations(r):
-                wt = permutation_weight_matrix(tau, n)
+                wt = pair_weight(tau, identity, n)
                 product = multiply_basis(ws, wt)
-                expected = permutation_weight_matrix(
-                    compose_permutations(sigma, tau), n)
+                expected = pair_weight(compose_permutations(sigma, tau), identity, n)
                 assert product == basis_element(expected)
                 thetas = enumerate_weight_tensors(ws, wt)
                 assert len(thetas) == 1

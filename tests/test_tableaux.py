@@ -13,6 +13,7 @@ from schurres.combinatorics import (
     is_upper_triangular,
     matrix_marginal,
     multinomial,
+    pair_weight,
     transpose_matrix,
 )
 from schurres.complexes import ChainComplex, Matrix
@@ -23,24 +24,30 @@ from schurres.schurfunctor import (
     all_permutations,
     compose_permutations,
     multilinear_weight,
-    permutation_weight_matrix,
 )
 from schurres.tableaux import (
     ComparisonReport,
     build_bh_complex,
-    canonical_tableau,
     compare_with_schur_functor,
     expand_canonical_column,
-    multilinear_tableaux,
-    row_semistandard_tableaux,
+    multilinear_words,
     semistandard_tableau_count,
     standard_tableau_count,
     tableau_hom,
-    tableau_of_matrix,
 )
 
 from dense import from_rows
-from tableau_maps import act, is_row_semistandard, matrix_of_tableau, weight_matrix_permutation
+from tableau_maps import (
+    act,
+    canonical_tableau,
+    is_row_semistandard,
+    matrix_of_tableau,
+    multilinear_tableaux,
+    tableau_of_matrix,
+    tableau_of_word,
+    weight_matrix_permutation,
+    word_of_tableau,
+)
 
 
 def hooks(rows):
@@ -72,38 +79,39 @@ def ssyt_hook_formula(rows, n):
 
 
 def test_rss_enumeration_examples():
-    assert len(row_semistandard_tableaux((1, 1), (1, 1))) == 2
-    got = row_semistandard_tableaux((2, 0), (1, 1))
-    assert got == (((1, 2), ()),)
-    for lam in enumerate_compositions(3, 3):
-        count = factorial(3)
-        for part in lam:
-            count //= factorial(part)
-        assert len(multilinear_tableaux(lam)) == count
+    # the multilinear row-semistandard tableaux of a shape, as words
+    assert multilinear_words((1, 1)) == ((1, 2), (2, 1))
+    assert multilinear_words((2, 0)) == ((1, 1),)
+    assert multilinear_words((1, 0, 0)) == ((1,),)
+    assert multilinear_words((0, 0)) == ((),)
+    for n, r in [(3, 3), (4, 3), (5, 3), (4, 4)]:
+        for lam in enumerate_compositions(n, r):
+            words = multilinear_words(lam)
+            assert len(words) == len(set(words)) == multinomial(lam)
+            assert all(tuple(map(word.count, range(1, n + 1))) == lam for word in words)
 
 
 def test_rss_matches_matrix_family():
     for lam in enumerate_compositions(3, 3):
         for mu in enumerate_compositions(3, 3):
-            tabs = row_semistandard_tableaux(lam, mu)
             mats = enumerate_weight_matrices(3, 3, col_sums=mu, row_sums=lam)
+            tabs = {tableau_of_matrix(m) for m in mats}
             assert len(tabs) == len(mats)
             for tab in tabs:
                 assert is_row_semistandard(tab)
+                assert tuple(map(len, tab)) == lam
                 assert matrix_marginal(matrix_of_tableau(tab), 1) == mu
 
 
 def test_matrix_tableau_roundtrip():
     assert matrix_of_tableau(((1,), (2,))) == ((1, 0), (0, 1))
     assert tableau_of_matrix(((1, 1), (0, 0))) == ((1, 2), ())
-    for lam in enumerate_compositions(3, 3):
-        for mu in enumerate_compositions(3, 3):
-            for tab in row_semistandard_tableaux(lam, mu):
-                assert tableau_of_matrix(matrix_of_tableau(tab)) == tab
-            for m in enumerate_weight_matrices(3, 3, col_sums=mu, row_sums=lam):
-                assert matrix_of_tableau(tableau_of_matrix(m)) == m
+    for m in enumerate_weight_matrices(3, 3):
+        assert matrix_of_tableau(tableau_of_matrix(m)) == m
     with pytest.raises(ValueError):
         matrix_of_tableau(((2, 1), ()))
+    assert tableau_of_word((2, 1, 2), 3) == ((2,), (1, 3), ())
+    assert word_of_tableau(((2,), (1, 3), ())) == (2, 1, 2)
 
 
 def test_canonical_tableau_and_action():
@@ -113,40 +121,57 @@ def test_canonical_tableau_and_action():
     assert act((3, 1, 2), t) == ((1, 3), (2,))
 
 
-def test_canonical_tableau_is_the_first_basis_tableau():
-    # the BH build reads a hom's column at the canonical tableau as column 0
+def test_word_and_functional_of_one_index_name_one_tableau():
+    # row and column i of every hom are functional i, with n > r included
     shapes = [s for n in range(1, 7) for r in range(n + 1)
               for s in enumerate_compositions(n, r)]
     assert len(shapes) == 1274
     for s in shapes:
-        assert multilinear_tableaux(s)[0] == canonical_tableau(s), s
+        tabs = multilinear_tableaux(s)
+        assert tabs == tuple(map(tableau_of_matrix, tableaux._functionals(s))), s
+        assert tuple(map(word_of_tableau, tabs)) == multilinear_words(s), s
 
 
-def test_position_splits_match_a_permutation_brute_force():
-    """Cutting every ordering of the positions of a row into consecutive
-    blocks and sorting each block gives each split, once per ordering of
-    its blocks; the cached table holds tuples all the way down."""
+def test_arrangements_match_a_permutation_brute_force():
+    """The arrangements of a multiset of letters are its distinct orderings,
+    in increasing order; the cached table holds tuples all the way down."""
     for length in range(6):
         for parts in (1, 2, 3, 5):
             for sizes in enumerate_compositions(parts, length):
-                cuts = [sum(sizes[:b]) for b in range(parts + 1)]
-                brute = {tuple(tuple(sorted(perm[cuts[b]:cuts[b + 1]])) for b in range(parts))
-                         for perm in permutations(range(length))}
-                got = tableaux._position_splits(length, sizes)
-                assert len(got) == len(set(got)) == multinomial(sizes)
-                assert set(got) == brute, (length, sizes)
+                letters = [s + 1 for s, size in enumerate(sizes) for _ in range(size)]
+                got = tableaux._arrangements(sizes)
+                assert got == tuple(sorted(set(permutations(letters)))), sizes
+                assert len(got) == multinomial(sizes)
                 assert isinstance(got, tuple) and all(
-                    isinstance(split, tuple)
-                    and all(isinstance(block, tuple) and all(type(i) is int for i in block)
-                            for block in split)
-                    for split in got)
+                    isinstance(word, tuple) and all(type(v) is int for v in word)
+                    for word in got)
+
+
+HOM_SIZES = [(1, 1), (2, 2), (3, 3), (4, 4), (4, 3), (5, 3)]
+
+
+@pytest.mark.parametrize("n, r", HOM_SIZES)
+def test_tableau_hom_is_the_pair_weight_indicator(n, r):
+    for omega in enumerate_weight_matrices(n, r):
+        rows = multilinear_words(matrix_marginal(omega, 2))
+        cols = multilinear_words(matrix_marginal(omega, 1))
+        expected = from_rows([[int(pair_weight(g, f, n) == omega) for f in cols]
+                              for g in rows], len(cols))
+        assert tableau_hom(omega) == expected, omega
+
+
+@pytest.mark.parametrize("n, r", HOM_SIZES)
+def test_column_zero_of_each_hom_expands_to_its_weight_matrix(n, r):
+    for omega in enumerate_weight_matrices(n, r):
+        column = tableau_hom(omega).columns[0]
+        assert expand_canonical_column(column, matrix_marginal(omega, 2),
+                                       matrix_marginal(omega, 1)) == {omega: 1}, omega
 
 
 def test_tableau_hom_identity_and_row_collapse():
     lam = (2, 1, 0)
     diag = tuple(tuple(lam[s] if s == t else 0 for t in range(3)) for s in range(3))
-    assert tableau_hom(diag) == Matrix.identity(
-        len(multilinear_tableaux(lam)))
+    assert tableau_hom(diag) == Matrix.identity(len(multilinear_words(lam)))
     collapse = tableau_hom(matrix_of_tableau(((1, 2), ())))  # shape (2,0), content (1,1)
     assert collapse.nrows == 1 and collapse.ncols == 2
     assert collapse.rows == ((1, 1),)
@@ -159,13 +184,11 @@ def test_tableau_hom_is_equivariant():
         return Matrix.from_entries(len(basis), len(basis),
                                    [(index[act(sigma, t)], j, 1) for j, t in enumerate(basis)])
 
-    for lam in enumerate_compositions(3, 3):
-        for mu in enumerate_compositions(3, 3):
-            for tab in row_semistandard_tableaux(lam, mu):
-                hom = tableau_hom(matrix_of_tableau(tab))
-                for sigma in all_permutations(3):
-                    assert action_matrix(sigma, lam) @ hom \
-                        == hom @ action_matrix(sigma, mu)
+    for omega in enumerate_weight_matrices(3, 3):
+        hom = tableau_hom(omega)
+        lam, mu = matrix_marginal(omega, 2), matrix_marginal(omega, 1)
+        for sigma in all_permutations(3):
+            assert action_matrix(sigma, lam) @ hom == hom @ action_matrix(sigma, mu)
 
 
 def test_permutation_tableau_hom_permutes_basis():
@@ -175,7 +198,7 @@ def test_permutation_tableau_hom_permutes_basis():
         index = {t: i for i, t in enumerate(basis)}
         t_delta = canonical_tableau(delta)
         for sigma in all_permutations(r):
-            ws = permutation_weight_matrix(sigma, r)
+            ws = pair_weight(sigma, tuple(range(1, r + 1)), r)
             hom = tableau_hom(ws).rows
             # a permutation matrix's transpose is the inverse permutation's
             inv = weight_matrix_permutation(transpose_matrix(ws))
