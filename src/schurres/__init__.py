@@ -36,7 +36,6 @@ from .homology import (
     HomologyGroup,
     SmithForm,
     base_change,
-    dense_smith_normal_form,
     homology,
     homology_groups,
     rank_mod_p,

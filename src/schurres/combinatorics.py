@@ -51,6 +51,16 @@ def multinomial(parts):
     return result
 
 
+@lru_cache(maxsize=None)
+def multiset_arrangements(sizes):
+    """The distinct words holding each letter s + 1 exactly sizes[s] times,
+    in increasing order; there are multinomial(sizes) of them."""
+    if not any(sizes):
+        return ((),)
+    return tuple((s + 1,) + tail for s, size in enumerate(sizes) if size
+                 for tail in multiset_arrangements(sizes[:s] + (size - 1,) + sizes[s + 1:]))
+
+
 # ---------------------------------------------------------------------------
 # weights and marginals
 

@@ -2,16 +2,21 @@
 over prime fields.
 
 Differentials are very sparse and almost all of their pivots are +-1, so
-reduction starts by copying the matrix's sparse columns into working dicts,
-touching only its nonzero entries, and eliminating on pivots +-1.
-Eliminating such a pivot splits off an invariant factor 1 and leaves its
-Schur complement, so the factors are unchanged.  Columns are visited
-shortest first, and in each the unit whose row is shortest is taken, which
-keeps fill-in small; sweeps repeat until the matrix stops shrinking.
-Whatever is left without a unit (the residual) goes, through its dense
-`rows` view, to the dense Smith reduction, which pivots on a
-minimal-absolute-value nonzero entry and works with unbounded integers, so
-intermediate growth never loses exactness.
+the one Smith reduction copies the matrix's sparse columns into working
+dicts, with an index from each row to the columns holding it, and touches
+only nonzero entries.  It sweeps the units first: columns shortest first,
+and in each the unit whose row is shortest, which keeps fill-in small;
+sweeps repeat until one removes nothing.  Eliminating a unit splits off an
+invariant factor 1 and leaves its Schur complement.  When no unit is left
+it pivots on a nonzero entry p of least absolute value (ties: shortest
+column): column operations replace row i of every other column by its
+remainder modulo p, and once row i is p alone, row operations reduce
+column j modulo p.  If p is then alone in its row and column it is split
+off as a diagonal entry; otherwise a remainder smaller than |p| is left,
+so the least |entry| falls until a pivot splits off, and the reduction
+ends.  Every step is unimodular over unbounded integers, so the diagonal
+has the matrix's invariant factors, once each pair of diagonal entries is
+replaced by its gcd and lcm.
 
 That reduction over Z is the only one.  Homology groups of a chain complex
 over Z come out as free rank plus a multiset of prime-power torsion
@@ -22,8 +27,7 @@ invariant factors that p does not divide: no matrix is reduced mod p.
 """
 
 from dataclasses import dataclass
-
-from .complexes import Matrix
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
@@ -38,39 +42,33 @@ class SmithForm:
         return len(self.factors)
 
 
-def _eliminate_units(mat):
-    """Eliminate the pivots +-1 of mat on working copies of its columns.
-
-    Returns the number of pivots eliminated and the residual, the Matrix
-    over the rows and columns still holding entries.
-    """
+def smith_normal_form(mat):
+    """Smith normal form by sparse elimination: unit sweeps, then a pivot on
+    a least nonzero entry whenever a sweep finds no unit."""
     cols = [dict(col) for col in mat.columns]
-    rows = {}
+    rows = {}  # row -> the columns holding it
     for j, col in enumerate(cols):
         for i in col:
             rows.setdefault(i, set()).add(j)
 
-    pivots = 0
-    while True:
-        before = pivots
-        for j in sorted((j for j, col in enumerate(cols) if col),
-                        key=lambda j: len(cols[j])):
-            col = cols[j]
-            units = [i for i, v in col.items() if v in (1, -1)]
-            if not units:
-                continue
-            i = min(units, key=lambda r: (len(rows[r]), r))
-            unit = col[i]  # its own inverse
-            cols[j] = {}
-            for r in col:
-                rows[r].discard(j)
-            del col[i]
-            # clear row i from every other column with a multiple of column j
-            for c in rows.pop(i):
-                other = cols[c]
-                f = other.pop(i) * unit
+    def pivot(i, j):
+        """Reduce row i of every other column, then column j, modulo
+        p = cols[j][i]; return |p| once p is alone in its row and column,
+        else None with a smaller entry left in row i or column j."""
+        col = cols[j]
+        p = col.pop(i)
+        row = rows.pop(i)
+        row.discard(j)
+        kept = [j]  # column j and those whose remainder in row i is not zero
+        for c in row:
+            other = cols[c]
+            q, rem = divmod(other.pop(i), p)
+            if rem:
+                other[i] = rem
+                kept.append(c)
+            if q:
                 for r, v in col.items():
-                    w = other.get(r, 0) - f * v
+                    w = other.get(r, 0) - q * v
                     if w:
                         if r not in other:
                             rows[r].add(c)
@@ -78,104 +76,49 @@ def _eliminate_units(mat):
                     elif r in other:
                         del other[r]
                         rows[r].discard(c)
-            pivots += 1
-        if pivots == before:
+        if len(kept) == 1:  # row i is p alone: row operations touch column j only
+            cols[j] = reduced = {}
+            for r, v in col.items():
+                w = v % p
+                if w:
+                    reduced[r] = w
+                else:
+                    rows[r].discard(j)
+            if not reduced:
+                return abs(p)
+            col = reduced
+        rows[i] = set(kept)
+        col[i] = p
+        return None
+
+    units, diagonal = 0, []
+    live = range(len(cols))  # increasing; holds every nonempty column
+    while True:
+        swept = True
+        while swept:
+            swept = False
+            live = [j for j in live if cols[j]]
+            for j in sorted(live, key=lambda j: len(cols[j])):
+                candidates = [i for i, v in cols[j].items() if v in (1, -1)]
+                if candidates:
+                    pivot(min(candidates, key=lambda r: (len(rows[r]), r)), j)
+                    units += 1
+                    swept = True
+        least = min(((abs(v), len(cols[j]), j, i) for j in live
+                     for i, v in cols[j].items()), default=None)
+        if least is None:
             break
-    live_rows = {r: i for i, r in enumerate(sorted(r for r, members in rows.items()
-                                                   if members))}
-    residual = Matrix.from_columns(
-        len(live_rows), [{live_rows[r]: v for r, v in col.items()} for col in cols if col])
-    return pivots, residual
-
-
-def smith_normal_form(mat):
-    """Smith normal form: unit-pivot elimination, then dense Smith reduction
-    of the residual."""
-    pivots, residual = _eliminate_units(mat)
-    return SmithForm((1,) * pivots + dense_smith_normal_form(residual).factors)
-
-
-def dense_smith_normal_form(mat):
-    """Smith normal form by dense elimination on minimal-absolute-value pivots."""
-    m, n = mat.nrows, mat.ncols
-    d = [list(row) for row in mat.rows]
-
-    def row_add(i, j, c):
-        d[i] = [a + c * b for a, b in zip(d[i], d[j])]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-
-    def col_add(j, i, c):
-        for row in d:
-            row[j] += c * row[i]
-
-    def col_swap(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(d[i][j])
-                if v and (best is None or v < best):
-                    pivot, best = (i, j), v
-                    if v == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        if pivot != (t, t):
-            row_swap(t, pivot[0])
-            col_swap(t, pivot[1])
-        while True:
-            if d[t][t] < 0:
-                d[t] = [-a for a in d[t]]
-            p = d[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // p
-                    if q:
-                        row_add(i, t, -q)
-                    if d[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // p
-                    if q:
-                        col_add(j, t, -q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot divides the untouched block, or absorb an offending row
-            if p == 1:
-                break
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        t += 1
-
-    return SmithForm(tuple(d[i][i] for i in range(min(m, n)) if d[i][i]))
+        _, _, j, i = least
+        d = pivot(i, j)
+        if d is not None:
+            diagonal.append(d)
+    # diag(a, b) and diag(gcd, lcm) are equivalent; replacing each pair in
+    # turn leaves each entry dividing the next
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            diagonal[a], diagonal[b] = (gcd(diagonal[a], diagonal[b]),
+                                        lcm(diagonal[a], diagonal[b]))
+    return SmithForm((1,) * units + tuple(diagonal))
 
 
 # Sorenson and Webster (2015): no composite below the bound is a strong

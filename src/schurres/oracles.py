@@ -27,6 +27,7 @@ from .combinatorics import (
     flatten,
     matrix_marginal,
     multinomial,
+    multiset_arrangements,
     pair_weight,
 )
 from .schur import AlgebraElement, identity
@@ -69,43 +70,15 @@ class TensorEndomorphism:
         return f"TensorEndomorphism(n={self.n}, r={self.r}, {len(self.terms)} units)"
 
 
-def _distinct_arrangements(items):
-    """All distinct orderings of a multiset, as tuples."""
-    items = sorted(items)
-    out = []
-
-    def step(remaining, acc):
-        if not remaining:
-            out.append(tuple(acc))
-            return
-        seen = set()
-        for idx, v in enumerate(remaining):
-            if v in seen:
-                continue
-            seen.add(v)
-            step(remaining[:idx] + remaining[idx + 1:], acc + [v])
-
-    step(items, [])
-    return out
-
-
 @lru_cache(maxsize=1024)  # holds every orbit up to n=3, r=4 (495 matrices)
 def orbit(omega):
     """All multi-index pairs whose pair weight equals omega, as an immutable
-    tuple of (i, j) pairs."""
+    tuple of (i, j) pairs.  Letter k of an arrangement of flatten(omega)
+    stands for the pair ((k - 1) // n + 1, (k - 1) % n + 1), so the pairs
+    come in increasing order."""
     n = len(omega)
-    pairs = []
-    for s in range(n):
-        for t in range(n):
-            pairs.extend([(s + 1, t + 1)] * omega[s][t])
-    out = []
-    for arrangement in _distinct_arrangements(pairs):
-        if arrangement:
-            i, j = zip(*arrangement)
-        else:
-            i = j = ()
-        out.append((tuple(i), tuple(j)))
-    return tuple(out)
+    return tuple((tuple((k - 1) // n + 1 for k in word), tuple((k - 1) % n + 1 for k in word))
+                 for word in multiset_arrangements(flatten(omega)))
 
 
 def endo_of_basis(omega):
@@ -167,8 +140,7 @@ def green_convolution(omega, pi):
     # pair weight (i, k) = omega forces k to hold each value t + 1 exactly as
     # often as column t of omega sums to, so only those middle indices are
     # scanned; each is still tested against both pair weights
-    middles = _distinct_arrangements(
-        [t + 1 for t, c in enumerate(content) for _ in range(c)])
+    middles = multiset_arrangements(content)
     terms = {}
     for tau in candidates:
         i, j = orbit(tau)[0]

@@ -49,8 +49,9 @@ Homomorphism matrices are cached by weight matrix: `tableau_hom(omega)` is
 the one builder, and it hands out the cached `Matrix` itself, which no
 caller can change.  A column is built from its source word f: the positions
 of f holding t + 1 take one arrangement of the letters of column t of
-omega, from a cached table keyed by the letter counts.  The arrangements
-are combined once per weight matrix and placed on every source's positions.
+omega, from `multiset_arrangements`, which is cached by the letter counts.
+The arrangements are combined once per weight matrix and placed on every
+source's positions.
 """
 
 from dataclasses import dataclass
@@ -63,6 +64,7 @@ from .combinatorics import (
     is_partition,
     is_upper_triangular,
     matrix_marginal,
+    multiset_arrangements,
     pair_weight,
     transpose_matrix,
 )
@@ -92,16 +94,6 @@ def multilinear_words(shape):
 
 
 @lru_cache(maxsize=None)
-def _arrangements(sizes):
-    """The distinct words holding each letter s + 1 exactly sizes[s] times,
-    in increasing order."""
-    if not any(sizes):
-        return ((),)
-    return tuple((s + 1,) + tail for s, size in enumerate(sizes) if size
-                 for tail in _arrangements(sizes[:s] + (size - 1,) + sizes[s + 1:]))
-
-
-@lru_cache(maxsize=None)
 def tableau_hom(omega):
     """Matrix of the homomorphism attached to a weight matrix: entry (g, f)
     is 1 when `pair_weight(g, f, n) == omega`, else 0.
@@ -113,7 +105,7 @@ def tableau_hom(omega):
     # an image of f puts one arrangement of column t of omega on the
     # positions of f holding t + 1; the arrangements, concatenated over t,
     # fill the positions of f sorted by (letter, position)
-    fills = [sum(parts, ()) for parts in _product(*map(_arrangements, zip(*omega)))]
+    fills = [sum(parts, ()) for parts in _product(*map(multiset_arrangements, zip(*omega)))]
     columns = []
     for f in multilinear_words(matrix_marginal(omega, 1)):
         slot = [0] * len(f)  # slot[v]: where position v comes in that order

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +17,7 @@ from schurres.combinatorics import (
     matrix_marginal,
     max_chain_length,
     multinomial,
+    multiset_arrangements,
     pair_weight,
 )
 from math import comb
@@ -319,3 +320,18 @@ def test_multinomial():
     assert multinomial((2, 1)) == 3
     assert multinomial(()) == 1
     assert multinomial((0, 4, 0)) == 1
+
+
+def test_arrangements_match_a_permutation_brute_force():
+    """The arrangements of a multiset of letters are its distinct orderings,
+    in increasing order; the cached table holds tuples all the way down."""
+    for length in range(6):
+        for parts in (1, 2, 3, 5):
+            for sizes in enumerate_compositions(parts, length):
+                letters = [s + 1 for s, size in enumerate(sizes) for _ in range(size)]
+                got = multiset_arrangements(sizes)
+                assert got == tuple(sorted(set(permutations(letters)))), sizes
+                assert len(got) == multinomial(sizes)
+                assert isinstance(got, tuple) and all(
+                    isinstance(word, tuple) and all(type(v) is int for v in word)
+                    for word in got)

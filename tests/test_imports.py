@@ -1,12 +1,13 @@
 """Every name a module of the package imports, and every private function
 or class it defines, is used in that module; every public function, class
 and method it defines is named outside its own definition by the code the
-verifier runs, the package and the benchmark; and every import sits at
-module level.
+verifier runs, the package and the benchmark; every import sits at
+module level; and no module reads the dense `rows` view of a matrix.
 
-`__init__.py` is left out: it imports names only to re-export them, and a
-re-export is not a use.  Names that only tests or demos use belong in the
-tests, as `tests/dense.py` holds the dense matrix builders.
+`__init__.py` is left out of the use checks: it imports names only to
+re-export them, and a re-export is not a use.  Names that only tests or
+demos use belong in the tests, as `tests/dense.py` holds the dense matrix
+builders and the dense Smith normal form.
 """
 
 import ast
@@ -169,3 +170,21 @@ def test_module_imports_only_at_module_level(path):
 def test_an_import_inside_a_function_is_reported():
     tree = ast.parse("import os\n\ndef f():\n    from math import pi\n    return pi\n")
     assert list(imports_inside_functions(tree)) == [4]
+
+
+def dense_view_reads(tree):
+    """Line numbers where the tree reads an attribute named `rows`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "rows":
+            yield node.lineno
+
+
+def test_package_never_reads_the_dense_rows_view():
+    reads = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := sorted(dense_view_reads(ast.parse(path.read_text(encoding="utf-8")))))}
+    assert not reads, f"modules reading the dense rows view, at lines: {reads}"
+
+
+def test_a_read_of_the_dense_rows_view_is_reported():
+    tree = ast.parse("rows = 2\n\ndef f(mat):\n    return mat.rows[rows]\n")
+    assert list(dense_view_reads(tree)) == [4]

@@ -1,5 +1,4 @@
 import dataclasses
-from itertools import permutations
 from math import factorial
 
 import pytest
@@ -130,21 +129,6 @@ def test_word_and_functional_of_one_index_name_one_tableau():
         tabs = multilinear_tableaux(s)
         assert tabs == tuple(map(tableau_of_matrix, tableaux._functionals(s))), s
         assert tuple(map(word_of_tableau, tabs)) == multilinear_words(s), s
-
-
-def test_arrangements_match_a_permutation_brute_force():
-    """The arrangements of a multiset of letters are its distinct orderings,
-    in increasing order; the cached table holds tuples all the way down."""
-    for length in range(6):
-        for parts in (1, 2, 3, 5):
-            for sizes in enumerate_compositions(parts, length):
-                letters = [s + 1 for s, size in enumerate(sizes) for _ in range(size)]
-                got = tableaux._arrangements(sizes)
-                assert got == tuple(sorted(set(permutations(letters)))), sizes
-                assert len(got) == multinomial(sizes)
-                assert isinstance(got, tuple) and all(
-                    isinstance(word, tuple) and all(type(v) is int for v in word)
-                    for word in got)
 
 
 HOM_SIZES = [(1, 1), (2, 2), (3, 3), (4, 4), (4, 3), (5, 3)]
