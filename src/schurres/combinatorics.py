@@ -68,10 +68,10 @@ def pair_weight(i, j, n):
     """Weight matrix of a pair of multi-indices (position-by-position count)."""
     if len(i) != len(j):
         raise ValueError("multi-index length mismatch")
-    m = [[0] * n for _ in range(n)]
+    m = [0] * (n * n)
     for a, b in zip(i, j):
-        m[a - 1][b - 1] += 1
-    return tuple(tuple(row) for row in m)
+        m[(a - 1) * n + b - 1] += 1
+    return tuple(zip(*[iter(m)] * n))  # n zipped copies of one iterator: rows of n
 
 
 def matrix_marginal(omega, axis):

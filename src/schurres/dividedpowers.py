@@ -13,12 +13,16 @@ An integer matrix acts inside the divided-power algebra: each generator goes
 to its image, a column of the matrix; each factor of a monomial is the
 product of the divided powers of those images, expanded by the relations
 above; and the tensor product of the factors is expanded factor by factor.
+The image of one factor depends only on the matrix and that factor's
+exponents (a column of the monomial's weight matrix), so it is computed
+once per (matrix, column) and cached for at most 1024 such pairs.
 No weight tensor or structure constant is involved, so identifying
 monomials with algebra basis elements of the same matrix and comparing with
 left multiplication by the matrix's image in the algebra
 (verify_equivariance) checks two independent routes against each other.
 """
 
+from functools import lru_cache
 from itertools import product as _product
 from math import comb
 
@@ -71,34 +75,37 @@ def divided_power_of_vector(coeffs, k):
 # ---------------------------------------------------------------------------
 # the matrix action
 
+@lru_cache(maxsize=1024)
+def _column_image(g, column):
+    """The image of one column of a monomial: the product over s of the
+    column[s]-th divided powers of the image of generator s (column s of g),
+    as ((exponent tuple, coefficient), ...) with no zero coefficient."""
+    n = len(g)
+    factor = {(0,) * n: 1}
+    for s, k in enumerate(column):
+        if k:
+            image = divided_power_of_vector(tuple(row[s] for row in g), k)
+            factor = divided_product(factor, image)
+    return tuple(factor.items())
+
+
 def gl_action(g, pi):
     """Action of a square integer matrix on a basis monomial, computed in
     the divided-power algebra: column t of pi is the product over s of the
     pi[s][t]-th divided powers of the image of generator s (column s of g),
-    and the monomial's image is the product of its columns' images.
+    and the monomial's image is the product of its columns' images.  Each
+    column's image depends on g and that column alone, so it is computed
+    once per (g, column) and cached (at most 1024 of them).
     Returns {weight matrix: coefficient}."""
-    n = len(pi)
-    if len(g) != n:
+    if len(g) != len(pi):
         raise ValueError("matrix size mismatch")
-    per_column = []
-    for t in range(n):
-        factor = {tuple([0] * n): 1}
-        for s in range(n):
-            k = pi[s][t]
-            if k:
-                image = divided_power_of_vector(tuple(g[q][s] for q in range(n)), k)
-                factor = divided_product(factor, image)
-        per_column.append(factor)
     out = {}
-    for picks in _product(*(f.items() for f in per_column)):
+    for picks in _product(*(_column_image(g, column) for column in zip(*pi))):
         coeff = 1
-        columns = []
-        for key, c in picks:
+        for _, c in picks:
             coeff *= c
-            columns.append(key)
-        matrix = tuple(tuple(columns[t][s] for t in range(n)) for s in range(n))
-        if coeff:
-            out[matrix] = out.get(matrix, 0) + coeff
+        matrix = tuple(zip(*(key for key, _ in picks)))
+        out[matrix] = out.get(matrix, 0) + coeff
     return {k: c for k, c in out.items() if c}
 
 

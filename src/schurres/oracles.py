@@ -16,11 +16,22 @@ accepted.
 
 These oracles materialize n^r-dimensional data and exist for verification,
 not production; they are gated by a size guard (n^r <= 4096 by default,
-override with the SCHURRES_ORACLE_LIMIT environment variable).
+override with the SCHURRES_ORACLE_LIMIT environment variable).  The guard
+runs, and reads the variable, on every call of `endo_of_basis` and
+`green_convolution`, also when the answer is already cached.
+
+Work that depends on one factor only is done once per factor, not once per
+product.  `orbit` and the basis endomorphisms of `endo_of_basis` are cached
+for at most 1024 weight matrices each; an endomorphism is shared by every
+caller, so its terms and its grouping by first index, which `compose` reads
+for its right factor, are read-only mappings.  `green_convolution` picks
+the middle words that fit the left factor once per call, not once per
+candidate key.
 """
 
 import os
 from functools import lru_cache
+from types import MappingProxyType
 
 from .combinatorics import (
     enumerate_weight_matrices,
@@ -49,14 +60,18 @@ class TensorEndomorphism:
 
     Terms map (i, j) pairs of multi-indices to integer coefficients; the
     unit at (i, j) sends the basis tensor of j to the basis tensor of i.
+    `by_first` is None, or the terms grouped by first index as read-only
+    {i: ((j, coefficient), ...)}; only the cached basis endomorphisms of
+    `endo_of_basis` carry one.
     """
 
-    __slots__ = ("n", "r", "terms")
+    __slots__ = ("n", "r", "terms", "by_first")
 
     def __init__(self, n, r, terms=None):
         self.n = n
         self.r = r
         self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.by_first = None
 
     def __eq__(self, other):
         return (isinstance(other, TensorEndomorphism)
@@ -77,25 +92,46 @@ def orbit(omega):
     stands for the pair ((k - 1) // n + 1, (k - 1) % n + 1), so the pairs
     come in increasing order."""
     n = len(omega)
+    # the uncached body: this cache already keeps the orbit, so the table of
+    # flatten(omega) is not kept a second time; the shorter tables it is
+    # built from stay in the cache of multiset_arrangements
+    words = multiset_arrangements.__wrapped__(flatten(omega))
     return tuple((tuple((k - 1) // n + 1 for k in word), tuple((k - 1) % n + 1 for k in word))
-                 for word in multiset_arrangements(flatten(omega)))
+                 for word in words)
+
+
+def _group_by_first(terms):
+    """Terms {(i, j): c} as {i: ((j, c), ...)}."""
+    by_first = {}
+    for (i, j), c in terms.items():
+        by_first.setdefault(i, []).append((j, c))
+    return {i: tuple(units) for i, units in by_first.items()}
+
+
+@lru_cache(maxsize=1024)  # bounded like orbit
+def _basis_endomorphism(omega):
+    """The read-only endomorphism of a basis element, with its grouping."""
+    pairs = orbit(omega)
+    f = TensorEndomorphism(len(omega), sum(map(sum, omega)))
+    f.terms = MappingProxyType(dict.fromkeys(pairs, 1))
+    f.by_first = MappingProxyType(_group_by_first(f.terms))
+    return f
 
 
 def endo_of_basis(omega):
-    """The basis element as a sum of matrix units over its orbit."""
-    n = len(omega)
-    r = sum(map(sum, omega))
-    _guard(n, r)
-    return TensorEndomorphism(n, r, {pair: 1 for pair in orbit(omega)})
+    """The basis element as a sum of matrix units over its orbit.
+
+    The size guard runs on every call; past it the endomorphism comes from
+    a cache and is shared, so its terms are a read-only mapping."""
+    _guard(len(omega), sum(map(sum, omega)))
+    return _basis_endomorphism(omega)
 
 
 def compose(f, g):
     """Endomorphism composition: apply g first, then f."""
     if (f.n, f.r) != (g.n, g.r):
         raise ValueError("endomorphism size mismatch")
-    by_first = {}
-    for (j, k), c in g.terms.items():
-        by_first.setdefault(j, []).append((k, c))
+    by_first = g.by_first if g.by_first is not None else _group_by_first(g.terms)
     terms = {}
     for (i, j), cf in f.terms.items():
         for k, cg in by_first.get(j, ()):
@@ -114,7 +150,7 @@ def decode(f):
         grouped.setdefault(pair_weight(i, j, f.n), []).append(c)
     terms = {}
     for omega, coeffs in grouped.items():
-        if len(coeffs) != multinomial(flatten(omega)) or len(set(coeffs)) != 1:
+        if len(coeffs) != multinomial([v for row in omega for v in row]) or len(set(coeffs)) != 1:
             raise ValueError("endomorphism is not symmetric-group invariant")
         terms[omega] = coeffs[0]
     return AlgebraElement(f.n, f.r, terms)
@@ -135,19 +171,20 @@ def green_convolution(omega, pi):
     content = matrix_marginal(omega, 1)
     if content != matrix_marginal(pi, 2):
         return AlgebraElement(n, r, {})
+    row_sums = matrix_marginal(omega, 2)
     candidates = enumerate_weight_matrices(
-        n, r, col_sums=matrix_marginal(pi, 1), row_sums=matrix_marginal(omega, 2))
-    # pair weight (i, k) = omega forces k to hold each value t + 1 exactly as
-    # often as column t of omega sums to, so only those middle indices are
-    # scanned; each is still tested against both pair weights
-    middles = multiset_arrangements(content)
+        n, r, col_sums=matrix_marginal(pi, 1), row_sums=row_sums)
+    # every candidate tau has the row sums of omega, so its representative
+    # orbit(tau)[0][0], the increasing word holding each s + 1 as often as
+    # row s sums to, is one word i for all of them; the middles k with pair
+    # weight (i, k) = omega are found once, among the words that hold each
+    # t + 1 as often as column t of omega sums to
+    i = tuple(s + 1 for s, size in enumerate(row_sums) for _ in range(size))
+    middles = [k for k in multiset_arrangements(content) if pair_weight(i, k, n) == omega]
     terms = {}
     for tau in candidates:
-        i, j = orbit(tau)[0]
-        count = 0
-        for k in middles:
-            if pair_weight(i, k, n) == omega and pair_weight(k, j, n) == pi:
-                count += 1
+        j = orbit(tau)[0][1]
+        count = sum(1 for k in middles if pair_weight(k, j, n) == pi)
         if count:
             terms[tau] = count
     return AlgebraElement(n, r, terms)

@@ -203,9 +203,9 @@ def zero(n, r):
 
 def multiply_basis(omega, pi):
     """Product of two basis elements as an algebra element."""
-    if len(omega) != len(pi) or sum(map(sum, omega)) != sum(map(sum, pi)):
-        raise ValueError("algebra size mismatch")
     n, r = len(omega), sum(map(sum, omega))
+    if len(pi) != n or sum(map(sum, pi)) != r:
+        raise ValueError("algebra size mismatch")
     return AlgebraElement(n, r, dict(structure_constants(omega, pi)))
 
 

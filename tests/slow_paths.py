@@ -1,0 +1,83 @@
+"""The per-call forms of three fast paths of the package, kept as references
+that the fast paths are tested against.
+
+* `per_call_gl_action` builds the image of every column of the monomial on
+  every call; `dividedpowers.gl_action` caches it per (g, column).
+* `per_candidate_green_convolution` tests both pair weights of every middle
+  word for every candidate key; `oracles.green_convolution` tests the left
+  one once per middle word.
+* `nested_pair_weight` counts into a list of rows;
+  `combinatorics.pair_weight` counts into one flat list.
+"""
+
+from itertools import product
+
+from schurres.combinatorics import (
+    enumerate_weight_matrices,
+    matrix_marginal,
+    multiset_arrangements,
+)
+from schurres.dividedpowers import divided_power_of_vector, divided_product
+from schurres.oracles import orbit
+from schurres.schur import AlgebraElement
+
+
+def per_call_gl_action(g, pi):
+    """The action of g on the basis monomial pi, {weight matrix: coefficient}."""
+    n = len(pi)
+    if len(g) != n:
+        raise ValueError("matrix size mismatch")
+    per_column = []
+    for t in range(n):
+        factor = {tuple([0] * n): 1}
+        for s in range(n):
+            k = pi[s][t]
+            if k:
+                image = divided_power_of_vector(tuple(g[q][s] for q in range(n)), k)
+                factor = divided_product(factor, image)
+        per_column.append(factor)
+    out = {}
+    for picks in product(*(f.items() for f in per_column)):
+        coeff = 1
+        columns = []
+        for key, c in picks:
+            coeff *= c
+            columns.append(key)
+        matrix = tuple(tuple(columns[t][s] for t in range(n)) for s in range(n))
+        if coeff:
+            out[matrix] = out.get(matrix, 0) + coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def nested_pair_weight(i, j, n):
+    """Weight matrix of a pair of multi-indices (position-by-position count)."""
+    if len(i) != len(j):
+        raise ValueError("multi-index length mismatch")
+    m = [[0] * n for _ in range(n)]
+    for a, b in zip(i, j):
+        m[a - 1][b - 1] += 1
+    return tuple(tuple(row) for row in m)
+
+
+def per_candidate_green_convolution(omega, pi):
+    """The convolution product, counting for each candidate key tau the
+    middle words k with both pair weights (i, k) = omega and (k, j) = pi, at
+    the representative (i, j) = orbit(tau)[0]."""
+    n = len(omega)
+    r = sum(map(sum, omega))
+    content = matrix_marginal(omega, 1)
+    if content != matrix_marginal(pi, 2):
+        return AlgebraElement(n, r, {})
+    candidates = enumerate_weight_matrices(
+        n, r, col_sums=matrix_marginal(pi, 1), row_sums=matrix_marginal(omega, 2))
+    middles = multiset_arrangements(content)
+    terms = {}
+    for tau in candidates:
+        i, j = orbit(tau)[0]
+        count = 0
+        for k in middles:
+            if nested_pair_weight(i, k, n) == omega and nested_pair_weight(k, j, n) == pi:
+                count += 1
+        if count:
+            terms[tau] = count
+    return AlgebraElement(n, r, terms)

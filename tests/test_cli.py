@@ -335,6 +335,13 @@ def test_verify_divided_passes(capsys):
     assert out.splitlines() == ["ok divided (n=3, r=3)"]
 
 
+@pytest.mark.parametrize("n, r", [(3, 3), (2, 4)])
+def test_verify_oracle_and_divided_output_is_pinned(capsys, n, r):
+    code, out, _ = run(capsys, "verify", "-n", str(n), "-r", str(r), "--all",
+                       "--checks", "oracle,divided")
+    assert (code, out) == (0, f"ok oracle (n={n}, r={r})\nok divided (n={n}, r={r})\n")
+
+
 def test_verify_divided_fails_on_a_wrong_action(capsys, monkeypatch):
     real = dividedpowers.gl_action
     monkeypatch.setattr(dividedpowers, "gl_action",

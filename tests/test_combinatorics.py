@@ -22,6 +22,7 @@ from schurres.combinatorics import (
 )
 from math import comb
 
+from slow_paths import nested_pair_weight
 from weight_tensors import (
     enumerate_multi_indices,
     enumerate_weight_tensors,
@@ -66,6 +67,14 @@ def test_pair_weight_examples():
     theta = triple_weight((1, 1), (2, 2), (2, 1), 2)
     assert theta[0][1][1] == 1 and theta[0][1][0] == 1
     assert sum(v for p in theta for row in p for v in row) == 2
+
+
+def test_pair_weight_matches_the_nested_count():
+    for n, r in [(1, 3), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]:
+        indices = enumerate_multi_indices(n, r)
+        for i in indices:
+            for j in indices:
+                assert pair_weight(i, j, n) == nested_pair_weight(i, j, n)
 
 
 def test_pair_weight_length_mismatch():

@@ -21,6 +21,8 @@ from schurres.dividedpowers import (
 from schurres.oracles import monomial_eval, tensor_power_action
 from schurres.schur import AlgebraElement, basis_element, multiply, structure_constants, zero
 
+from slow_paths import per_call_gl_action
+
 
 def random_matrix(rng, n, lo=-3, hi=3):
     return tuple(tuple(rng.randrange(lo, hi + 1) for _ in range(n)) for _ in range(n))
@@ -133,6 +135,22 @@ def test_gl_action_routes_agree():
                 for g in singular_and_random_matrices(rng, n):
                     for pi in divided_basis(lam):
                         assert gl_action(g, pi) == reference_gl_action(g, pi), (g, pi)
+
+
+def test_gl_action_matches_the_per_call_loop():
+    rng = random.Random(4)
+    for n in range(1, 4):
+        matrices = singular_and_random_matrices(rng, n)
+        matrices += [random_matrix(rng, n) for _ in range(20 - len(matrices))]
+        bases = [pi for r in range(4) for lam in enumerate_compositions(n, r)
+                 for pi in divided_basis(lam)]
+        for g in matrices:
+            for pi in bases:
+                expected = per_call_gl_action(g, pi)
+                assert gl_action(g, pi) == expected, (g, pi)
+                # the result is the caller's own: changing it changes no later call
+                gl_action(g, pi)[pi] = 7
+                assert gl_action(g, pi) == expected
 
 
 @settings(max_examples=60, deadline=None)

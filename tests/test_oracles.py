@@ -26,6 +26,7 @@ from schurres.oracles import (
 from schurres.schur import AlgebraElement, basis_element, identity, multiply, multiply_basis
 from schurres.dividedpowers import matmul
 
+from slow_paths import per_candidate_green_convolution
 from weight_tensors import enumerate_multi_indices
 
 
@@ -78,14 +79,18 @@ def test_orbit_is_an_immutable_tuple_of_the_orbit_size():
                 assert all(pair_weight(i, j, n) == om for i, j in pairs)
 
 
-def test_endo_of_basis_results_do_not_share_terms():
+def test_endo_of_basis_terms_are_read_only():
+    # every call returns one cached endomorphism, so a caller able to change
+    # its terms would change what later calls return
     om = ((1, 1), (0, 1))
     first = endo_of_basis(om)
-    expected = dict(first.terms)
-    first.terms.clear()
-    first.terms[((1, 1, 1), (1, 1, 1))] = 7
-    assert endo_of_basis(om).terms == expected
-    assert len(orbit(om)) == len(expected)
+    with pytest.raises(TypeError):
+        first.terms[((1, 1, 1), (1, 1, 1))] = 7
+    with pytest.raises(TypeError):
+        del first.terms[orbit(om)[0]]
+    with pytest.raises(TypeError):
+        first.by_first[(1, 1, 1)] = ()
+    assert endo_of_basis(om).terms == dict.fromkeys(orbit(om), 1)
 
 
 def test_compose_and_decode():
@@ -133,6 +138,14 @@ def reference_green_convolution(omega, pi):
         if count:
             terms[tau] = count
     return AlgebraElement(n, r, terms)
+
+
+def test_green_convolution_matches_the_per_candidate_scan():
+    for n, r in [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (3, 3)]:
+        mats = enumerate_weight_matrices(n, r)
+        for om in mats:
+            for pi in mats:
+                assert green_convolution(om, pi) == per_candidate_green_convolution(om, pi)
 
 
 def test_green_convolution_matches_the_full_scan():
@@ -201,6 +214,19 @@ def test_size_guard():
         endo_of_basis(diagonal_matrix((13, 0)))
     finally:
         del os.environ["SCHURRES_ORACLE_LIMIT"]
+
+
+def test_size_guard_runs_on_every_call(monkeypatch):
+    big = diagonal_matrix((13, 0))
+    monkeypatch.setenv("SCHURRES_ORACLE_LIMIT", "10000")
+    assert endo_of_basis(big).terms == {((1,) * 13, (1,) * 13): 1}
+    monkeypatch.delenv("SCHURRES_ORACLE_LIMIT")
+    # the endomorphism is cached by now, and still refused
+    with pytest.raises(ValueError, match="size guard"):
+        endo_of_basis(big)
+    # a pair that does not compose is zero, and still refused
+    with pytest.raises(ValueError, match="size guard"):
+        green_convolution(big, diagonal_matrix((0, 13)))
 
 
 def test_degenerate_rank_zero():
