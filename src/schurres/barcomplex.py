@@ -59,18 +59,13 @@ def enumerate_bar_basis(lam, k, variant="borel", nu=None):
         heads = enumerate_weight_matrices(n, r, col_sums=lam, row_sums=nu,
                                           upper_triangular=upper)
         return tuple((w0,) for w0 in heads)
-    tails = []
-
-    def extend(suffix, top):
-        # suffix is (w_j, ..., w_k); top must equal its leading row sums
-        if len(suffix) == k:
-            tails.append(suffix)
-            return
-        for w in enumerate_weight_matrices(n, r, col_sums=top, min_degree=1):
-            extend((w,) + suffix, matrix_marginal(w, 2))
-
-    for wk in enumerate_weight_matrices(n, r, col_sums=lam, min_degree=1):
-        extend((wk,), matrix_marginal(wk, 2))
+    # the chains (w_1, ..., w_k), grown leftwards from w_k: each new first
+    # matrix has the row sums of the one it precedes as its column sums
+    tails = [(wk,) for wk in enumerate_weight_matrices(n, r, col_sums=lam, min_degree=1)]
+    for _ in range(k - 1):
+        tails = [(w,) + tail for tail in tails
+                 for w in enumerate_weight_matrices(n, r, col_sums=matrix_marginal(tail[0], 2),
+                                                    min_degree=1)]
     tuples = []
     for tail in tails:
         mu = matrix_marginal(tail[0], 2)

@@ -18,6 +18,8 @@ import contextlib
 import json
 import random
 import sys
+from functools import lru_cache
+from itertools import chain
 
 from . import __version__
 from .barcomplex import build_borel_resolution, build_weyl_resolution
@@ -206,9 +208,7 @@ JSON_CHUNK = 1 << 16
 def _indented_json(obj, out):
     """Write the text of `json.dumps(obj, indent=2)` to out, in writes of
     about JSON_CHUNK characters, for dicts, lists, tuples, ints and strings,
-    with a Matrix standing for the list of its entries().  Weight-matrix
-    texts are looked up by equality, so a bool in a tuple of ints can take
-    the text of the equal all-int tuple: bools belong in keys only.
+    with a Matrix standing for the list of its entries().
 
     With `indent` set, json.dumps runs the stdlib's pure-Python encoder;
     here only leaves and keys go through json.dumps.  Dicts and lists are
@@ -216,7 +216,9 @@ def _indented_json(obj, out):
     an all-int sequence is joined at once, a Matrix is written entry by
     entry, and only weight matrices (tuples of int tuples) keep their
     text, once per distinct value and depth: labels never repeat, but they
-    repeat the same weight matrices many times.
+    repeat the same weight matrices many times.  Texts are looked up by
+    equality, and True == 1, so only tuples of tuples of exact ints keep
+    theirs.
     """
     parts = []
     size = 0
@@ -298,14 +300,9 @@ def _json_text(value, depth, matrices):
     if not isinstance(value, dict) and all(type(item) is int for item in value):
         indent = "\n" + "  " * (depth + 1)
         return "[" + indent + ("," + indent).join(map(str, value)) + "\n" + "  " * depth + "]"
-    # value is a non-empty tuple here; a weight matrix, a tuple of int
-    # tuples, is told by its first item alone
-    first = value[0]
-    key = (value, depth) if type(first) is tuple and first and type(first[0]) is int else None
-    try:
-        text = matrices.get(key)
-    except TypeError:  # a tuple holding a list or a dict is no key
-        key = text = None
+    # value is a non-empty tuple here
+    key = (value, depth) if _is_int_matrix(value) else None
+    text = None if key is None else matrices.get(key)
     if text is None:
         pieces = []
         _stream_json(value, depth, matrices, pieces.append)
@@ -313,6 +310,20 @@ def _json_text(value, depth, matrices):
         if key is not None:
             matrices[key] = text
     return text
+
+
+_TUPLE_TYPE = frozenset((tuple,))
+_INT_TYPE = frozenset((int,))
+
+
+def _is_int_matrix(value):
+    """Whether the non-empty tuple value is a tuple of tuples of exact ints
+    (no bools), as a weight matrix is.  The first entry alone turns away
+    most other values, such as labels, which are tuples of matrices."""
+    first = value[0]
+    return (type(first) is tuple and first != () and type(first[0]) is int
+            and _TUPLE_TYPE.issuperset(map(type, value))
+            and _INT_TYPE.issuperset(map(type, chain.from_iterable(value))))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +562,11 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The parser, built once per process: parsing leaves it as it was,
+    and building one leaves reference cycles inside argparse that hold it
+    until the cyclic collector runs."""
     parser = argparse.ArgumentParser(
         prog="schurres",
         description="Exact Schur-algebra resolutions and their verification suites.")

@@ -83,6 +83,13 @@ def matrix_marginal(omega, axis):
     raise ValueError("matrix axis must be 1 or 2")
 
 
+@lru_cache(maxsize=None)
+def margins(omega):
+    """(column sums, row sums, total) of a weight matrix, cached per matrix."""
+    rows = tuple(map(sum, omega))
+    return tuple(map(sum, zip(*omega))), rows, sum(rows)
+
+
 def is_partition(c):
     return all(c[i] >= c[i + 1] for i in range(len(c) - 1))
 
@@ -140,21 +147,22 @@ def _row_candidates(n, mass, caps, first_col):
     """Rows of n entries summing to mass, zero before first_col and at most
     caps (a tuple, or None for no cap) entrywise, in descending order."""
     rows = []
-
-    def fill(j, remaining, acc):
-        if j == n:
-            if remaining == 0:
-                rows.append(acc)
-            return
-        if j < first_col:
-            fill(j + 1, remaining, acc + (0,))
-            return
-        hi = remaining if caps is None else min(remaining, caps[j])
-        for v in range(hi, -1, -1):
-            fill(j + 1, remaining - v, acc + (v,))
-
-    fill(0, mass, ())
+    _fill_row(n, caps, first_col, 0, mass, (), rows)
     return tuple(rows)
+
+
+def _fill_row(n, caps, first_col, j, remaining, acc, rows):
+    """Append to rows every completion of the first j entries acc."""
+    if j == n:
+        if remaining == 0:
+            rows.append(acc)
+        return
+    if j < first_col:
+        _fill_row(n, caps, first_col, j + 1, remaining, acc + (0,), rows)
+        return
+    hi = remaining if caps is None else min(remaining, caps[j])
+    for v in range(hi, -1, -1):
+        _fill_row(n, caps, first_col, j + 1, remaining - v, acc + (v,), rows)
 
 
 def enumerate_weight_matrices(n, r, col_sums=None, row_sums=None,
@@ -194,23 +202,26 @@ def unsorted_weight_matrices(n, r, col_sums=None, row_sums=None,
     if row_sums is not None and (len(row_sums) != n or sum(row_sums) != r):
         return []
     results = []
-
-    def fill_rows(s, remaining, col_rem, acc):
-        if s == n:
-            if remaining == 0 and (col_rem is None or not any(col_rem)):
-                results.append(acc)
-            return
-        masses = (row_sums[s],) if row_sums is not None else range(remaining + 1)
-        first = s if upper_triangular else 0
-        for mass in masses:
-            if mass > remaining:
-                continue
-            for row in _row_candidates(n, mass, col_rem, first):
-                nxt = None if col_rem is None else tuple(c - v for c, v in zip(col_rem, row))
-                fill_rows(s + 1, remaining - mass, nxt, acc + (row,))
-
-    fill_rows(0, r, None if col_sums is None else tuple(col_sums), ())
+    _fill_rows(n, row_sums, upper_triangular, 0, r,
+               None if col_sums is None else tuple(col_sums), (), results)
     return results
+
+
+def _fill_rows(n, row_sums, upper_triangular, s, remaining, col_rem, acc, results):
+    """Append to results every completion of the first s rows acc."""
+    if s == n:
+        if remaining == 0 and (col_rem is None or not any(col_rem)):
+            results.append(acc)
+        return
+    masses = (row_sums[s],) if row_sums is not None else range(remaining + 1)
+    first = s if upper_triangular else 0
+    for mass in masses:
+        if mass > remaining:
+            continue
+        for row in _row_candidates(n, mass, col_rem, first):
+            nxt = None if col_rem is None else tuple(c - v for c, v in zip(col_rem, row))
+            _fill_rows(n, row_sums, upper_triangular, s + 1, remaining - mass, nxt,
+                       acc + (row,), results)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +253,11 @@ def enumerate_dominance_chains(lam, k):
     if k < 0:
         raise ValueError("chain length must be non-negative")
 
-    def ending_at(bottom, length):
-        if length == 0:
-            return [()]
-        chains = []
-        for mu in _strict_dominators(bottom):
-            for rest in ending_at(mu, length - 1):
-                chains.append(rest + (mu,))
-        return chains
-
-    return canonical_sort(ending_at(lam, k))
+    chains = [()]
+    for _ in range(k):  # grow each chain upwards from lam, one step a round
+        chains = [(mu,) + chain for chain in chains
+                  for mu in _strict_dominators(chain[0] if chain else lam)]
+    return canonical_sort(chains)
 
 
 def max_chain_length(n, r):

@@ -26,7 +26,10 @@ for at most 1024 weight matrices each; an endomorphism is shared by every
 caller, so its terms and its grouping by first index, which `compose` reads
 for its right factor, are read-only mappings.  `green_convolution` picks
 the middle words that fit the left factor once per call, not once per
-candidate key.
+candidate key, and `decode` reads each key's orbit size from `orbit`.
+Sizes and margins come from `combinatorics.margins`.  The keys of every
+algebra element returned here are the package's own, so the elements are
+built through `AlgebraElement.trusted`, which does not re-check them.
 """
 
 import os
@@ -36,12 +39,11 @@ from types import MappingProxyType
 from .combinatorics import (
     enumerate_weight_matrices,
     flatten,
-    matrix_marginal,
-    multinomial,
+    margins,
     multiset_arrangements,
     pair_weight,
 )
-from .schur import AlgebraElement, identity
+from .schur import AlgebraElement, identity, zero
 
 _DEFAULT_LIMIT = 4096
 _LIMIT_ENV = "SCHURRES_ORACLE_LIMIT"
@@ -112,7 +114,7 @@ def _group_by_first(terms):
 def _basis_endomorphism(omega):
     """The read-only endomorphism of a basis element, with its grouping."""
     pairs = orbit(omega)
-    f = TensorEndomorphism(len(omega), sum(map(sum, omega)))
+    f = TensorEndomorphism(len(omega), margins(omega)[2])
     f.terms = MappingProxyType(dict.fromkeys(pairs, 1))
     f.by_first = MappingProxyType(_group_by_first(f.terms))
     return f
@@ -123,7 +125,7 @@ def endo_of_basis(omega):
 
     The size guard runs on every call; past it the endomorphism comes from
     a cache and is shared, so its terms are a read-only mapping."""
-    _guard(len(omega), sum(map(sum, omega)))
+    _guard(len(omega), margins(omega)[2])
     return _basis_endomorphism(omega)
 
 
@@ -143,17 +145,20 @@ def compose(f, g):
 def decode(f):
     """Express an invariant endomorphism in the weight-matrix basis.
 
-    Raises when the terms are not constant on symmetric-group orbits.
+    Raises when the terms are not constant on symmetric-group orbits; each
+    key's orbit size is read from the cached `orbit`.  The multi-indices are
+    taken to have length f.r and entries in 1..f.n, as those of the
+    package's endomorphisms do; the keys are not re-checked.
     """
     grouped = {}
     for (i, j), c in f.terms.items():
         grouped.setdefault(pair_weight(i, j, f.n), []).append(c)
     terms = {}
     for omega, coeffs in grouped.items():
-        if len(coeffs) != multinomial([v for row in omega for v in row]) or len(set(coeffs)) != 1:
+        if len(coeffs) != len(orbit(omega)) or len(set(coeffs)) != 1:
             raise ValueError("endomorphism is not symmetric-group invariant")
         terms[omega] = coeffs[0]
-    return AlgebraElement(f.n, f.r, terms)
+    return AlgebraElement.trusted(f.n, f.r, terms)
 
 
 def green_convolution(omega, pi):
@@ -164,16 +169,14 @@ def green_convolution(omega, pi):
     (i, j) of tau; the count is independent of the representative.
     """
     n = len(omega)
-    r = sum(map(sum, omega))
-    if len(pi) != n or sum(map(sum, pi)) != r:
+    content, row_sums, r = margins(omega)
+    pi_cols, pi_rows, pi_r = margins(pi)
+    if len(pi) != n or pi_r != r:
         raise ValueError("algebra size mismatch")
     _guard(n, r)
-    content = matrix_marginal(omega, 1)
-    if content != matrix_marginal(pi, 2):
-        return AlgebraElement(n, r, {})
-    row_sums = matrix_marginal(omega, 2)
-    candidates = enumerate_weight_matrices(
-        n, r, col_sums=matrix_marginal(pi, 1), row_sums=row_sums)
+    if content != pi_rows:
+        return zero(n, r)
+    candidates = enumerate_weight_matrices(n, r, col_sums=pi_cols, row_sums=row_sums)
     # every candidate tau has the row sums of omega, so its representative
     # orbit(tau)[0][0], the increasing word holding each s + 1 as often as
     # row s sums to, is one word i for all of them; the middles k with pair
@@ -187,7 +190,7 @@ def green_convolution(omega, pi):
         count = sum(1 for k in middles if pair_weight(k, j, n) == pi)
         if count:
             terms[tau] = count
-    return AlgebraElement(n, r, terms)
+    return AlgebraElement.trusted(n, r, terms)
 
 
 def monomial_eval(omega, g):
@@ -210,9 +213,5 @@ def tensor_power_action(g, r):
     n = len(g)
     if r == 0:
         return identity(n, 0)
-    terms = {}
-    for omega in enumerate_weight_matrices(n, r):
-        c = monomial_eval(omega, g)
-        if c:
-            terms[omega] = c
-    return AlgebraElement(n, r, terms)
+    return AlgebraElement.trusted(
+        n, r, {omega: monomial_eval(omega, g) for omega in enumerate_weight_matrices(n, r)})

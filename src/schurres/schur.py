@@ -15,20 +15,31 @@ margins, and each packed key is decoded once per process into a key matrix
 that every expansion holding it shares.  Only composable pairs, where the
 column sums of the left factor equal the row sums of the right one, are
 expanded and cached; any other product is zero, and is answered from the
-two factors' margins, cached per matrix, without storing anything.  The
-product of two elements pairs each left term only with the right terms it
-composes with.  Coefficients are unbounded-precision integers throughout;
-zero coefficients are dropped eagerly so equality is structural.
+two factors' margins without storing anything.  Margins come from
+`combinatorics.margins`, one record (column sums, row sums, total) cached
+per matrix.
+
+An element's terms are a read-only mapping, so an element never changes
+and work that depends on one element only is done once: the first time an
+element is a left factor it groups its terms by the column sums of their
+keys and keeps that grouping, and every product walks the right factor's
+terms and pairs each only with the left terms it composes with.  The
+constructor checks that every key fits the algebra's sizes;
+`AlgebraElement.trusted` skips that check for keys the package built
+itself (products, sums, the oracles' results).  Coefficients are
+unbounded-precision integers throughout; zero coefficients are dropped
+eagerly so equality is structural.
 """
 
 import json
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from .combinatorics import (
     diagonal_matrix,
     enumerate_compositions,
-    matrix_marginal,
+    margins,
     multinomial,
     unsorted_weight_matrices,
 )
@@ -52,12 +63,6 @@ def _slice_table(row_sums, col_sums, width):
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _margins(omega):
-    """(column sums, row sums) of a weight matrix, cached per matrix."""
-    return matrix_marginal(omega, 1), matrix_marginal(omega, 2)
-
-
 def structure_constants(omega, pi):
     """Expansion of a basis product as ((key, coefficient), ...).
 
@@ -66,7 +71,7 @@ def structure_constants(omega, pi):
     function's `cache_info` and `cache_clear` act on the cache of composable
     pairs.
     """
-    if _margins(omega)[0] != _margins(pi)[1]:
+    if margins(omega)[0] != margins(pi)[1]:
         return ()
     return _composable_product(omega, pi)
 
@@ -81,13 +86,13 @@ def _composable_product(omega, pi):
     (multinomial of slice t), so each key is scaled once at the end.
     """
     n = len(omega)
-    width = sum(map(sum, omega)).bit_length() or 1  # every entry of a key is <= r
+    col_sums, _, r = margins(omega)
+    width = r.bit_length() or 1  # every entry of a key is <= r
     acc = {0: 1}
     scale = 1
     for t in range(n):
-        rs = tuple(row[t] for row in omega)
-        scale *= factorial(sum(rs))
-        table = _slice_table(rs, pi[t], width)
+        scale *= factorial(col_sums[t])
+        table = _slice_table(tuple(row[t] for row in omega), pi[t], width)
         folded = {}
         for partial, c in acc.items():
             for entries, w in table:
@@ -119,24 +124,55 @@ def _unpack(packed, n, width):
 
 
 class AlgebraElement:
-    """Sparse integer combination of weight-matrix basis elements."""
+    """Sparse integer combination of weight-matrix basis elements.
 
-    __slots__ = ("n", "r", "terms")
+    `terms` is a read-only mapping {key: nonzero coefficient}.  The terms
+    grouped by the column sums of their keys are built the first time the
+    element is a left factor, and kept.
+    """
+
+    __slots__ = ("n", "r", "terms", "_by_col_sums")
 
     def __init__(self, n, r, terms=None):
-        self.n = n
-        self.r = r
-        clean = {}
-        for key, c in (terms or {}).items():
+        terms = terms or {}
+        for key in terms:
             if len(key) != n or sum(map(sum, key)) != r:
                 raise ValueError("basis key does not match the algebra sizes")
-            if c:
-                clean[key] = c
-        self.terms = clean
+        self.n = n
+        self.r = r
+        self.terms = MappingProxyType({key: c for key, c in terms.items() if c})
+        self._by_col_sums = None
+
+    @classmethod
+    def trusted(cls, n, r, terms):
+        """The element of terms, a dict {key: coefficient} whose keys the
+        package built for (n, r), built for this element and kept by no
+        one else: zero coefficients are dropped, but the keys are not
+        checked as the constructor checks them, and the dict is not copied.
+        Without terms it is the shared `zero(n, r)`."""
+        if not all(terms.values()):
+            terms = {key: c for key, c in terms.items() if c}
+        if not terms:
+            return zero(n, r)
+        x = cls.__new__(cls)
+        x.n = n
+        x.r = r
+        x.terms = MappingProxyType(terms)
+        x._by_col_sums = None
+        return x
 
     def _check(self, other):
         if (self.n, self.r) != (other.n, other.r):
             raise ValueError("algebra size mismatch")
+
+    def _left_groups(self):
+        """{column sums: [(key, coefficient), ...]} over the terms."""
+        if self._by_col_sums is None:
+            groups = {}
+            for a, ca in self.terms.items():
+                groups.setdefault(margins(a)[0], []).append((a, ca))
+            self._by_col_sums = groups
+        return self._by_col_sums
 
     def items(self):
         """Terms in canonical (descending key) order; keys are distinct, so
@@ -159,28 +195,27 @@ class AlgebraElement:
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, 0) + c
-        return AlgebraElement(self.n, self.r, terms)
+        return AlgebraElement.trusted(self.n, self.r, terms)
 
     def __neg__(self):
-        return AlgebraElement(self.n, self.r, {k: -c for k, c in self.terms.items()})
+        return AlgebraElement.trusted(self.n, self.r, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return AlgebraElement(self.n, self.r, {k: other * c for k, c in self.terms.items()})
+            return AlgebraElement.trusted(
+                self.n, self.r, {k: other * c for k, c in self.terms.items()})
         self._check(other)
-        by_row_sums = {}
-        for b, cb in other.terms.items():
-            by_row_sums.setdefault(_margins(b)[1], []).append((b, cb))
+        by_col_sums = self._left_groups()
         terms = {}
-        for a, ca in self.terms.items():
-            for b, cb in by_row_sums.get(_margins(a)[0], ()):
+        for b, cb in other.terms.items():
+            for a, ca in by_col_sums.get(margins(b)[1], ()):
                 c = ca * cb
                 for key, m in structure_constants(a, b):
                     terms[key] = terms.get(key, 0) + c * m
-        return AlgebraElement(self.n, self.r, terms)
+        return AlgebraElement.trusted(self.n, self.r, terms)
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, int):
@@ -193,20 +228,22 @@ class AlgebraElement:
 
 def basis_element(omega):
     """The basis element attached to a weight matrix."""
-    n = len(omega)
-    return AlgebraElement(n, sum(map(sum, omega)), {omega: 1})
+    return AlgebraElement.trusted(len(omega), margins(omega)[2], {omega: 1})
 
 
+@lru_cache(maxsize=None)
 def zero(n, r):
-    return AlgebraElement(n, r, {})
+    """The zero element; an element never changes, so one is shared per
+    (n, r)."""
+    return AlgebraElement(n, r)
 
 
 def multiply_basis(omega, pi):
     """Product of two basis elements as an algebra element."""
-    n, r = len(omega), sum(map(sum, omega))
-    if len(pi) != n or sum(map(sum, pi)) != r:
+    n, r = len(omega), margins(omega)[2]
+    if len(pi) != n or margins(pi)[2] != r:
         raise ValueError("algebra size mismatch")
-    return AlgebraElement(n, r, dict(structure_constants(omega, pi)))
+    return AlgebraElement.trusted(n, r, dict(structure_constants(omega, pi)))
 
 
 def multiply(x, y):
@@ -215,8 +252,8 @@ def multiply(x, y):
 
 def identity(n, r):
     """Sum of all diagonal idempotents; the unit of the algebra."""
-    terms = {diagonal_matrix(lam): 1 for lam in enumerate_compositions(n, r)}
-    return AlgebraElement(n, r, terms)
+    return AlgebraElement.trusted(
+        n, r, {diagonal_matrix(lam): 1 for lam in enumerate_compositions(n, r)})
 
 
 def format_element(x):

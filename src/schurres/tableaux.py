@@ -333,27 +333,28 @@ def semistandard_tableau_count(lam, n, content=None):
         if sum(left) != r:
             return 0
     cells = [(s, t) for s, length in enumerate(lam) for t in range(length)]
-    filling = {}
+    return _count_fillings(cells, 0, {}, left, n)
 
-    def count(idx):
-        if idx == len(cells):
-            return 1
-        s, t = cells[idx]
-        lo = 1
-        if t:
-            lo = max(lo, filling[s, t - 1])
-        if s:
-            lo = max(lo, filling[s - 1, t] + 1)
-        total = 0
-        for v in range(lo, n + 1):
-            if left[v - 1]:
-                left[v - 1] -= 1
-                filling[s, t] = v
-                total += count(idx + 1)
-                left[v - 1] += 1
-        return total
 
-    return count(0)
+def _count_fillings(cells, idx, filling, left, n):
+    """Number of ways to fill cells[idx:] after filling, spending the
+    per-value budget left (restored on return)."""
+    if idx == len(cells):
+        return 1
+    s, t = cells[idx]
+    lo = 1
+    if t:
+        lo = max(lo, filling[s, t - 1])
+    if s:
+        lo = max(lo, filling[s - 1, t] + 1)
+    total = 0
+    for v in range(lo, n + 1):
+        if left[v - 1]:
+            left[v - 1] -= 1
+            filling[s, t] = v
+            total += _count_fillings(cells, idx + 1, filling, left, n)
+            left[v - 1] += 1
+    return total
 
 
 def standard_tableau_count(lam):

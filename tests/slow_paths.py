@@ -1,4 +1,4 @@
-"""The per-call forms of three fast paths of the package, kept as references
+"""The per-call forms of four fast paths of the package, kept as references
 that the fast paths are tested against.
 
 * `per_call_gl_action` builds the image of every column of the monomial on
@@ -8,6 +8,9 @@ that the fast paths are tested against.
   one once per middle word.
 * `nested_pair_weight` counts into a list of rows;
   `combinatorics.pair_weight` counts into one flat list.
+* `regrouping_product` groups the right factor's terms by row sums on
+  every call and scans every left term; `AlgebraElement.__mul__` keeps the
+  left factor's grouping by column sums and walks the right factor.
 """
 
 from itertools import product
@@ -19,7 +22,7 @@ from schurres.combinatorics import (
 )
 from schurres.dividedpowers import divided_power_of_vector, divided_product
 from schurres.oracles import orbit
-from schurres.schur import AlgebraElement
+from schurres.schur import AlgebraElement, structure_constants
 
 
 def per_call_gl_action(g, pi):
@@ -81,3 +84,20 @@ def per_candidate_green_convolution(omega, pi):
         if count:
             terms[tau] = count
     return AlgebraElement(n, r, terms)
+
+
+def regrouping_product(x, y):
+    """x * y, pairing each left term with the right terms it composes with,
+    found by grouping the right factor's terms by row sums on this call."""
+    if (x.n, x.r) != (y.n, y.r):
+        raise ValueError("algebra size mismatch")
+    by_row_sums = {}
+    for b, cb in y.terms.items():
+        by_row_sums.setdefault(matrix_marginal(b, 2), []).append((b, cb))
+    terms = {}
+    for a, ca in x.terms.items():
+        for b, cb in by_row_sums.get(matrix_marginal(a, 1), ()):
+            c = ca * cb
+            for key, m in structure_constants(a, b):
+                terms[key] = terms.get(key, 0) + c * m
+    return AlgebraElement(x.n, x.r, terms)

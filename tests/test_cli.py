@@ -185,7 +185,7 @@ def test_resolve_document_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-json_leaves = st.integers() | st.text()
+json_leaves = st.integers() | st.booleans() | st.text()
 json_values = st.recursive(
     json_leaves,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
@@ -201,6 +201,7 @@ json_values = st.recursive(
 @example({"a\"b": ((1, 2), [(1, 2)], ((1, 2), (3, -4)), ("x", (1, 2))), "c": (1, 2)})
 @example([[((0, 1), (1, 0)), ((0, 1), (1, 0))], ((0, 1), (1, 0)), [10 ** 30, -7]])
 @example({1: 2, -3: [], None: {}, False: "", "k": {True: (), 0.5: [1]}})
+@example([((1, 1),), ((1, True),), ((True, 1),), ((1, 1),)])
 def test_indented_json_matches_json_dumps(value):
     out = io.StringIO()
     _indented_json(value, out)
@@ -590,3 +591,20 @@ def test_verify_judges_a_complex_whose_product_breaks_d_squared(
         assert '"failures":["(\'complex axiom\', None)"' in out
     else:
         assert out == "" and err.startswith("error: d o d != 0 between degrees ")
+
+
+def test_a_verify_run_leaves_no_reference_cycle(capsys):
+    """Building an argparse parser leaves cycles inside argparse, so the
+    parser is built once; a run after the first must leave no garbage that
+    only the cyclic collector frees."""
+    argv = ("verify", "-n", "2", "-r", "3", "--checks", "exactness,oracle", "--mod", "2")
+    assert run(capsys, *argv)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        code, out, _ = run(capsys, *argv)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0 and "ok exactness (n=2, r=3)" in out
+    assert unreachable == 0

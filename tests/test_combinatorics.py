@@ -1,8 +1,10 @@
+import gc
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from schurres.barcomplex import enumerate_bar_basis
 from schurres.combinatorics import (
     _row_candidates,
     dominates,
@@ -14,12 +16,15 @@ from schurres.combinatorics import (
     flatten,
     is_diagonal,
     is_upper_triangular,
+    margins,
     matrix_marginal,
     max_chain_length,
     multinomial,
     multiset_arrangements,
     pair_weight,
+    unsorted_weight_matrices,
 )
+from schurres.tableaux import semistandard_tableau_count
 from math import comb
 
 from slow_paths import nested_pair_weight
@@ -344,3 +349,34 @@ def test_arrangements_match_a_permutation_brute_force():
                 assert isinstance(got, tuple) and all(
                     isinstance(word, tuple) and all(type(v) is int for v in word)
                     for word in got)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unsorted_weight_matrices(3, 5),
+    lambda: unsorted_weight_matrices(3, 4, (1, 1, 2), (2, 1, 1), True),
+    lambda: _row_candidates.__wrapped__(4, 3, (2, 1, 0, 3), 1),
+    lambda: enumerate_dominance_chains((1, 1, 1), 2),
+    lambda: enumerate_bar_basis((2, 2, 1), 3, "full"),
+    lambda: semistandard_tableau_count((3, 2, 1), 3),
+], ids=["weight_matrices", "constrained_weight_matrices", "row_candidates",
+        "dominance_chains", "bar_basis", "semistandard_count"])
+def test_enumerations_leave_no_reference_cycle(call):
+    """A recursion through a nested function that names itself leaves a
+    cycle holding the call's result; none of these may, so their results
+    are freed as soon as they are dropped."""
+    call()  # fill the caches the call reads, which are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        assert call()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
+def test_margins_are_column_sums_row_sums_and_total():
+    for n, r in ((1, 0), (2, 3), (3, 3)):
+        for omega in enumerate_weight_matrices(n, r):
+            assert margins(omega) == (matrix_marginal(omega, 1), matrix_marginal(omega, 2), r)
+    assert margins(((1, 2, 0), (0, 0, 4), (3, 0, 0))) == ((4, 2, 4), (3, 4, 3), 10)

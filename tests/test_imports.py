@@ -2,7 +2,8 @@
 or class it defines, is used in that module; every public function, class
 and method it defines is named outside its own definition by the code the
 verifier runs, the package and the benchmark; every import sits at
-module level; and no module reads the dense `rows` view of a matrix.
+module level; no function nested in another names itself; and no module
+reads the dense `rows` view of a matrix.
 
 `__init__.py` is left out of the use checks: it imports names only to
 re-export them, and a re-export is not a use.  Names that only tests or
@@ -170,6 +171,35 @@ def test_module_imports_only_at_module_level(path):
 def test_an_import_inside_a_function_is_reported():
     tree = ast.parse("import os\n\ndef f():\n    from math import pi\n    return pi\n")
     assert list(imports_inside_functions(tree)) == [4]
+
+
+def self_referring_nested_functions(tree):
+    """Names of the functions defined inside another function that name
+    themselves in their own body.  Such a function and its closure cell
+    form a reference cycle, which keeps the call's locals alive until the
+    cyclic collector runs; module-level recursion leaves none."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for outer in ast.walk(tree):
+        if isinstance(outer, functions):
+            for node in ast.walk(outer):
+                if (node is not outer and isinstance(node, functions)
+                        and any(isinstance(inner, ast.Name) and inner.id == node.name
+                                for stmt in node.body for inner in ast.walk(stmt))):
+                    yield node.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_nested_function_refers_to_itself(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted(set(self_referring_nested_functions(tree)))
+    assert not found, f"{path.name} nests self-referring functions {found}"
+
+
+def test_a_nested_function_that_calls_itself_is_reported():
+    tree = ast.parse("def walk(n):\n    return walk(n - 1) if n else 0\n\n"
+                     "def outer(k):\n    def fill(j):\n        return fill(j - 1) if j else k\n"
+                     "    def emit(j):\n        return j\n    return fill(k) + emit(k)\n")
+    assert list(self_referring_nested_functions(tree)) == ["fill"]
 
 
 def dense_view_reads(tree):

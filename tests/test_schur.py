@@ -15,6 +15,8 @@ from schurres.combinatorics import (
     max_chain_length,
     transpose_matrix,
 )
+from schurres.dividedpowers import gl_action
+from schurres.oracles import compose, decode, endo_of_basis, green_convolution, tensor_power_action
 from schurres.schur import (
     AlgebraElement,
     _slice_table,
@@ -27,6 +29,7 @@ from schurres.schur import (
     zero,
 )
 from schurres.schurfunctor import truncated_resolution
+from slow_paths import regrouping_product
 from weight_tensors import (
     enumerate_weight_tensors,
     reference_structure_constants,
@@ -364,3 +367,83 @@ def test_format_element():
 def test_rejects_bad_keys():
     with pytest.raises(ValueError):
         AlgebraElement(2, 2, {((1, 0), (0, 0)): 1})
+    with pytest.raises(ValueError):  # checked although its coefficient is zero
+        AlgebraElement(2, 2, {((1, 1), (0, 0)): 1, ((1, 0), (0, 0)): 0})
+    with pytest.raises(ValueError):
+        AlgebraElement(3, 2, {((1, 1), (0, 0)): 1})
+    g, pi = ((1, 2, 0), (0, -1, 3), (2, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 1, 0))
+    image = gl_action(g, pi)
+    assert AlgebraElement(3, 3, image).terms == {k: c for k, c in image.items() if c}
+    with pytest.raises(ValueError):
+        AlgebraElement(3, 2, image)
+    with pytest.raises(ValueError):
+        AlgebraElement(2, 3, image)
+
+
+def test_products_match_the_regrouping_product_on_all_basis_pairs():
+    """Each left factor is built once, so its kept grouping serves every
+    product it is the left factor of."""
+    for n, r in [(2, r) for r in range(5)] + [(3, r) for r in range(4)]:
+        mats = enumerate_weight_matrices(n, r)
+        rights = [basis_element(pi) for pi in mats]
+        for omega in mats:
+            x = basis_element(omega)
+            for pi, y in zip(mats, rights):
+                got = x * y
+                assert got == regrouping_product(x, y) == multiply_basis(omega, pi), (omega, pi)
+                assert hash(got) == hash(regrouping_product(x, y))
+
+
+def seeded_matrices(n, count, seed):
+    rng = random.Random(seed)
+    return [tuple(tuple(rng.randrange(-3, 4) for _ in range(n)) for _ in range(n))
+            for _ in range(count)]
+
+
+def test_group_images_times_basis_elements_match_the_regrouping_product():
+    for g in seeded_matrices(3, 20, 28):
+        rho = tensor_power_action(g, 3)
+        for pi in enumerate_weight_matrices(3, 3):
+            xi = basis_element(pi)
+            assert rho * xi == regrouping_product(rho, xi), (g, pi)
+            assert xi * rho == regrouping_product(xi, rho), (g, pi)
+        assert rho * rho == regrouping_product(rho, rho), g
+
+
+def revalidated(x):
+    """x rebuilt through the constructor, which checks every key."""
+    return AlgebraElement(x.n, x.r, dict(x.terms))
+
+
+def test_trusted_elements_equal_the_validated_ones():
+    mats = enumerate_weight_matrices(3, 3)
+    rng = random.Random(5)
+    for _ in range(30):
+        terms = {rng.choice(mats): rng.randrange(-2, 3) for _ in range(6)}
+        assert AlgebraElement.trusted(3, 3, dict(terms)) == AlgebraElement(3, 3, terms)
+    x = AlgebraElement(3, 3, {mats[0]: 2, mats[40]: -1, mats[77]: 3})
+    y = AlgebraElement(3, 3, {mats[3]: 1, mats[40]: 1, mats[160]: -4})
+    g = ((1, 0, 2), (0, 0, -1), (3, 1, 0))
+    results = [x + y, x - y, x - x, -x, 3 * x, x * 0, x * y, y * x,
+               multiply_basis(mats[10], mats[20]), basis_element(mats[7]), identity(3, 3),
+               zero(3, 3), tensor_power_action(g, 3), tensor_power_action(g, 0),
+               decode(compose(endo_of_basis(mats[30]), endo_of_basis(mats[50])))]
+    results += [green_convolution(omega, pi) for omega in mats[::20] for pi in mats[::15]]
+    for got in results:
+        assert got == revalidated(got)
+        assert all(got.terms.values())
+    assert (x - x) is (x * 0) is zero(3, 3)  # one shared zero per (n, r)
+    # the zero entries of g give zero monomials, which are dropped
+    assert len(tensor_power_action(g, 3).terms) < len(mats)
+
+
+def test_terms_are_read_only():
+    omega = ((1, 1), (0, 0))
+    built = AlgebraElement(2, 2, {omega: 1})
+    for x, c in ((built, 1), (basis_element(omega), 1), (built * identity(2, 2), 1),
+                 (built + built, 2)):
+        with pytest.raises(TypeError):
+            x.terms[omega] = 5
+        with pytest.raises(TypeError):
+            del x.terms[omega]
+        assert x.terms == {omega: c}
