@@ -7,19 +7,20 @@ two runs with identical flags produce byte-identical files.  Exit codes:
 0 success, 1 verification failure, 2 usage error.
 
 resolve holds the complex and its homology, and while writing, the text
-of each distinct weight matrix at each depth and the row buckets of one
-differential or homotopy at a time: the document keeps each Matrix, and
-the writer streams its entries() one triplet at a time.  The complex is
-checked to be one (d o d = 0) before anything is written.
+of each distinct weight matrix (and of its rows) at each depth and the row
+buckets of one differential or homotopy at a time: the document keeps each
+Matrix, and the writer writes the document straight to the output, item by
+item, each Matrix one entries() triplet at a time.  The complex is checked
+to be one (d o d = 0) before anything is written.
 """
 
 import argparse
 import contextlib
+import io
 import json
 import random
 import sys
 from functools import lru_cache
-from itertools import chain
 
 from . import __version__
 from .barcomplex import build_borel_resolution, build_weyl_resolution
@@ -83,6 +84,8 @@ def _parse_composition(text, n, r):
 
 
 def _parse_matrix(text, n, r):
+    if n < 1 or r < 0:
+        raise ValueError("need n >= 1 and r >= 0")
     try:
         rows = json.loads(text)
     except json.JSONDecodeError:
@@ -197,133 +200,55 @@ def cmd_resolve(args):
     cx.check_complex()
     doc = complex_document(cx, lam, args.variant)
     with _output(args.output) as out:
-        _indented_json(doc, out)
+        _indented_json(doc, out, 0, {})
         out.write("\n")
     return 0
 
 
-JSON_CHUNK = 1 << 16
+def _indented_json(value, out, depth, texts):
+    """Write the text of `json.dumps(value, indent=2)`, nested at depth, to
+    out, with a Matrix standing for the list of its entries().
 
-
-def _indented_json(obj, out):
-    """Write the text of `json.dumps(obj, indent=2)` to out, in writes of
-    about JSON_CHUNK characters, for dicts, lists, tuples, ints and strings,
-    with a Matrix standing for the list of its entries().
-
-    With `indent` set, json.dumps runs the stdlib's pure-Python encoder;
-    here only leaves and keys go through json.dumps.  Dicts and lists are
-    written item by item, so no text of a whole document or degree is held;
-    an all-int sequence is joined at once, a Matrix is written entry by
-    entry, and only weight matrices (tuples of int tuples) keep their
-    text, once per distinct value and depth: labels never repeat, but they
-    repeat the same weight matrices many times.  Texts are looked up by
-    equality, and True == 1, so only tuples of tuples of exact ints keep
-    theirs.
+    Dicts, whose keys are str, and lists are written item by item, and a
+    Matrix entry by entry, so no text of a whole degree is held.  A
+    non-empty tuple, such as a label (a tuple of weight matrices), is
+    joined from the texts of its items, kept in texts per (item, depth):
+    labels never repeat, but their matrices repeat many times.  Texts are
+    looked up by equality, and True == 1, so a tuple holds no bools.  Only
+    leaves and empty values go through json.dumps, unindented: with indent
+    set it runs the pure-Python encoder, whose closures leave a reference
+    cycle behind on every call.
     """
-    parts = []
-    size = 0
-
-    def emit(text):
-        nonlocal size
-        parts.append(text)
-        size += len(text)
-        if size >= JSON_CHUNK:
-            out.write("".join(parts))
-            parts.clear()
-            size = 0
-
-    _stream_json(obj, 0, {}, emit)
-    out.write("".join(parts))
-
-
-def _stream_json(value, depth, matrices, emit):
-    """Pass the text of value at depth to emit: a non-empty dict, list or
-    tuple item by item, unless its items are all ints, a Matrix entry by
-    entry, and anything else whole."""
-    if isinstance(value, Matrix):
-        _stream_entries(value, depth, emit)
-        return
-    if isinstance(value, dict) and value:
-        brackets = "{}"
-        items = ((_key_text(key), item) for key, item in value.items())
-    elif (isinstance(value, (list, tuple)) and value
-          and not all(type(item) is int for item in value)):
-        brackets = "[]"
-        items = (("", item) for item in value)
+    indent = "\n" + "  " * (depth + 1)
+    end = "\n" + "  " * depth
+    if isinstance(value, (dict, list)) and value:
+        keyed = isinstance(value, dict)
+        sep = "{" + indent if keyed else "[" + indent
+        for key, item in value.items() if keyed else enumerate(value):
+            out.write(sep + json.dumps(key) + ": " if keyed else sep)
+            _indented_json(item, out, depth + 1, texts)
+            sep = "," + indent
+        out.write(end + ("}" if keyed else "]"))
+    elif isinstance(value, Matrix):
+        inner = indent + "  "
+        triplet = "[" + inner + "%d," + inner + "%d," + inner + "%d" + indent + "]"
+        sep = "[" + indent
+        for entry in value.entries():
+            out.write(sep + triplet % entry)
+            sep = "," + indent
+        out.write("[]" if sep[0] == "[" else end + "]")
+    elif isinstance(value, tuple) and value:
+        items = []
+        for item in value:
+            text = texts.get((item, depth))
+            if text is None:
+                buffer = io.StringIO()
+                _indented_json(item, buffer, depth + 1, texts)
+                text = texts[item, depth] = buffer.getvalue()
+            items.append(text)
+        out.write("[" + indent + ("," + indent).join(items) + end + "]")
     else:
-        emit(_json_text(value, depth, matrices))
-        return
-    indent = "\n" + "  " * (depth + 1)
-    sep = brackets[0] + indent
-    for head, item in items:
-        if isinstance(item, (dict, list, Matrix)):
-            emit(sep + head)
-            _stream_json(item, depth + 1, matrices, emit)
-        else:
-            emit(sep + head + _json_text(item, depth + 1, matrices))
-        sep = "," + indent
-    emit("\n" + "  " * depth + brackets[1])
-
-
-def _key_text(key):
-    """The text of a dict key and its colon: as json.dumps does, an int,
-    float, bool or None key becomes the string of its JSON text."""
-    if key is None or isinstance(key, (int, float)):
-        key = json.dumps(key)
-    elif not isinstance(key, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {type(key).__name__}")
-    return json.dumps(key) + ": "
-
-
-def _stream_entries(mat, depth, emit):
-    """Pass the text of the list of mat.entries() at depth to emit, one
-    triplet at a time."""
-    if not any(mat.columns):
-        emit("[]")
-        return
-    indent = "\n" + "  " * (depth + 1)
-    inner = indent + "  "
-    triplet = "[" + inner + "%d," + inner + "%d," + inner + "%d" + indent + "]"
-    sep = "[" + indent
-    for entry in mat.entries():
-        emit(sep + triplet % entry)
-        sep = "," + indent
-    emit("\n" + "  " * depth + "]")
-
-
-def _json_text(value, depth, matrices):
-    """The text of value at depth; a weight matrix's text is kept in
-    matrices under (value, depth) and reused."""
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        return json.dumps(value)
-    if not isinstance(value, dict) and all(type(item) is int for item in value):
-        indent = "\n" + "  " * (depth + 1)
-        return "[" + indent + ("," + indent).join(map(str, value)) + "\n" + "  " * depth + "]"
-    # value is a non-empty tuple here
-    key = (value, depth) if _is_int_matrix(value) else None
-    text = None if key is None else matrices.get(key)
-    if text is None:
-        pieces = []
-        _stream_json(value, depth, matrices, pieces.append)
-        text = "".join(pieces)
-        if key is not None:
-            matrices[key] = text
-    return text
-
-
-_TUPLE_TYPE = frozenset((tuple,))
-_INT_TYPE = frozenset((int,))
-
-
-def _is_int_matrix(value):
-    """Whether the non-empty tuple value is a tuple of tuples of exact ints
-    (no bools), as a weight matrix is.  The first entry alone turns away
-    most other values, such as labels, which are tuples of matrices."""
-    first = value[0]
-    return (type(first) is tuple and first != () and type(first[0]) is int
-            and _TUPLE_TYPE.issuperset(map(type, value))
-            and _INT_TYPE.issuperset(map(type, chain.from_iterable(value))))
+        out.write(json.dumps(value))
 
 
 # ---------------------------------------------------------------------------

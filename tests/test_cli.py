@@ -10,14 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from schurres import barcomplex, dividedpowers, tableaux
 from schurres.barcomplex import build_borel_resolution, build_weyl_resolution
-from schurres.cli import (
-    JSON_CHUNK,
-    _indented_json,
-    _maybe_corrupt,
-    _stream_entries,
-    complex_document,
-    main,
-)
+from schurres.cli import _indented_json, _maybe_corrupt, complex_document, main
 from schurres.complexes import ChainComplex, Matrix
 from schurres.schurfunctor import truncated_resolution
 from schurres.tableaux import build_bh_complex
@@ -67,6 +60,12 @@ def test_multiply_malformed_matrix(capsys):
                        "[[1,1],[0,0]]", "[[9],[0]]")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("n, r, literal", [("0", "0", "[]"), ("2", "-1", "[[0,0],[0,0]]")])
+def test_multiply_refuses_sizes_before_any_product(capsys, n, r, literal):
+    code, out, err = run(capsys, "multiply", "-n", n, "-r", r, literal, literal)
+    assert (code, out, err) == (2, "", "error: need n >= 1 and r >= 0\n")
 
 
 def test_resolve_weyl_document(capsys):
@@ -185,61 +184,6 @@ def test_resolve_document_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-json_leaves = st.integers() | st.booleans() | st.text()
-json_values = st.recursive(
-    json_leaves,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(st.text() | st.integers() | st.booleans() | st.none(),
-                                     inner, max_size=4)),
-    max_leaves=30)
-
-
-@settings(max_examples=300, deadline=None)
-@given(json_values)
-@example({"": [], "k": {}, "t": ()})
-@example(['"quoted"', "back\\slash", "\x00\x1f\n\t", "\u00e9\u2211\U0001f600"])
-@example({"a\"b": ((1, 2), [(1, 2)], ((1, 2), (3, -4)), ("x", (1, 2))), "c": (1, 2)})
-@example([[((0, 1), (1, 0)), ((0, 1), (1, 0))], ((0, 1), (1, 0)), [10 ** 30, -7]])
-@example({1: 2, -3: [], None: {}, False: "", "k": {True: (), 0.5: [1]}})
-@example([((1, 1),), ((1, True),), ((True, 1),), ((1, 1),)])
-def test_indented_json_matches_json_dumps(value):
-    out = io.StringIO()
-    _indented_json(value, out)
-    assert out.getvalue() == json.dumps(value, indent=2)
-
-
-class RecordedWrites(io.StringIO):
-    def __init__(self):
-        super().__init__()
-        self.sizes = []
-
-    def write(self, text):
-        self.sizes.append(len(text))
-        return super().write(text)
-
-
-def test_indented_json_writes_in_chunks_and_leaves_no_cycle():
-    value = {"basis": [((i, i + 1), (2, 0)) for i in range(6000)],
-             "entries": [(i, i % 7, -1) for i in range(6000)]}
-    out = RecordedWrites()
-    gc.collect()
-    gc.disable()
-    try:
-        _indented_json(value, out)
-        unreachable = gc.collect()
-    finally:
-        gc.enable()
-    assert out.getvalue() == json.dumps(value, indent=2)
-    assert len(out.sizes) > 4
-    assert all(JSON_CHUNK <= size < JSON_CHUNK + 100 for size in out.sizes[:-1])
-    assert unreachable == 0
-
-
-def test_indented_json_refuses_a_key_json_refuses():
-    with pytest.raises(TypeError):
-        _indented_json({(1, 2): 0}, io.StringIO())
-
-
 @st.composite
 def sparse_matrices(draw):
     nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
@@ -249,17 +193,23 @@ def sparse_matrices(draw):
     return Matrix.from_entries(nrows, ncols, [(i, j, v) for (i, j), v in entries.items()])
 
 
-@settings(max_examples=200, deadline=None)
-@given(sparse_matrices(), st.integers(0, 4))
-@example(Matrix.zeros(0, 0), 0)
-@example(Matrix.zeros(0, 3), 2)
-@example(Matrix.zeros(3, 0), 4)
-@example(Matrix.zeros(2, 2), 1)
-def test_streamed_entries_match_the_entries_list(mat, depth):
-    pieces = []
-    _stream_entries(mat, depth, pieces.append)
-    expected = json.dumps(list(mat.entries()), indent=2).replace("\n", "\n" + "  " * depth)
-    assert "".join(pieces) == expected
+weight_matrices = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 10 ** 12), min_size=n, max_size=n).map(tuple),
+    min_size=n, max_size=n).map(tuple))
+
+
+@st.composite
+def documents(draw):
+    """Values shaped like a `resolve` document: dicts with str keys, lists,
+    ints, strings, Matrix values, and labels, tuples of weight matrices
+    drawn from one small pool, so that labels at several depths share them."""
+    pool = draw(st.lists(weight_matrices, min_size=1, max_size=3))
+    labels = st.lists(st.sampled_from(pool), max_size=3).map(tuple)
+    leaves = (st.integers() | st.text() | labels | sparse_matrices()
+              | st.lists(st.integers(), max_size=4))
+    return draw(st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.text(), inner, max_size=4), max_leaves=30))
 
 
 def with_entry_lists(doc):
@@ -268,7 +218,53 @@ def with_entry_lists(doc):
         return list(doc.entries())
     if isinstance(doc, dict):
         return {key: with_entry_lists(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [with_entry_lists(value) for value in doc]
     return doc
+
+
+def indented_json(value):
+    out = io.StringIO()
+    _indented_json(value, out, 0, {})
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+@example({"": [], "k": {}, "t": ()})
+@example(['"quoted"', "back\\slash", "\x00\x1f\n\t", "\u00e9\u2211\U0001f600"])
+@example({"a\"b": [(((1, 2), (0, 3)),), [(((1, 2), (0, 3)), ((4,),))]], "c": [10 ** 30, -7]})
+@example([Matrix.zeros(2, 3), {"m": Matrix.from_entries(2, 2, [(0, 1, -3), (1, 0, 5)])}])
+def test_indented_json_matches_json_dumps(value):
+    assert indented_json(value) == json.dumps(with_entry_lists(value), indent=2)
+
+
+def test_indented_json_leaves_no_cycle():
+    value = {"basis": [(((i % 5, 1), (2, 0)), ((1, 0), (0, 1))) for i in range(6000)],
+             "entries": Matrix.from_entries(6000, 7, [(i, i % 7, -1) for i in range(6000)])}
+    out = io.StringIO()
+    gc.collect()
+    gc.disable()
+    try:
+        _indented_json(value, out, 0, {})
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert out.getvalue() == json.dumps(with_entry_lists(value), indent=2)
+    assert unreachable == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.integers(0, 4))
+@example(Matrix.zeros(0, 0), 0)
+@example(Matrix.zeros(0, 3), 2)
+@example(Matrix.zeros(3, 0), 4)
+@example(Matrix.zeros(2, 2), 1)
+def test_streamed_entries_match_the_entries_list(mat, depth):
+    out = io.StringIO()
+    _indented_json(mat, out, depth, {})
+    expected = json.dumps(list(mat.entries()), indent=2).replace("\n", "\n" + "  " * depth)
+    assert out.getvalue() == expected
 
 
 @pytest.mark.parametrize("cx, lam, variant", [
@@ -276,12 +272,14 @@ def with_entry_lists(doc):
     (ChainComplex({0: [((1,),)], 1: [((1,),), ((2,),)], 2: [((3,),)], 3: []},
                   {2: Matrix.zeros(2, 1)}), (1,), "weyl"),
     (build_borel_resolution((2, 1, 0)), (2, 1, 0), "borel"),
+    (build_weyl_resolution((2, 2, 1)), (2, 2, 1), "weyl"),
+    (truncated_resolution((2, 1, 1, 0)), (2, 1, 1, 0), "schur-functor"),
+    # a bh label leads with the functional tableau's matrix
+    (build_bh_complex((2, 1, 1, 0)), (2, 1, 1, 0), "bh"),
 ])
 def test_resolve_document_matches_json_dumps_of_its_entry_lists(cx, lam, variant):
     doc = complex_document(cx, lam, variant)
-    out = io.StringIO()
-    _indented_json(doc, out)
-    assert out.getvalue() == json.dumps(with_entry_lists(doc), indent=2)
+    assert indented_json(doc) == json.dumps(with_entry_lists(doc), indent=2)
 
 
 class Discard:
@@ -296,7 +294,7 @@ def test_resolve_document_and_its_writer_hold_little_beyond_the_complex():
     cx = build_weyl_resolution((2, 2, 1))
     tracemalloc.start()
     try:
-        _indented_json(complex_document(cx, (2, 2, 1), "weyl"), Discard())
+        _indented_json(complex_document(cx, (2, 2, 1), "weyl"), Discard(), 0, {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
