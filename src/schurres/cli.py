@@ -4,7 +4,8 @@ Subcommands: enumerate (index families), multiply (basis products),
 resolve (build a complex and emit one JSON document), verify (run named
 invariant suites over one or all compositions).  Output is deterministic:
 two runs with identical flags produce byte-identical files.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error; every subcommand takes
+the sizes -n and -r and refuses n < 1 or r < 0 before doing any work.
 
 resolve holds the complex and its homology, and while writing, the text
 of each distinct weight matrix (and of its rows) at each depth and the row
@@ -84,8 +85,6 @@ def _parse_composition(text, n, r):
 
 
 def _parse_matrix(text, n, r):
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
     try:
         rows = json.loads(text)
     except json.JSONDecodeError:
@@ -550,6 +549,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # every subcommand takes -n and -r, refused here before any work
+        if args.n < 1 or args.r < 0:
+            raise ValueError("need n >= 1 and r >= 0")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

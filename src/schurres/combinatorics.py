@@ -196,8 +196,9 @@ def unsorted_weight_matrices(n, r, col_sums=None, row_sums=None,
                              upper_triangular=False):
     """The matrices of `enumerate_weight_matrices` in no promised order and
     without caching the result, for callers that keep their own digest of
-    it.  Rows come from `_row_candidates`, cached on the partial state."""
-    if col_sums is not None and (len(col_sums) != n or sum(col_sums) != r):
+    it.  Rows come from `_row_candidates`, cached on the partial state, and
+    a branch that cannot meet the column sums stops early."""
+    if r < 0 or col_sums is not None and (len(col_sums) != n or sum(col_sums) != r):
         return []
     if row_sums is not None and (len(row_sums) != n or sum(row_sums) != r):
         return []
@@ -213,6 +214,19 @@ def _fill_rows(n, row_sums, upper_triangular, s, remaining, col_rem, acc, result
         if remaining == 0 and (col_rem is None or not any(col_rem)):
             results.append(acc)
         return
+    if col_rem is not None:
+        # Two kinds of branch that cannot meet the column sums stop here.
+        # Upper triangular rows from s on are zero in column s - 1, so that
+        # column must be used up before row s.  The last row can only be
+        # what the columns still need, col_rem, which sums to remaining; it
+        # is taken when that is the row's own sum (upper triangular, the
+        # first prune has already left col_rem zero before s).
+        if upper_triangular and s and col_rem[s - 1]:
+            return
+        if s == n - 1:
+            if row_sums is None or row_sums[s] == remaining:
+                results.append(acc + (col_rem,))
+            return
     masses = (row_sums[s],) if row_sums is not None else range(remaining + 1)
     first = s if upper_triangular else 0
     for mass in masses:

@@ -5,13 +5,13 @@ A matrix is stored by columns: each column is a tuple of (row, value) pairs
 in increasing row order, holding no zero.  Differentials are very sparse, so
 every operation walks these pairs and never a dense cell grid; `rows` builds
 a dense view on request.  Every builder and operation (`from_entries`,
-`identity`, `+`, `@`, `transpose`) produces its columns as {row: value}
-dicts and hands them to `from_columns`, the one place that makes pair
-tuples; it makes one tuple per distinct pair of the matrix and shares it
-between the columns that hold it.  A product's columns come from one
-generator, which `@` stores and `ChainComplex.check_complex` only tests.
-No code changes a built matrix or stores anything on it, so a cached matrix
-can be handed to every caller.  Entries are unbounded Python integers; shapes are explicit
+`identity`, `+`, `@`) produces its columns as {row: value} dicts and hands
+them to `from_columns`, the one place that makes pair tuples; it makes one
+tuple per distinct pair of the matrix and shares it between the columns
+that hold it.  A product's columns come from one generator, which `@`
+stores and `ChainComplex.check_complex` only tests.  No code changes a
+built matrix or stores anything on it, so a cached matrix can be handed to
+every caller.  Entries are unbounded Python integers; shapes are explicit
 so rank-zero degrees serialize and multiply consistently.  A chain complex
 stores, per degree, an ordered tuple of basis labels and the differential
 into the degree below; optional homotopy matrices map one degree up.  It
@@ -21,7 +21,14 @@ stays with the caller that built it.
 Every complex of the package is of bar type and is built by two functions:
 `bases` enumerates each degree's basis once, up to the first empty degree,
 and `alternating_differential` assembles the alternating sum of adjacent
-products on two such bases, given the builder's product.  Builders only
+products on two such bases, given the builder's product.  A label is a head
+x_0 followed by a tail (x_1, ..., x_k), and every term but the first keeps
+the head and changes only the tail (on the induced resolution that part is
+id tensor the bar differential).  So the assembler numbers the heads and
+tails of the lower basis with small integer ids, expands the first product
+once per distinct pair (x_0, x_1) and the others once per distinct tail,
+as ids and coefficients, and places each term of a column by integer-keyed
+lookups; no label is rebuilt or hashed whole.  Builders only
 build: `ChainComplex.check_complex`, the one d o d walk, is called once per
 complex by the code that hands out a verdict or a document resting on it.
 """
@@ -115,13 +122,6 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
         return Matrix.from_columns(self.nrows, _product_columns(self, other))
-
-    def transpose(self):
-        cols = [{} for _ in range(self.nrows)]
-        for j, col in enumerate(self.columns):
-            for i, v in col:
-                cols[i][j] = v
-        return Matrix.from_columns(self.ncols, cols)
 
     def entries(self):
         """Nonzero entries as (row, col, value) triplets, yielded in
@@ -219,20 +219,71 @@ def bases(basis_of_degree):
 def alternating_differential(cur, prev, product):
     """Matrix of a bar-type differential from the basis cur to the basis prev.
 
-    A label is a tuple of factors (x_0, ..., x_k).  Its image is the sum over
-    t < k of (-1)^t times the labels with x_t, x_{t+1} replaced by each key
-    of `product(t, x_t, x_{t+1})`, an iterable of (key, coefficient) pairs,
-    weighted by its coefficient; every such label must lie in prev.
+    A label is a tuple of factors (x_0, ..., x_k): a head x_0 and a tail
+    (x_1, ..., x_k).  Its image is the sum over t < k of (-1)^t times the
+    labels with x_t, x_{t+1} replaced by each key of `product(t, x_t,
+    x_{t+1})`, an iterable of (key, coefficient) pairs, weighted by its
+    coefficient; every such label must lie in prev, or KeyError is raised.
+
+    Labels are never rebuilt or hashed whole.  Each distinct head and each
+    distinct tail of prev gets a small integer id, and `rows[tail id]` maps
+    head ids to rows.  The t = 0 term puts a key in place of x_0, x_1 and
+    keeps the rest (x_2, ..., x_k) of the tail, so `product(0, ...)` is
+    expanded once per distinct pair (x_0, x_1), into head ids and
+    coefficients.  The terms with t >= 1 keep the head and change only the
+    tail, so they are expanded once per distinct tail of cur, into the ids
+    of the tails they reach and signed coefficients, which every label with
+    that tail shares.  Placing a label's terms then takes integer-keyed
+    lookups alone: a head id in the rows of the rest, or a tail id and then
+    the head id.  Every key is looked up when its product is expanded and
+    every term when it is placed, zero coefficients included, so a target
+    outside prev raises KeyError instead of being dropped.
     """
-    index = {lab: i for i, lab in enumerate(prev)}
+    heads, tails, rows = {}, {}, []
+    for i, lab in enumerate(prev):
+        tail = tails.setdefault(lab[1:], len(tails))
+        if tail == len(rows):
+            rows.append({})
+        rows[tail][heads.setdefault(lab[0], len(heads))] = i
+    # (x_0, x_1) -> (head id of x_0, or None if it heads no label of prev,
+    # head ids of the keys, their coefficients)
+    firsts = {}
+    # tail of cur -> (rows of its rest, tail ids reached, signed
+    # coefficients); ids and coefficients are kept in two tuples rather than
+    # one pair a term, as this cache holds one entry per tail of cur
+    moves = {}
+
+    def first_terms(pair):
+        x0, x1 = pair
+        acc = {}
+        for key, c in product(0, x0, x1):
+            h = heads[key]
+            acc[h] = acc.get(h, 0) + c
+        return heads.get(x0), tuple(acc), tuple(acc.values())
+
+    def tail_terms(tail):
+        # a rest that is no tail of prev gets no rows, so that placing a
+        # t = 0 term there raises KeyError
+        rest = tails.get(tail[1:])
+        acc = {}
+        for t in range(1, len(tail)):
+            sign = -1 if t % 2 else 1
+            for key, c in product(t, tail[t - 1], tail[t]):
+                j = tails[tail[:t - 1] + (key,) + tail[t + 1:]]
+                acc[j] = acc.get(j, 0) + sign * c
+        return {} if rest is None else rows[rest], tuple(acc), tuple(acc.values())
 
     def columns():
         for lab in cur:
-            col = {}
-            for t in range(len(lab) - 1):
-                sign = -1 if t % 2 else 1
-                for key, c in product(t, lab[t], lab[t + 1]):
-                    i = index[lab[:t] + (key,) + lab[t + 2:]]
-                    col[i] = col.get(i, 0) + sign * c
+            if len(lab) < 2:
+                yield {}
+                continue
+            pair, tail = lab[:2], lab[1:]
+            head, hs, hcs = firsts.get(pair) or firsts.setdefault(pair, first_terms(pair))
+            rest, js, jcs = moves.get(tail) or moves.setdefault(tail, tail_terms(tail))
+            col = {rest[h]: c for h, c in zip(hs, hcs)}  # distinct heads, distinct rows
+            for j, c in zip(js, jcs):
+                i = rows[j][head]
+                col[i] = col.get(i, 0) + c
             yield col
     return Matrix.from_columns(len(prev), columns())

@@ -173,10 +173,13 @@ def _resolve_first_hom(hom):
     """hom(`hom`) by rows: {functional on its codomain: its row, as
     (functional on its domain, coefficient) pairs}.  Row and column i of
     the hom are word i, read off functional i."""
-    domain = _functionals(matrix_marginal(hom, 1))
-    rows = tableau_hom(hom).transpose().columns
-    return {fun: tuple((domain[j], c) for j, c in row)
-            for fun, row in zip(_functionals(matrix_marginal(hom, 2)), rows, strict=True)}
+    codomain = _functionals(matrix_marginal(hom, 2))
+    rows = [[] for _ in codomain]
+    for fun, col in zip(_functionals(matrix_marginal(hom, 1)), tableau_hom(hom).columns,
+                        strict=True):
+        for i, c in col:
+            rows[i].append((fun, c))
+    return dict(zip(codomain, map(tuple, rows)))
 
 
 def build_bh_complex(lam):

@@ -1,10 +1,11 @@
-"""Dense matrix builders and views, the Euler characteristic of a complex,
-and the dense Smith normal form that the sparse one is checked against, kept
-for the tests: the package itself builds matrices from columns, reduces them
-sparsely and never needs these.
+"""Dense matrix builders, views and the transpose, the Euler characteristic
+of a complex, and the dense Smith normal form that the sparse one is checked
+against, kept for the tests: the package itself builds matrices from
+columns, reduces them sparsely and never needs these.
 
-Both builders hand their columns to `Matrix.from_columns`, as the package's
-own builders do, so their results share equal (row, value) pairs too.
+The builders and `transpose` hand their columns to `Matrix.from_columns`, as
+the package's own builders do, so their results share equal (row, value)
+pairs too.
 """
 
 from schurres.complexes import Matrix
@@ -36,6 +37,15 @@ def submatrix(mat, row_idx, col_idx):
     return Matrix.from_columns(len(row_idx), ({new: v for i, v in mat.columns[j]
                                                for new in where.get(i, ())}
                                               for j in col_idx))
+
+
+def transpose(mat):
+    """The transpose of mat, its rows made columns."""
+    cols = [{} for _ in range(mat.nrows)]
+    for j, col in enumerate(mat.columns):
+        for i, v in col:
+            cols[i][j] = v
+    return Matrix.from_columns(mat.ncols, cols)
 
 
 def euler_characteristic(cx):

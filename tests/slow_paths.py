@@ -1,4 +1,4 @@
-"""The per-call forms of four fast paths of the package, kept as references
+"""The per-call forms of six fast paths of the package, kept as references
 that the fast paths are tested against.
 
 * `per_call_gl_action` builds the image of every column of the monomial on
@@ -11,15 +11,24 @@ that the fast paths are tested against.
 * `regrouping_product` groups the right factor's terms by row sums on
   every call and scans every left term; `AlgebraElement.__mul__` keeps the
   left factor's grouping by column sums and walks the right factor.
+* `per_label_alternating_differential` rebuilds and looks up every target
+  label of every term, calling the product once per label, position and
+  term; `complexes.alternating_differential` expands the head products once
+  per pair and the tail products once per tail, on integer ids.
+* `unpruned_weight_matrices` follows every branch of the row-by-row
+  recursion to the last row; `combinatorics.unsorted_weight_matrices` stops
+  a branch that cannot meet the column sums.
 """
 
 from itertools import product
 
 from schurres.combinatorics import (
+    _row_candidates,
     enumerate_weight_matrices,
     matrix_marginal,
     multiset_arrangements,
 )
+from schurres.complexes import Matrix
 from schurres.dividedpowers import divided_power_of_vector, divided_product
 from schurres.oracles import orbit
 from schurres.schur import AlgebraElement, structure_constants
@@ -101,3 +110,46 @@ def regrouping_product(x, y):
             for key, m in structure_constants(a, b):
                 terms[key] = terms.get(key, 0) + c * m
     return AlgebraElement(x.n, x.r, terms)
+
+
+def per_label_alternating_differential(cur, prev, product):
+    """Matrix of the bar-type differential from cur to prev: each term's
+    target label is built whole and looked up in an index of prev."""
+    index = {lab: i for i, lab in enumerate(prev)}
+
+    def columns():
+        for lab in cur:
+            col = {}
+            for t in range(len(lab) - 1):
+                sign = -1 if t % 2 else 1
+                for key, c in product(t, lab[t], lab[t + 1]):
+                    i = index[lab[:t] + (key,) + lab[t + 2:]]
+                    col[i] = col.get(i, 0) + sign * c
+            yield col
+    return Matrix.from_columns(len(prev), columns())
+
+
+def unpruned_weight_matrices(n, r, col_sums=None, row_sums=None, upper_triangular=False):
+    """The n x n weight matrices of total r with the given margins, in the
+    order of the row-by-row recursion, every branch followed to the end."""
+    if col_sums is not None and (len(col_sums) != n or sum(col_sums) != r):
+        return []
+    if row_sums is not None and (len(row_sums) != n or sum(row_sums) != r):
+        return []
+    results = []
+
+    def fill(s, remaining, col_rem, acc):
+        if s == n:
+            if remaining == 0 and (col_rem is None or not any(col_rem)):
+                results.append(acc)
+            return
+        masses = (row_sums[s],) if row_sums is not None else range(remaining + 1)
+        for mass in masses:
+            if mass > remaining:
+                continue
+            for row in _row_candidates(n, mass, col_rem, s if upper_triangular else 0):
+                nxt = None if col_rem is None else tuple(c - v for c, v in zip(col_rem, row))
+                fill(s + 1, remaining - mass, nxt, acc + (row,))
+
+    fill(0, r, None if col_sums is None else tuple(col_sums), ())
+    return results

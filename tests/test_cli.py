@@ -68,6 +68,19 @@ def test_multiply_refuses_sizes_before_any_product(capsys, n, r, literal):
     assert (code, out, err) == (2, "", "error: need n >= 1 and r >= 0\n")
 
 
+@pytest.mark.parametrize("n, r", [("0", "0"), ("0", "2"), ("1", "-1"), ("2", "-1")])
+@pytest.mark.parametrize("command", [
+    ("enumerate", "compositions"),
+    ("enumerate", "matrices", "--upper-triangular"),
+    ("multiply", "[[0]]", "[[0]]"),
+    ("resolve", "--lambda", "0,0"),
+    ("verify", "--checks", "oracle"),
+])
+def test_every_subcommand_refuses_sizes_alike(capsys, command, n, r):
+    code, out, err = run(capsys, *command, "-n", n, "-r", r)
+    assert (code, out, err) == (2, "", "error: need n >= 1 and r >= 0\n")
+
+
 def test_resolve_weyl_document(capsys):
     code, out, _ = run(capsys, "resolve", "-n", "2", "-r", "2",
                        "--lambda", "1,1", "--variant", "weyl")

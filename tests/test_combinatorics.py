@@ -27,7 +27,7 @@ from schurres.combinatorics import (
 from schurres.tableaux import semistandard_tableau_count
 from math import comb
 
-from slow_paths import nested_pair_weight
+from slow_paths import nested_pair_weight, unpruned_weight_matrices
 from weight_tensors import (
     enumerate_multi_indices,
     enumerate_weight_tensors,
@@ -168,6 +168,21 @@ def test_every_constraint_combination_against_brute_force():
                                                     upper_triangular=upper,
                                                     min_degree=min_degree)
                     assert got == tuple(sorted(expect, reverse=True)), (col, row, upper)
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(5) for r in range(5)]
+                         + [(n, 5) for n in range(4)])
+def test_pruned_enumeration_matches_the_unpruned_recursion(n, r):
+    """Same matrices in the same order, for every pair of margins, each
+    None or a composition, with and without upper_triangular; a total that
+    a margin does not sum to gives no matrix."""
+    margins = (None,) + enumerate_compositions(n, r)
+    for col, row, upper in product(margins, margins, (False, True)):
+        got = unsorted_weight_matrices(n, r, col, row, upper)
+        assert got == unpruned_weight_matrices(n, r, col, row, upper), (col, row, upper)
+        if (col, row) != (None, None):
+            assert unsorted_weight_matrices(n, r + 1, col, row, upper) == []
+    assert unsorted_weight_matrices(n, -1) == unpruned_weight_matrices(n, -1) == []
 
 
 def test_row_candidates_hold_tuples_all_the_way_down():

@@ -3,11 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurres.complexes import Matrix
+from schurres import barcomplex, tableaux
+from schurres.barcomplex import build_borel_resolution, build_weyl_resolution
+from schurres.combinatorics import enumerate_compositions, enumerate_partitions
+from schurres.complexes import Matrix, alternating_differential
 from schurres.schurfunctor import truncated_resolution
 from schurres.tableaux import build_bh_complex
 
-from dense import from_rows, submatrix
+from dense import from_rows, submatrix, transpose
+from slow_paths import per_label_alternating_differential
 
 # mostly zeros, so columns are sparse and sums often cancel
 ENTRIES = st.sampled_from((0, 0, 0, 0, -2, -1, 1, 2, 5))
@@ -97,7 +101,7 @@ def test_add_matches_dense(a, data):
 @settings(max_examples=200, deadline=None)
 @given(dense_matrices(), st.data())
 def test_transpose_and_submatrix_match_dense(a, data):
-    assert_matches(a.matrix().transpose(), a.transpose())
+    assert_matches(transpose(a.matrix()), a.transpose())
     # any order, repeats allowed
     row_idx = data.draw(st.lists(st.integers(0, a.nrows - 1), max_size=7)) if a.nrows else []
     col_idx = data.draw(st.lists(st.integers(0, a.ncols - 1), max_size=7)) if a.ncols else []
@@ -142,7 +146,7 @@ def test_every_builder_shares_equal_pairs(a, data):
         "identity": Matrix.identity(a.nrows),
         "add": mat + b.matrix(),
         "matmul": mat @ c.matrix(),
-        "transpose": mat.transpose(),
+        "transpose": transpose(mat),
         "submatrix": submatrix(mat, row_idx, col_idx),
     }
     for name, result in built.items():
@@ -214,3 +218,89 @@ def test_matrix_is_immutable():
         with pytest.raises(AttributeError):
             setattr(mat, name, None)
     assert mat.rows == ((1, 0), (2, 3))
+
+
+@pytest.fixture
+def assembled_twice(monkeypatch):
+    """Every builder's differentials assembled by `alternating_differential`
+    and by the per-label reference, asserted equal degree by degree; yields
+    the list of compared shapes."""
+    shapes = []
+
+    def both(cur, prev, product):
+        mat = alternating_differential(cur, prev, product)
+        assert mat == per_label_alternating_differential(cur, prev, product)
+        shapes.append((mat.nrows, mat.ncols))
+        return mat
+
+    for module in (barcomplex, tableaux):
+        monkeypatch.setattr(module, "alternating_differential", both)
+    return shapes
+
+
+@pytest.mark.parametrize("n, r", [(n, r) for n in (1, 2, 3) for r in range(5)] + [(4, 4)])
+def test_bar_differentials_match_the_per_label_assembly(assembled_twice, n, r):
+    # every composition at n <= 3, every partition at n = 4
+    lams = enumerate_compositions(n, r) if n < 4 else enumerate_partitions(n, r)
+    built = [build(lam) for lam in lams for build in (build_borel_resolution,
+                                                      build_weyl_resolution)]
+    # each differential of degree 1 .. hi comes from the assembler
+    assert len(assembled_twice) == sum(cx.hi for cx in built)
+
+
+@pytest.mark.parametrize("build", [truncated_resolution, build_bh_complex])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_truncation_and_bh_differentials_match_the_per_label_assembly(
+        assembled_twice, build, r):
+    # every partition with n = r, but (1^5), whose two builds take about a
+    # minute each; the slow test below covers it
+    built = [build(lam) for lam in enumerate_partitions(r, r) if lam != (1,) * 5]
+    assert len(assembled_twice) == sum(cx.hi for cx in built)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("build", [truncated_resolution, build_bh_complex])
+def test_the_1_5_differentials_match_the_per_label_assembly(assembled_twice, build):
+    build((1,) * 5)
+    assert len(assembled_twice) == 10
+
+
+def table_product(table):
+    """A product answering (t, a, b) from table, empty where it has no entry."""
+    return lambda t, a, b: table.get((t, a, b), ())
+
+
+@pytest.mark.parametrize("cur, prev, table", [
+    # t = 0: the new head is no head of prev
+    ((("a", "b"),), (("c",),), {(0, "a", "b"): (("z", 1),)}),
+    # t = 0: head and tail both occur in prev, but not together
+    ((("a", "b", "c"),), (("z", "d"), ("y", "c")), {(0, "a", "b"): (("z", 1),)}),
+    # t = 0, a zero coefficient is refused too
+    ((("a", "b", "c"),), (("y", "c"),), {(0, "a", "b"): (("y", 1), ("z", 0))}),
+    # t = 0: the tail kept is no tail of prev
+    ((("a", "b", "c"),), (("z", "d"),), {(0, "a", "b"): (("z", 1),)}),
+    # t = 1: the new tail is no tail of prev
+    ((("a", "b", "c"),), (("a", "d"),), {(1, "b", "c"): (("w", 1),)}),
+    # t = 1: the head is no head of prev
+    ((("a", "b", "c"),), (("x", "w"),), {(1, "b", "c"): (("w", 1),)}),
+    # t = 1: head and tail both occur in prev, but not together
+    ((("a", "b", "c"),), (("a", "d"), ("x", "w")), {(1, "b", "c"): (("w", 1),)}),
+    # t = 2, with two terms whose coefficients cancel
+    ((("a", "b", "c", "d"),), (("a", "b", "c"),),
+     {(2, "c", "d"): (("e", 1),), (1, "b", "c"): (("e", 1),)}),
+])
+def test_a_target_outside_prev_raises_key_error(cur, prev, table):
+    for assemble in (alternating_differential, per_label_alternating_differential):
+        with pytest.raises(KeyError):
+            assemble(cur, prev, table_product(table))
+
+
+def test_a_hand_assembled_differential():
+    # d(a, b, c) = (ab, c) - (a, bc), with ab = 2 y - z and bc = 3 w
+    cur = (("a", "b", "c"), ("x", "b", "c"))
+    prev = (("y", "c"), ("z", "c"), ("a", "w"), ("x", "w"))
+    table = {(0, "a", "b"): (("y", 2), ("z", -1)), (0, "x", "b"): (("z", 1),),
+             (1, "b", "c"): (("w", 3),)}
+    mat = alternating_differential(cur, prev, table_product(table))
+    assert mat == from_rows([[2, 0], [-1, 1], [-3, 0], [0, -3]])
+    assert mat == per_label_alternating_differential(cur, prev, table_product(table))

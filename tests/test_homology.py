@@ -25,7 +25,7 @@ from schurres.homology import (
     verify_exactness,
 )
 
-from dense import dense_smith_normal_form, from_rows, submatrix
+from dense import dense_smith_normal_form, from_rows, submatrix, transpose
 
 # the package's `homology` attribute is the function of that name
 homology_module = importlib.import_module("schurres.homology")
@@ -526,7 +526,7 @@ def unimodular_pair(data, size):
             op_inverse = Matrix.from_entries(size, size, diagonal + [(i, j, -c)])
         else:
             op = Matrix.from_entries(size, size, rest + [(i, j, 1), (j, i, -1)])
-            op_inverse = op.transpose()
+            op_inverse = transpose(op)
         u, inverse = op @ u, inverse @ op_inverse
     assert u @ inverse == Matrix.identity(size)
     return u, inverse
