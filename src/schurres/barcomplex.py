@@ -9,8 +9,8 @@ all weight matrices.
 
 The differential is the alternating sum over adjacent positions of the
 algebra product, re-expanded in the lower-degree tuple basis: it is
-`complexes.alternating_differential` with the structure constants as the
-product.  A builder enumerates each degree's basis once, through
+`complexes.alternating_differential` with the structure constants as both
+its head and its tail product.  A builder enumerates each degree's basis once, through
 `complexes.bases`, and hands the bases to the differentials and homotopies;
 bases are not cached, so a dropped complex frees them, and d o d is left
 to the code that judges the complex.  The Borel variant carries an explicit
@@ -84,7 +84,7 @@ def differential(cur, prev):
     preserves the leading row sums; on the bases of a weight block it is the
     diagonal block of the whole differential on that block.
     """
-    return alternating_differential(cur, prev, lambda t, a, b: structure_constants(a, b))
+    return alternating_differential(cur, prev, structure_constants, structure_constants)
 
 
 def augmentation_row(basis0):

@@ -21,14 +21,13 @@ stays with the caller that built it.
 Every complex of the package is of bar type and is built by two functions:
 `bases` enumerates each degree's basis once, up to the first empty degree,
 and `alternating_differential` assembles the alternating sum of adjacent
-products on two such bases, given the builder's product.  A label is a head
-x_0 followed by a tail (x_1, ..., x_k), and every term but the first keeps
-the head and changes only the tail (on the induced resolution that part is
-id tensor the bar differential).  So the assembler numbers the heads and
-tails of the lower basis with small integer ids, expands the first product
-once per distinct pair (x_0, x_1) and the others once per distinct tail,
-as ids and coefficients, and places each term of a column by integer-keyed
-lookups; no label is rebuilt or hashed whole.  Builders only
+products on two such bases from the builder's head product, which replaces
+the head x_0 of a label by its product with x_1, and its tail product,
+which multiplies two adjacent factors of the tail (x_1, ..., x_k) (on the
+induced resolution, id tensor the bar differential).  It asks only for
+factors adjacent in a label, which compose by the construction of the
+bases; composability of arbitrary pairs is settled where the product lives
+(`schur` for the structure constants).  Builders only
 build: `ChainComplex.check_complex`, the one d o d walk, is called once per
 complex by the code that hands out a verdict or a document resting on it.
 """
@@ -216,28 +215,28 @@ def bases(basis_of_degree):
     return out
 
 
-def alternating_differential(cur, prev, product):
+def alternating_differential(cur, prev, head_product, tail_product):
     """Matrix of a bar-type differential from the basis cur to the basis prev.
 
-    A label is a tuple of factors (x_0, ..., x_k): a head x_0 and a tail
-    (x_1, ..., x_k).  Its image is the sum over t < k of (-1)^t times the
-    labels with x_t, x_{t+1} replaced by each key of `product(t, x_t,
-    x_{t+1})`, an iterable of (key, coefficient) pairs, weighted by its
-    coefficient; every such label must lie in prev, or KeyError is raised.
+    A label is a tuple of factors (x_0, ..., x_k), k >= 1: a head x_0 and a
+    tail (x_1, ..., x_k).  Its image is the sum over t < k of (-1)^t times
+    the labels with x_t, x_{t+1} replaced by each key of their product,
+    weighted by its coefficient: `head_product(x_0, x_1)` for t = 0 and
+    `tail_product(x_t, x_{t+1})` for t >= 1, each an iterable of (key,
+    coefficient) pairs.  Every label so reached must lie in prev, or
+    KeyError is raised.
 
     Labels are never rebuilt or hashed whole.  Each distinct head and each
     distinct tail of prev gets a small integer id, and `rows[tail id]` maps
-    head ids to rows.  The t = 0 term puts a key in place of x_0, x_1 and
-    keeps the rest (x_2, ..., x_k) of the tail, so `product(0, ...)` is
-    expanded once per distinct pair (x_0, x_1), into head ids and
-    coefficients.  The terms with t >= 1 keep the head and change only the
-    tail, so they are expanded once per distinct tail of cur, into the ids
-    of the tails they reach and signed coefficients, which every label with
-    that tail shares.  Placing a label's terms then takes integer-keyed
-    lookups alone: a head id in the rows of the rest, or a tail id and then
-    the head id.  Every key is looked up when its product is expanded and
-    every term when it is placed, zero coefficients included, so a target
-    outside prev raises KeyError instead of being dropped.
+    head ids to rows.  The t = 0 term keeps the rest (x_2, ..., x_k) of the
+    tail, so the head product is expanded once per distinct pair (x_0, x_1),
+    into head ids and coefficients.  The terms with t >= 1 keep the head, so
+    the tail products are expanded once per distinct tail of cur, into the
+    ids of the tails they reach and signed coefficients.  Placing a label's
+    terms then takes integer-keyed lookups alone.  Every key is looked up
+    when its product is expanded and every term when it is placed, zero
+    coefficients included, so a target outside prev raises KeyError instead
+    of being dropped.
     """
     heads, tails, rows = {}, {}, []
     for i, lab in enumerate(prev):
@@ -253,10 +252,9 @@ def alternating_differential(cur, prev, product):
     # one pair a term, as this cache holds one entry per tail of cur
     moves = {}
 
-    def first_terms(pair):
-        x0, x1 = pair
+    def first_terms(x0, x1):
         acc = {}
-        for key, c in product(0, x0, x1):
+        for key, c in head_product(x0, x1):
             h = heads[key]
             acc[h] = acc.get(h, 0) + c
         return heads.get(x0), tuple(acc), tuple(acc.values())
@@ -268,18 +266,15 @@ def alternating_differential(cur, prev, product):
         acc = {}
         for t in range(1, len(tail)):
             sign = -1 if t % 2 else 1
-            for key, c in product(t, tail[t - 1], tail[t]):
+            for key, c in tail_product(tail[t - 1], tail[t]):
                 j = tails[tail[:t - 1] + (key,) + tail[t + 1:]]
                 acc[j] = acc.get(j, 0) + sign * c
         return {} if rest is None else rows[rest], tuple(acc), tuple(acc.values())
 
     def columns():
         for lab in cur:
-            if len(lab) < 2:
-                yield {}
-                continue
             pair, tail = lab[:2], lab[1:]
-            head, hs, hcs = firsts.get(pair) or firsts.setdefault(pair, first_terms(pair))
+            head, hs, hcs = firsts.get(pair) or firsts.setdefault(pair, first_terms(*pair))
             rest, js, jcs = moves.get(tail) or moves.setdefault(tail, tail_terms(tail))
             col = {rest[h]: c for h, c in zip(hs, hcs)}  # distinct heads, distinct rows
             for j, c in zip(js, jcs):

@@ -312,9 +312,13 @@ class ExactnessReport:
 def verify_exactness(complex_, degrees=None, expected=None):
     """Check that consecutive differentials compose to zero and that the
     homology in the given degrees (default: all) vanishes, or equals
-    expected[k] for the degrees k that mapping names.  d o d is walked once,
-    by `check_complex`; a complex it refuses gets complex_ok=False.
+    expected[k] for the degrees k that mapping names; naming an unchecked
+    degree raises ValueError.  d o d is walked once, by `check_complex`; a
+    complex it refuses gets complex_ok=False.
     """
+    degrees = list(complex_.degrees() if degrees is None else degrees)
+    if not set(degrees) >= set(expected or ()):
+        raise ValueError("expected groups name a degree that is not checked")
     try:
         complex_.check_complex()
         complex_ok = True

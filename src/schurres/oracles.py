@@ -17,8 +17,8 @@ accepted.
 These oracles materialize n^r-dimensional data and exist for verification,
 not production; they are gated by a size guard (n^r <= 4096 by default,
 override with the SCHURRES_ORACLE_LIMIT environment variable).  The guard
-runs, and reads the variable, on every call of `endo_of_basis` and
-`green_convolution`, also when the answer is already cached.
+`size_guard` runs, and reads the variable, on every call of `endo_of_basis`
+and `green_convolution`, also when the answer is already cached.
 
 Work that depends on one factor only is done once per factor, not once per
 product.  `orbit` and the basis endomorphisms of `endo_of_basis` are cached
@@ -49,7 +49,7 @@ _DEFAULT_LIMIT = 4096
 _LIMIT_ENV = "SCHURRES_ORACLE_LIMIT"
 
 
-def _guard(n, r):
+def size_guard(n, r):
     limit = int(os.environ.get(_LIMIT_ENV, _DEFAULT_LIMIT))
     if n ** r > limit:
         raise ValueError(
@@ -110,14 +110,25 @@ def _group_by_first(terms):
     return {i: tuple(units) for i, units in by_first.items()}
 
 
+class _SharedEndomorphism(TensorEndomorphism):
+    """A basis endomorphism that `endo_of_basis` shares: immutable."""
+
+    __slots__ = ()
+
+    def __init__(self, n, r, terms):
+        terms = MappingProxyType(terms)
+        grouped = MappingProxyType(_group_by_first(terms))
+        for name, value in zip(TensorEndomorphism.__slots__, (n, r, terms, grouped)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a shared basis endomorphism is immutable")
+
+
 @lru_cache(maxsize=1024)  # bounded like orbit
 def _basis_endomorphism(omega):
     """The read-only endomorphism of a basis element, with its grouping."""
-    pairs = orbit(omega)
-    f = TensorEndomorphism(len(omega), margins(omega)[2])
-    f.terms = MappingProxyType(dict.fromkeys(pairs, 1))
-    f.by_first = MappingProxyType(_group_by_first(f.terms))
-    return f
+    return _SharedEndomorphism(len(omega), margins(omega)[2], dict.fromkeys(orbit(omega), 1))
 
 
 def endo_of_basis(omega):
@@ -125,7 +136,7 @@ def endo_of_basis(omega):
 
     The size guard runs on every call; past it the endomorphism comes from
     a cache and is shared, so its terms are a read-only mapping."""
-    _guard(len(omega), margins(omega)[2])
+    size_guard(len(omega), margins(omega)[2])
     return _basis_endomorphism(omega)
 
 
@@ -173,7 +184,7 @@ def green_convolution(omega, pi):
     pi_cols, pi_rows, pi_r = margins(pi)
     if len(pi) != n or pi_r != r:
         raise ValueError("algebra size mismatch")
-    _guard(n, r)
+    size_guard(n, r)
     if content != pi_rows:
         return zero(n, r)
     candidates = enumerate_weight_matrices(n, r, col_sums=pi_cols, row_sums=row_sums)

@@ -12,12 +12,12 @@ computed by folding the slices in one at a time: a dict maps each partial
 sum of the slices chosen so far, packed into one integer, to its weighted
 count.  Each slice set is a table built once per process from its two
 margins, and each packed key is decoded once per process into a key matrix
-that every expansion holding it shares.  Only composable pairs, where the
-column sums of the left factor equal the row sums of the right one, are
-expanded and cached; any other product is zero, and is answered from the
-two factors' margins without storing anything.  Margins come from
-`combinatorics.margins`, one record (column sums, row sums, total) cached
-per matrix.
+that every expansion holding it shares.  `structure_constants` caches
+every pair it is given; the bar differentials take it as their head and
+tail product, and their pairs compose by construction (the column sums of
+the left factor equal the row sums of the right one).  Arbitrary pairs are
+settled here, from `combinatorics.margins`: `multiply_basis` answers a pair
+that does not compose with `zero(n, r)`, and element products skip one.
 
 An element's terms are a read-only mapping, so an element never changes
 and work that depends on one element only is done once: the first time an
@@ -63,22 +63,9 @@ def _slice_table(row_sums, col_sums, width):
     return tuple(table)
 
 
-def structure_constants(omega, pi):
-    """Expansion of a basis product as ((key, coefficient), ...).
-
-    Empty when the column sums of omega differ from the row sums of pi; such
-    a pair is answered from the margins alone and is not cached.  The
-    function's `cache_info` and `cache_clear` act on the cache of composable
-    pairs.
-    """
-    if margins(omega)[0] != margins(pi)[1]:
-        return ()
-    return _composable_product(omega, pi)
-
-
 @lru_cache(maxsize=None)
-def _composable_product(omega, pi):
-    """The expansion of a basis product whose inner margins agree.
+def structure_constants(omega, pi):
+    """Expansion of a composable basis product as ((key, coefficient), ...).
 
     The fold weights each partial sum by the product of its slices'
     multinomials.  A tensor theta with key K has multiplicity
@@ -104,10 +91,6 @@ def _composable_product(omega, pi):
         key, weight = _unpack(packed, n, width)
         out.append((key, acc[packed] * weight // scale))
     return tuple(out)
-
-
-structure_constants.cache_info = _composable_product.cache_info
-structure_constants.cache_clear = _composable_product.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -231,18 +214,32 @@ def basis_element(omega):
     return AlgebraElement.trusted(len(omega), margins(omega)[2], {omega: 1})
 
 
+class _SharedZero(AlgebraElement):
+    """The zero element `zero` shares: its fields cannot be rebound."""
+
+    __slots__ = ()
+
+    def __init__(self, n, r):
+        for name, value in zip(AlgebraElement.__slots__, (n, r, MappingProxyType({}), {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("the shared zero element is immutable")
+
+
 @lru_cache(maxsize=None)
 def zero(n, r):
-    """The zero element; an element never changes, so one is shared per
-    (n, r)."""
-    return AlgebraElement(n, r)
+    """The zero element; an element never changes, so one is shared."""
+    return _SharedZero(n, r)
 
 
 def multiply_basis(omega, pi):
     """Product of two basis elements as an algebra element."""
-    n, r = len(omega), margins(omega)[2]
-    if len(pi) != n or margins(pi)[2] != r:
+    n, (col_sums, _, r), (_, pi_rows, pi_r) = len(omega), margins(omega), margins(pi)
+    if len(pi) != n or pi_r != r:
         raise ValueError("algebra size mismatch")
+    if col_sums != pi_rows:
+        return zero(n, r)
     return AlgebraElement.trusted(n, r, dict(structure_constants(omega, pi)))
 
 

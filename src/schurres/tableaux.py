@@ -21,20 +21,21 @@ first permutation module followed by k homomorphisms with upper-triangular
 matrices.  As in every complex, labels are weight matrices.  The bases and
 the alternating-sum differential come from `complexes.bases` and
 `complexes.alternating_differential`, as for the bar complexes; only the
-product is this module's own, and it never reads the weight-matrix
+two products are this module's own, and they never read the weight-matrix
 structure constants, so the comparison with the idempotent-truncated
-resolution is a genuine two-route check.  At t = 0 the product precomposes
-the functional with the first homomorphism, whose matrix is read into rows
-once per build of a complex (row i is functional i, by the construction of
-the words); at t >= 1 it composes adjacent homomorphisms and re-expands the
-composition from one of its columns.  An equivariant map is determined by
-its image of one source word f, and the target words g of one
+resolution is a genuine two-route check.  The head product precomposes the
+functional with the first homomorphism, whose matrix is read into rows once
+per build of a complex (row i is functional i, by the construction of the
+words); the tail product composes adjacent homomorphisms and re-expands the
+composition from one of its columns; adjacent factors of a label compose by
+construction, so neither product tests for it.  An equivariant map is
+determined by its image of one source word f, and the target words g of one
 `pair_weight(g, f)` are one orbit of the stabiliser of f, so they carry one
 coefficient: the coefficient of the homomorphism of that weight matrix.
-This holds for every f, so the column read is column 0, the only one
-formed (the left homomorphism applied to the right one's column 0).  Each
-distinct adjacent pair is composed, checked and expanded once per build;
-the expansions live in a dict owned by that build.
+This holds for every f, so the column read is column 0, the only one formed
+(the left homomorphism applied to the right one's column 0).  Each distinct
+adjacent pair is composed, checked and expanded once per build; the
+expansions live in a cache owned by that build.
 
 The comparison with the truncation relabels each truncation column through
 the basis bijection (a kept bar tuple names the label whose functional is
@@ -195,27 +196,21 @@ def build_bh_complex(lam):
         raise ValueError("the complex is built for partitions")
     if len(lam) < sum(lam):
         raise ValueError("needs n >= r for multilinear content")
-    # owned by this build: each first hom read by rows, and each adjacent
-    # pair (left, right) of homs composed, as (merged hom, coefficient) pairs
-    first_homs, compositions = {}, {}
+    # caches owned by this build, so a dropped complex frees them
+    resolved = lru_cache(maxsize=None)(_resolve_first_hom)
 
-    def product(t, left, right):
-        if t == 0:
-            # precompose the functional `left` with the first hom `right`
-            rows = first_homs.get(right)
-            if rows is None:
-                rows = first_homs[right] = _resolve_first_hom(right)
-            return rows[left]
-        terms = compositions.get((left, right))
-        if terms is None:
-            expansion = _composition_at_canonical_column(left, right)
-            if not all(map(is_upper_triangular, expansion)):
-                raise ValueError("composition left the upper-triangular span")
-            terms = compositions[left, right] = tuple(expansion.items())
-        return terms
+    def precompose(functional, hom):
+        return resolved(hom)[functional]
+
+    @lru_cache(maxsize=None)
+    def compose(left, right):
+        expansion = _composition_at_canonical_column(left, right)
+        if not all(map(is_upper_triangular, expansion)):
+            raise ValueError("composition left the upper-triangular span")
+        return tuple(expansion.items())
 
     labels = bases(lambda k: _basis_labels(lam, k))
-    diffs = {k: alternating_differential(labels[k], labels[k - 1], product)
+    diffs = {k: alternating_differential(labels[k], labels[k - 1], precompose, compose)
              for k in range(1, len(labels))}
     return ChainComplex(labels, diffs)
 

@@ -12,9 +12,10 @@ that the fast paths are tested against.
   every call and scans every left term; `AlgebraElement.__mul__` keeps the
   left factor's grouping by column sums and walks the right factor.
 * `per_label_alternating_differential` rebuilds and looks up every target
-  label of every term, calling the product once per label, position and
-  term; `complexes.alternating_differential` expands the head products once
-  per pair and the tail products once per tail, on integer ids.
+  label of every term, calling the head product (position 0) or the tail
+  product (the other positions) once per label, position and term;
+  `complexes.alternating_differential` expands the head product once per
+  pair and the tail products once per tail, on integer ids.
 * `unpruned_weight_matrices` follows every branch of the row-by-row
   recursion to the last row; `combinatorics.unsorted_weight_matrices` stops
   a branch that cannot meet the column sums.
@@ -112,7 +113,7 @@ def regrouping_product(x, y):
     return AlgebraElement(x.n, x.r, terms)
 
 
-def per_label_alternating_differential(cur, prev, product):
+def per_label_alternating_differential(cur, prev, head_product, tail_product):
     """Matrix of the bar-type differential from cur to prev: each term's
     target label is built whole and looked up in an index of prev."""
     index = {lab: i for i, lab in enumerate(prev)}
@@ -122,7 +123,8 @@ def per_label_alternating_differential(cur, prev, product):
             col = {}
             for t in range(len(lab) - 1):
                 sign = -1 if t % 2 else 1
-                for key, c in product(t, lab[t], lab[t + 1]):
+                product = tail_product if t else head_product
+                for key, c in product(lab[t], lab[t + 1]):
                     i = index[lab[:t] + (key,) + lab[t + 2:]]
                     col[i] = col.get(i, 0) + sign * c
             yield col

@@ -8,10 +8,13 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from schurres import barcomplex, dividedpowers, tableaux
+from schurres import barcomplex, cli, dividedpowers, tableaux
 from schurres.barcomplex import build_borel_resolution, build_weyl_resolution
 from schurres.cli import _indented_json, _maybe_corrupt, complex_document, main
+from schurres.combinatorics import matrix_marginal
 from schurres.complexes import ChainComplex, Matrix
+from schurres.oracles import size_guard
+from schurres.schur import basis_element, structure_constants
 from schurres.schurfunctor import truncated_resolution
 from schurres.tableaux import build_bh_complex
 
@@ -563,15 +566,14 @@ def test_builders_do_not_walk_d_squared(walks, build):
 
 @pytest.fixture
 def doubled_first_products(monkeypatch):
-    """Every builder's alternating sum with its t = 0 products doubled:
+    """Every builder's alternating sum with its head products doubled:
     d_1 d_2 then sends a label (x0, x1, x2) to 2 x0 x1 x2, not 0."""
     for module in (barcomplex, tableaux):
         assemble = module.alternating_differential
 
-        def broken(cur, prev, product, assemble=assemble):
-            return assemble(cur, prev, lambda t, a, b: (
-                [(key, 2 * c) for key, c in product(t, a, b)] if t == 0
-                else product(t, a, b)))
+        def broken(cur, prev, head_product, tail_product, assemble=assemble):
+            return assemble(cur, prev, lambda a, b: [
+                (key, 2 * c) for key, c in head_product(a, b)], tail_product)
 
         monkeypatch.setattr(module, "alternating_differential", broken)
 
@@ -619,3 +621,101 @@ def test_a_verify_run_leaves_no_reference_cycle(capsys):
         gc.enable()
     assert code == 0 and "ok exactness (n=2, r=3)" in out
     assert unreachable == 0
+
+
+def test_verify_refuses_an_oversized_oracle_before_any_suite(capsys, monkeypatch):
+    monkeypatch.delenv("SCHURRES_ORACLE_LIMIT", raising=False)
+    with pytest.raises(ValueError) as refused:
+        size_guard(2, 13)
+    code, out, err = run(capsys, "verify", "-n", "2", "-r", "13", "--checks", "divided,oracle")
+    assert (code, out) == (2, "")
+    assert err == f"error: {refused.value}\n"
+
+
+def test_filtration_caches_only_the_composable_pairs_it_asks_for(capsys, monkeypatch):
+    asked = set()
+    ask = cli.multiply_basis
+
+    def record(omega, pi):
+        asked.add((omega, pi))
+        return ask(omega, pi)
+
+    monkeypatch.setattr(cli, "multiply_basis", record)
+    structure_constants.cache_clear()
+    assert run(capsys, "verify", "-n", "3", "-r", "3", "--all", "--checks", "filtration")[0] == 0
+    composable = {(a, b) for a, b in asked if matrix_marginal(a, 1) == matrix_marginal(b, 2)}
+    assert len(asked) > len(composable) > 0
+    assert structure_constants.cache_info().currsize == len(composable)
+
+
+# suite -> (verify arguments, None or (name bound in cli, function of the
+# real binding giving its broken stand-in), records the control must print).
+# Every record printed must have the keys of one of the records listed.
+NEGATIVE_CONTROLS = {
+    "exactness": (
+        ("-n", "2", "-r", "2", "--lambda", "1,1", "--checks", "exactness",
+         "--corrupt", "1,0,0,1"), None,
+        [{"check": "exactness", "variant": "borel", "lambda": [1, 1],
+          "failures": ["(0, HomologyGroup(free_rank=0, torsion=(2,)))"]},
+         {"check": "exactness", "variant": "weyl", "lambda": [1, 1], "expected_rank": 1,
+          "failures": ["(0, HomologyGroup(free_rank=1, torsion=(2,)))"]}]),
+    # d_0 h_{-1} = 2 once the augmentation of the diagonal tuple is 2
+    "homotopy": (
+        ("-n", "2", "-r", "2", "--lambda", "2,0", "--checks", "homotopy",
+         "--corrupt", "0,0,0,1"), None,
+        [{"check": "homotopy", "lambda": [2, 0], "degree": 0},
+         {"check": "homotopy", "lambda": [2, 0], "degree": -1}]),
+    "oracle": (
+        ("-n", "2", "-r", "1", "--checks", "oracle"),
+        ("green_convolution", lambda real: lambda omega, pi: real(omega, pi) * 2),
+        [{"check": "oracle", "omega": [[1, 0], [0, 0]], "pi": [[1, 0], [0, 0]]}]),
+    # 4^3 triples at (2, 1): the exhaustive branch; (ab + a)c + ab + a and
+    # a(bc + b) + a differ by ac
+    "associativity": (
+        ("-n", "2", "-r", "1", "--checks", "associativity"),
+        ("multiply", lambda real: lambda x, y: real(x, y) + x),
+        [{"check": "associativity", "triple": [[[1, 0], [0, 0]]] * 3}]),
+    # a product that keeps its left factor keeps its filtration degree, and
+    # never dies out
+    "filtration": (
+        ("-n", "2", "-r", "2", "--checks", "filtration"),
+        ("multiply_basis", lambda real: lambda omega, pi: basis_element(omega)),
+        [{"check": "filtration", "omega": [[2, 0], [0, 0]], "pi": [[1, 1], [0, 0]]},
+         {"check": "filtration", "nilpotency": False, "power": 4}]),
+    "embedding": (
+        ("-n", "3", "-r", "3", "--checks", "embedding"),
+        ("compose_permutations", lambda real: lambda sigma, tau: real(tau, sigma)),
+        [{"check": "embedding", "sigma": [1, 3, 2], "tau": [2, 1, 3]}]),
+    "boltje": (
+        ("-n", "3", "-r", "3", "--lambda", "2,1,0", "--checks", "boltje"),
+        ("compare_with_schur_functor", lambda real: lambda lam: real(
+            lam, bh=_maybe_corrupt(build_bh_complex(lam), (1, 0, 0, 1)))),
+        [{"check": "boltje", "lambda": [2, 1, 0], "degree_match": True,
+          "matrices_equal": {"1": False}, "cokernel_ranks": [2, 2], "expected": 2}]),
+    # the first, equivariance, half of the suite has its control in
+    # test_verify_divided_fails_on_a_wrong_action
+    "divided": (
+        ("-n", "2", "-r", "2", "--lambda", "2,0", "--checks", "divided"),
+        ("matmul", lambda real: lambda g, h: real(h, g)),
+        [{"check": "divided", "multiplicative": False}]),
+}
+
+
+@pytest.mark.parametrize("name", list(cli.SUITES))
+def test_every_suite_has_a_negative_control(name):
+    assert name in NEGATIVE_CONTROLS
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_CONTROLS))
+def test_every_failure_record_is_printed_by_a_negative_control(capsys, monkeypatch, name):
+    argv, patch, expected = NEGATIVE_CONTROLS[name]
+    if patch:
+        binding, broken = patch
+        monkeypatch.setattr(cli, binding, broken(getattr(cli, binding)))
+    code, out, _ = run(capsys, "verify", *argv)
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[-1].startswith(f"FAIL {name} ")
+    records = [json.loads(line) for line in lines[:-1]]
+    assert all(record in records for record in expected)
+    assert {tuple(record) for record in records} == {tuple(record) for record in expected}

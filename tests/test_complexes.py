@@ -227,9 +227,9 @@ def assembled_twice(monkeypatch):
     the list of compared shapes."""
     shapes = []
 
-    def both(cur, prev, product):
-        mat = alternating_differential(cur, prev, product)
-        assert mat == per_label_alternating_differential(cur, prev, product)
+    def both(cur, prev, head_product, tail_product):
+        mat = alternating_differential(cur, prev, head_product, tail_product)
+        assert mat == per_label_alternating_differential(cur, prev, head_product, tail_product)
         shapes.append((mat.nrows, mat.ncols))
         return mat
 
@@ -266,8 +266,10 @@ def test_the_1_5_differentials_match_the_per_label_assembly(assembled_twice, bui
 
 
 def table_product(table):
-    """A product answering (t, a, b) from table, empty where it has no entry."""
-    return lambda t, a, b: table.get((t, a, b), ())
+    """The head and the tail product answering (a, b) from table, keyed
+    (0, a, b) for the head and (1, a, b) for the tail; empty where it has no
+    entry."""
+    return (lambda a, b: table.get((0, a, b), ()), lambda a, b: table.get((1, a, b), ()))
 
 
 @pytest.mark.parametrize("cur, prev, table", [
@@ -287,12 +289,12 @@ def table_product(table):
     ((("a", "b", "c"),), (("a", "d"), ("x", "w")), {(1, "b", "c"): (("w", 1),)}),
     # t = 2, with two terms whose coefficients cancel
     ((("a", "b", "c", "d"),), (("a", "b", "c"),),
-     {(2, "c", "d"): (("e", 1),), (1, "b", "c"): (("e", 1),)}),
+     {(1, "c", "d"): (("e", 1),), (1, "b", "c"): (("e", 1),)}),
 ])
 def test_a_target_outside_prev_raises_key_error(cur, prev, table):
     for assemble in (alternating_differential, per_label_alternating_differential):
         with pytest.raises(KeyError):
-            assemble(cur, prev, table_product(table))
+            assemble(cur, prev, *table_product(table))
 
 
 def test_a_hand_assembled_differential():
@@ -301,6 +303,6 @@ def test_a_hand_assembled_differential():
     prev = (("y", "c"), ("z", "c"), ("a", "w"), ("x", "w"))
     table = {(0, "a", "b"): (("y", 2), ("z", -1)), (0, "x", "b"): (("z", 1),),
              (1, "b", "c"): (("w", 3),)}
-    mat = alternating_differential(cur, prev, table_product(table))
+    mat = alternating_differential(cur, prev, *table_product(table))
     assert mat == from_rows([[2, 0], [-1, 1], [-3, 0], [0, -3]])
-    assert mat == per_label_alternating_differential(cur, prev, table_product(table))
+    assert mat == per_label_alternating_differential(cur, prev, *table_product(table))

@@ -396,6 +396,15 @@ def test_verify_exactness_with_expected_groups():
     assert [k for k, _ in report.failures()] == [0]
 
 
+@pytest.mark.parametrize("degrees, expected", [
+    ([1], {0: HomologyGroup(99, ())}),  # a degree of the complex left unchecked
+    (None, {-1: HomologyGroup(0, ())}),  # a degree outside the complex
+])
+def test_verify_exactness_refuses_an_expectation_it_would_not_check(degrees, expected):
+    with pytest.raises(ValueError, match="not checked"):
+        verify_exactness(build_weyl_resolution((2, 1, 0)), degrees, expected)
+
+
 def test_verify_exactness_reports_complex_axiom():
     labels = {0: ("a", "b"), 1: ("c",), 2: ("d",)}
     d1 = from_rows([[1], [0]])

@@ -216,6 +216,16 @@ def test_size_guard():
         del os.environ["SCHURRES_ORACLE_LIMIT"]
 
 
+def test_a_cached_basis_endomorphism_refuses_rebinding():
+    w = ((1, 1), (0, 1))
+    f = endo_of_basis(w)
+    for name in ("n", "r", "terms", "by_first"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, {})
+    assert endo_of_basis(w) is f
+    assert f.terms == dict.fromkeys(orbit(w), 1) and f.by_first
+
+
 def test_size_guard_runs_on_every_call(monkeypatch):
     big = diagonal_matrix((13, 0))
     monkeypatch.setenv("SCHURRES_ORACLE_LIMIT", "10000")

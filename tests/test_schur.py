@@ -180,8 +180,16 @@ def test_products_match_the_double_loop_over_all_term_pairs(pair):
 def test_a_pair_that_cannot_compose_adds_no_cache_entry():
     omega, pi = ((2, 0), (0, 1)), ((1, 0), (1, 1))  # column sums (2, 1), row sums (1, 2)
     before = structure_constants.cache_info()
-    assert structure_constants(omega, pi) == ()
+    assert multiply_basis(omega, pi) is zero(2, 3)
     assert structure_constants.cache_info() == before
+
+
+def test_the_shared_zero_refuses_rebinding():
+    for name in ("n", "r", "terms", "_by_col_sums"):
+        with pytest.raises(AttributeError):
+            setattr(zero(2, 2), name, {((2, 0), (0, 0)): 5})
+    assert format_element(zero(2, 2)) == "0"
+    assert zero(2, 2) * basis_element(((2, 0), (0, 0))) is zero(2, 2)
 
 
 def test_all_basis_products_at_3_3_cache_only_the_composable_pairs():
