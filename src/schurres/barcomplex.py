@@ -7,6 +7,14 @@ column sums of wk equal the resolved composition.  The Borel variant also
 requires w0 upper triangular; the induced (full) variant lets w0 range over
 all weight matrices.
 
+Bases are in canonical order (descending on the row-major entries), built
+rather than sorted.  A tuple compares by its first matrix, then by the
+rest, so the tails (w1, ..., wk) are grown leftwards from (), one matrix a
+round, and kept in one descending list per row sums of their first matrix:
+a round sorts the new first matrices of each row sums and puts each before
+every tail of the list that its column sums name.  The heads w0, sorted all
+together, go in front the same way.  Only matrices are sorted, never labels.
+
 The differential is the alternating sum over adjacent positions of the
 algebra product, re-expanded in the lower-degree tuple basis: it is
 `complexes.alternating_differential` with the structure constants as both
@@ -41,39 +49,37 @@ def _normalize(lam):
 def enumerate_bar_basis(lam, k, variant="borel", nu=None):
     """Degree-k tuple basis, canonical order; empty above the chain bound.
 
-    With nu, only the weight block: the tuples whose leading matrix has row
-    sums nu, in the order they have in the whole basis.
+    With nu, a composition of r into n parts, only the weight block: the
+    tuples whose leading matrix has row sums nu, in their whole-basis order.
+    The order is built, not sorted (see the module docstring): the tails
+    are kept per row sums of their first matrix, and only matrices are sorted.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if k < 0:
         raise ValueError("degree must be non-negative")
     lam = _normalize(lam)
+    n, r = len(lam), sum(lam)
     if nu is not None:
         nu = tuple(nu)
-    n, r = len(lam), sum(lam)
+        if len(nu) != n or sum(nu) != r or any(v < 0 for v in nu):
+            raise ValueError(f"weight {nu} is not a composition of {r} into {n} parts")
     if k >= max_chain_length(n, r):
         return ()
-    upper = variant == "borel"
-    if k == 0:
-        heads = enumerate_weight_matrices(n, r, col_sums=lam, row_sums=nu,
-                                          upper_triangular=upper)
-        return tuple((w0,) for w0 in heads)
-    # the chains (w_1, ..., w_k), grown leftwards from w_k: each new first
-    # matrix has the row sums of the one it precedes as its column sums
-    tails = [(wk,) for wk in enumerate_weight_matrices(n, r, col_sums=lam, min_degree=1)]
-    for _ in range(k - 1):
-        tails = [(w,) + tail for tail in tails
-                 for w in enumerate_weight_matrices(n, r, col_sums=matrix_marginal(tail[0], 2),
-                                                    min_degree=1)]
-    tuples = []
-    for tail in tails:
-        mu = matrix_marginal(tail[0], 2)
-        for w0 in enumerate_weight_matrices(n, r, col_sums=mu, row_sums=nu,
-                                            upper_triangular=upper):
-            tuples.append((w0,) + tail)
-    # tuples of equally sized matrices compare like their row-major flattenings
-    return tuple(sorted(tuples, reverse=True))
+    tails = {lam: [()]}
+    for _ in range(k):
+        # the new first matrices by their row sums, each with its column sums
+        firsts = {}
+        for mu in tails:
+            for w in enumerate_weight_matrices(n, r, col_sums=mu, min_degree=1):
+                firsts.setdefault(matrix_marginal(w, 2), []).append((w, mu))
+        tails = {rows: [(w,) + tail for w, mu in sorted(ws, reverse=True) for tail in tails[mu]]
+                 for rows, ws in firsts.items()}
+    heads = sorted(((w0, mu) for mu in tails
+                    for w0 in enumerate_weight_matrices(n, r, col_sums=mu, row_sums=nu,
+                                                        upper_triangular=variant == "borel")),
+                   reverse=True)
+    return tuple((w0,) + tail for w0, mu in heads for tail in tails[mu])
 
 
 def differential(cur, prev):

@@ -32,6 +32,7 @@ from .combinatorics import (
     filtration_degree,
     is_partition,
     is_upper_triangular,
+    matrix_marginal,
     max_chain_length,
     pair_weight,
 )
@@ -337,21 +338,33 @@ def _check_associativity(n, r, lams, corrupt):
                 [list(rw) for rw in m] for m in (a, b, c)]}
 
 
+def _by_row_sums(matrices):
+    """{row sums: the matrices with them, in the order given}."""
+    groups = {}
+    for b in matrices:
+        groups.setdefault(matrix_marginal(b, 2), []).append(b)
+    return groups
+
+
 def _check_filtration(n, r, lams, corrupt):
+    # a product that does not compose is zero, so each left factor is paired
+    # only with the right factors whose row sums are its column sums
     uppers = enumerate_weight_matrices(n, r, upper_triangular=True)
+    right = _by_row_sums(uppers)
     for omega in uppers:
         s = filtration_degree(omega)
-        for pi in uppers:
+        for pi in right.get(matrix_marginal(omega, 1), ()):
             t = filtration_degree(pi)
             for key in multiply_basis(omega, pi).terms:
                 if not (is_upper_triangular(key) and filtration_degree(key) >= s + t):
                     yield {"check": "filtration", "omega": [list(rw) for rw in omega],
                            "pi": [list(rw) for rw in pi]}
     bound = max_chain_length(n, r)
-    support = set(enumerate_weight_matrices(n, r, min_degree=1))
-    generators = tuple(support)
+    generators = enumerate_weight_matrices(n, r, min_degree=1)
+    right = _by_row_sums(generators)
+    support = set(generators)
     for _ in range(bound):
-        support = {key for a in support for b in generators
+        support = {key for a in support for b in right.get(matrix_marginal(a, 1), ())
                    for key in multiply_basis(a, b).terms}
         if not support:
             break

@@ -1,4 +1,4 @@
-"""The per-call forms of six fast paths of the package, kept as references
+"""The per-call forms of seven fast paths of the package, kept as references
 that the fast paths are tested against.
 
 * `per_call_gl_action` builds the image of every column of the monomial on
@@ -19,14 +19,20 @@ that the fast paths are tested against.
 * `unpruned_weight_matrices` follows every branch of the row-by-row
   recursion to the last row; `combinatorics.unsorted_weight_matrices` stops
   a branch that cannot meet the column sums.
+* `regrowing_bar_basis` regrows every tail of a degree from w_k, reads the
+  row sums of each tail's first matrix, and sorts the whole degree's
+  labels; `barcomplex.enumerate_bar_basis` keeps the tails per row sums
+  and builds the labels in order.
 """
 
 from itertools import product
 
+from schurres.barcomplex import VARIANTS
 from schurres.combinatorics import (
     _row_candidates,
     enumerate_weight_matrices,
     matrix_marginal,
+    max_chain_length,
     multiset_arrangements,
 )
 from schurres.complexes import Matrix
@@ -155,3 +161,36 @@ def unpruned_weight_matrices(n, r, col_sums=None, row_sums=None, upper_triangula
 
     fill(0, r, None if col_sums is None else tuple(col_sums), ())
     return results
+
+
+def regrowing_bar_basis(lam, k, variant="borel", nu=None):
+    """The degree-k bar basis of `barcomplex.enumerate_bar_basis`, its
+    tails regrown from w_k on every call and its labels sorted whole."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    lam = tuple(lam)
+    if nu is not None:
+        nu = tuple(nu)
+    n, r = len(lam), sum(lam)
+    if k >= max_chain_length(n, r):
+        return ()
+    upper = variant == "borel"
+    if k == 0:
+        heads = enumerate_weight_matrices(n, r, col_sums=lam, row_sums=nu,
+                                          upper_triangular=upper)
+        return tuple((w0,) for w0 in heads)
+    # the chains (w_1, ..., w_k), grown leftwards from w_k: each new first
+    # matrix has the row sums of the one it precedes as its column sums
+    tails = [(wk,) for wk in enumerate_weight_matrices(n, r, col_sums=lam, min_degree=1)]
+    for _ in range(k - 1):
+        tails = [(w,) + tail for tail in tails
+                 for w in enumerate_weight_matrices(n, r, col_sums=matrix_marginal(tail[0], 2),
+                                                    min_degree=1)]
+    tuples = []
+    for tail in tails:
+        mu = matrix_marginal(tail[0], 2)
+        for w0 in enumerate_weight_matrices(n, r, col_sums=mu, row_sums=nu,
+                                            upper_triangular=upper):
+            tuples.append((w0,) + tail)
+    # tuples of equally sized matrices compare like their row-major flattenings
+    return tuple(sorted(tuples, reverse=True))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from schurres import barcomplex
@@ -24,6 +26,8 @@ from schurres.schurfunctor import multilinear_weight
 from schurres.tableaux import semistandard_tableau_count
 
 from dense import euler_characteristic, submatrix
+import slow_paths
+from slow_paths import regrowing_bar_basis
 
 D20 = ((2, 0), (0, 0))
 U11 = ((1, 1), (0, 0))
@@ -63,6 +67,38 @@ def test_bar_basis_in_flattened_lex_order():
                 basis = enumerate_bar_basis(lam, k, variant)
                 assert list(basis) == sorted(
                     basis, key=lambda tup: tuple(flatten(w) for w in tup), reverse=True)
+
+
+def _reference_cases():
+    """(lam, nu) pairs checked against the regrowing reference: each whole
+    basis, every weight block at n <= 3, two blocks at n = 4 and the
+    multilinear block of (2,1,1,1,0)."""
+    lams = [*enumerate_compositions(3, 4), (2, 1, 0), (2, 2, 1), (3, 2, 1), (2, 1, 1, 1),
+            (1, 2, 0), (0, 2, 1)]
+    for lam in lams:
+        n, r = len(lam), sum(lam)
+        nus = enumerate_compositions(n, r) if n <= 3 else [(2, 1, 1, 1), (1, 1, 1, 2)]
+        for nu in (None, *nus):
+            yield lam, nu
+    yield (2, 1, 1, 1, 0), multilinear_weight(5, 5)
+
+
+@pytest.mark.parametrize("variant", barcomplex.VARIANTS)
+def test_bar_basis_equals_the_regrowing_reference(variant):
+    for lam, nu in _reference_cases():
+        for k in range(max_chain_length(len(lam), sum(lam)) + 1):
+            assert enumerate_bar_basis(lam, k, variant, nu) == regrowing_bar_basis(
+                lam, k, variant, nu), (lam, nu, k)
+
+
+@pytest.mark.parametrize("nu", [(1, 1), (2, 1, 0, 0), (2, 2, -1), (1, 1, 0), (2, 1, 1)])
+def test_bar_basis_refuses_a_weight_that_is_not_a_composition(nu):
+    # a wrong length, a negative part and a wrong sum, at every degree
+    for k in (0, 1, max_chain_length(3, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"weight {nu} is not a composition")):
+            enumerate_bar_basis((2, 1, 0), k, "full", nu)
+    with pytest.raises(ValueError, match=re.escape(f"weight {nu} is not a composition")):
+        build_weyl_resolution((2, 1, 0), nu)
 
 
 def test_weight_blocks_partition_the_full_basis():
@@ -305,3 +341,38 @@ def test_each_build_enumerates_each_degree_once(monkeypatch, build, lam, variant
         assert [args[:3] for args in calls] == [(lam, k, variant) for k in range(cx.hi + 2)]
         per_build.append(len(matrices))
     assert per_build[0] == per_build[1] > 0
+
+
+@pytest.mark.parametrize("variant, lam, nu", [
+    ("borel", (2, 1, 1), None),
+    ("full", (2, 1, 1), None),
+    ("full", (2, 1, 1), (1, 2, 1)),
+    ("full", (2, 1, 1, 0), (1, 1, 1, 1)),
+    # each has a chain of the longest length, so its bases reach the bound
+    ("borel", (0, 0, 2), None),
+    ("full", (0, 0, 2), (1, 0, 1)),
+    ("borel", (0, 1), None),
+    ("full", (2,), None),
+    ("full", (0, 0), None),
+])
+def test_a_build_asks_for_the_weight_matrices_the_reference_asks_for(
+        monkeypatch, variant, lam, nu):
+    # the weight-matrix cache ends up holding the same entries either way
+    def recording(log, real):
+        def recorded(*args, **kwargs):
+            log.add((args, tuple(sorted(kwargs.items()))))
+            return real(*args, **kwargs)
+        return recorded
+
+    asked, reference = set(), set()
+    monkeypatch.setattr(barcomplex, "enumerate_weight_matrices",
+                        recording(asked, barcomplex.enumerate_weight_matrices))
+    monkeypatch.setattr(slow_paths, "enumerate_weight_matrices",
+                        recording(reference, slow_paths.enumerate_weight_matrices))
+    if variant == "borel":
+        cx = build_borel_resolution(lam)
+    else:
+        cx = build_weyl_resolution(lam, nu)
+    assert [regrowing_bar_basis(lam, k, variant, nu) for k in range(cx.hi + 2)] == [
+        *(cx.labels[k] for k in range(cx.hi + 1)), ()]
+    assert asked == reference != set()

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from schurres import barcomplex, cli, dividedpowers, tableaux
 from schurres.barcomplex import build_borel_resolution, build_weyl_resolution
 from schurres.cli import _indented_json, _maybe_corrupt, complex_document, main
-from schurres.combinatorics import matrix_marginal
+from schurres.combinatorics import enumerate_weight_matrices, matrix_marginal
 from schurres.complexes import ChainComplex, Matrix
 from schurres.oracles import size_guard
 from schurres.schur import basis_element, structure_constants
@@ -643,8 +643,11 @@ def test_filtration_caches_only_the_composable_pairs_it_asks_for(capsys, monkeyp
     monkeypatch.setattr(cli, "multiply_basis", record)
     structure_constants.cache_clear()
     assert run(capsys, "verify", "-n", "3", "-r", "3", "--all", "--checks", "filtration")[0] == 0
-    composable = {(a, b) for a, b in asked if matrix_marginal(a, 1) == matrix_marginal(b, 2)}
-    assert len(asked) > len(composable) > 0
+    # every upper-triangular pair that composes, and no other
+    uppers = enumerate_weight_matrices(3, 3, upper_triangular=True)
+    composable = {(a, b) for a in uppers for b in uppers
+                  if matrix_marginal(a, 1) == matrix_marginal(b, 2)}
+    assert asked == composable
     assert structure_constants.cache_info().currsize == len(composable)
 
 
