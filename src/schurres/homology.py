@@ -26,16 +26,15 @@ homology over Z (`base_change`), and a rank over F_p is the number of
 invariant factors that p does not divide: no matrix is reduced mod p.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(namedtuple("SmithForm", "factors")):
     """Invariant factors (nonzero, each dividing the next) of an integer
     matrix."""
 
-    factors: tuple
+    __slots__ = ()
 
     @property
     def rank(self):
@@ -190,15 +189,12 @@ def prime_power_factors(d):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion prime", defaults=(None,))):
     """Finitely generated abelian group: free rank plus prime-power torsion;
     over the field of `prime` elements (None for Z) the free rank is the
     dimension and there is no torsion."""
 
-    free_rank: int
-    torsion: tuple
-    prime: int | None = None
+    __slots__ = ()
 
     @property
     def is_trivial(self):
@@ -292,12 +288,11 @@ def homology(complex_, k, p=None):
     return homology_groups(complex_, [k], p)[k]
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    """Per-degree homology with pass/fail, plus the complex axiom check."""
+class ExactnessReport(namedtuple("ExactnessReport", "complex_ok entries")):
+    """Per-degree homology with pass/fail, plus the complex axiom check;
+    entries are (degree, HomologyGroup, ok) triples."""
 
-    complex_ok: bool
-    entries: tuple  # of (degree, HomologyGroup, ok)
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -16,9 +16,11 @@ accepted.
 
 These oracles materialize n^r-dimensional data and exist for verification,
 not production; they are gated by a size guard (n^r <= 4096 by default,
-override with the SCHURRES_ORACLE_LIMIT environment variable).  The guard
-`size_guard` runs, and reads the variable, on every call of `endo_of_basis`
-and `green_convolution`, also when the answer is already cached.
+override with the SCHURRES_ORACLE_LIMIT environment variable).  The
+variable is read once per process, at the first guard call, by
+`oracle_limit`; the guard `size_guard` compares n^r with that limit on
+every call of `endo_of_basis` and `green_convolution`, also when the
+answer is already cached, so a refusal never depends on what is cached.
 
 Work that depends on one factor only is done once per factor, not once per
 product.  `orbit` and the basis endomorphisms of `endo_of_basis` are cached
@@ -49,8 +51,16 @@ _DEFAULT_LIMIT = 4096
 _LIMIT_ENV = "SCHURRES_ORACLE_LIMIT"
 
 
+@lru_cache(maxsize=1)
+def oracle_limit():
+    """The size guard's bound on n^r, read from the environment once per
+    process; `oracle_limit.cache_clear()` makes the next guard read it
+    again."""
+    return int(os.environ.get(_LIMIT_ENV, _DEFAULT_LIMIT))
+
+
 def size_guard(n, r):
-    limit = int(os.environ.get(_LIMIT_ENV, _DEFAULT_LIMIT))
+    limit = oracle_limit()
     if n ** r > limit:
         raise ValueError(
             f"tensor-space oracle dimension {n}^{r} exceeds the size guard "

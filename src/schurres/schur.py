@@ -31,7 +31,6 @@ unbounded-precision integers throughout; zero coefficients are dropped
 eagerly so equality is structural.
 """
 
-import json
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
@@ -259,7 +258,7 @@ def format_element(x):
         return "0"
     parts = []
     for key, c in x.items():
-        body = "xi(%s)" % json.dumps([list(row) for row in key], separators=(",", ":"))
+        body = "xi(%s)" % str([list(row) for row in key]).replace(" ", "")
         if c == 1:
             parts.append(body)
         elif c == -1:

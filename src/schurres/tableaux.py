@@ -55,7 +55,7 @@ The arrangements are combined once per weight matrix and placed on every
 source's positions.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as _product
 
@@ -218,16 +218,14 @@ def build_bh_complex(lam):
 # ---------------------------------------------------------------------------
 # comparison with the idempotent-truncated resolution
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(namedtuple(
+        "ComparisonReport", "lam degree_match matrices_equal cokernel_ranks standard_count")):
     """Degreewise matrix comparison of the two complexes under the basis
-    bijection, plus the cokernel rank check at the bottom."""
+    bijection, plus the cokernel rank check at the bottom: matrices_equal
+    maps each degree to a bool, and cokernel_ranks is (truncation, BH),
+    with -1 where the cokernel has torsion."""
 
-    lam: tuple
-    degree_match: bool
-    matrices_equal: dict  # degree -> bool
-    cokernel_ranks: tuple  # (truncation, BH); -1 where the cokernel has torsion
-    standard_count: int
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -493,7 +493,9 @@ ALL_CHECKS = "exactness,homotopy,oracle,associativity,filtration,embedding,boltj
 
 @pytest.mark.parametrize("argv, expected_code, expected_out", [
     (("-n", "3", "-r", "3", "--all", "--checks", ALL_CHECKS, "--mod", "2,3,5"), 0,
-     "".join(f"ok {name} (n=3, r=3)\n" for name in ALL_CHECKS.split(","))),
+     "".join(f"ok {name} (n=3, r=3)\n" if name != "associativity"
+             else f"skipped associativity ({165 ** 3} triples > 10000)\n"
+             for name in ALL_CHECKS.split(","))),
     (("-n", "2", "-r", "3", "--checks", "boltje,exactness,embedding"), 0,
      "skipped boltje (n < r)\nok exactness (n=2, r=3)\nskipped embedding (n < r)\n"),
     (("-n", "3", "-r", "3", "--checks", "boltje", "--lambda", "1,2,0"), 0,
@@ -519,10 +521,12 @@ def test_verify_records_of_every_corrupted_check_are_pinned(capsys):
     assert [rec["check"] for rec in records] == ["exactness"] * 11 + ["homotopy"] * 18
     summaries = [line for line in out.splitlines() if not line.startswith("{")]
     assert summaries == [f"{'FAIL' if name in ('exactness', 'homotopy') else 'ok'} "
-                         f"{name} (n=3, r=3)" for name in ALL_CHECKS.split(",")]
+                         f"{name} (n=3, r=3)" if name != "associativity"
+                         else f"skipped associativity ({165 ** 3} triples > 10000)"
+                         for name in ALL_CHECKS.split(",")]
     # each record printed before its check's summary line, byte for byte
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "c99aa50f33f4d450607b7b69e507fbf61556dfd84154527bef1eb5a05c1665ae")
+            == "753fdd70735097933906a0c2a4fe55f474f8578edb4790ccba86aff1e6f073fa")
 
 
 VARIANTS = ("borel", "weyl", "schur-functor", "bh")
@@ -623,13 +627,20 @@ def test_a_verify_run_leaves_no_reference_cycle(capsys):
     assert unreachable == 0
 
 
-def test_verify_refuses_an_oversized_oracle_before_any_suite(capsys, monkeypatch):
-    monkeypatch.delenv("SCHURRES_ORACLE_LIMIT", raising=False)
+def test_verify_refuses_an_oversized_oracle_before_any_suite(capsys, set_oracle_limit):
+    set_oracle_limit(None)
     with pytest.raises(ValueError) as refused:
         size_guard(2, 13)
     code, out, err = run(capsys, "verify", "-n", "2", "-r", "13", "--checks", "divided,oracle")
     assert (code, out) == (2, "")
     assert err == f"error: {refused.value}\n"
+
+
+def test_associativity_checks_every_triple_or_is_skipped(capsys):
+    code, out, _ = run(capsys, "verify", "-n", "4", "-r", "4", "--checks", "associativity")
+    assert (code, out) == (0, f"skipped associativity ({3876 ** 3} triples > 10000)\n")
+    code, out, _ = run(capsys, "verify", "-n", "2", "-r", "2", "--checks", "associativity")
+    assert (code, out) == (0, "ok associativity (n=2, r=2)\n")
 
 
 def test_filtration_caches_only_the_composable_pairs_it_asks_for(capsys, monkeypatch):
@@ -672,8 +683,8 @@ NEGATIVE_CONTROLS = {
         ("-n", "2", "-r", "1", "--checks", "oracle"),
         ("green_convolution", lambda real: lambda omega, pi: real(omega, pi) * 2),
         [{"check": "oracle", "omega": [[1, 0], [0, 0]], "pi": [[1, 0], [0, 0]]}]),
-    # 4^3 triples at (2, 1): the exhaustive branch; (ab + a)c + ab + a and
-    # a(bc + b) + a differ by ac
+    # all 4^3 triples at (2, 1); (ab + a)c + ab + a and a(bc + b) + a
+    # differ by ac
     "associativity": (
         ("-n", "2", "-r", "1", "--checks", "associativity"),
         ("multiply", lambda real: lambda x, y: real(x, y) + x),

@@ -519,6 +519,22 @@ def test_homology_over_a_prime_field_records_the_prime():
     assert repr(HomologyGroup(1, (2,))) == "HomologyGroup(free_rank=1, torsion=(2,))"
 
 
+def test_homology_records_are_immutable_values():
+    smith = smith_normal_form(Matrix.from_entries(2, 2, [(0, 0, 2), (1, 1, 3)]))
+    group = HomologyGroup(1, (2,))
+    report = verify_exactness(build_weyl_resolution((1, 1)), expected={0: HomologyGroup(1, ())})
+    assert (smith.factors, smith.rank, report.ok) == ((1, 6), 2, True)
+    for record, field in ((smith, "factors"), (group, "torsion"), (report, "complex_ok")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        group.rank = 1  # nor can a field be added
+    assert group == HomologyGroup(free_rank=1, torsion=(2,), prime=None)
+    assert hash(group) == hash(HomologyGroup(1, (2,)))
+    assert group != HomologyGroup(1, (2,), 2) and group != HomologyGroup(1, ())
+    assert len({group, HomologyGroup(1, (2,)), HomologyGroup(1, (2,), 2)}) == 2
+
+
 def unimodular_pair(data, size):
     """A random unimodular matrix and its inverse, as a product of
     elementary operations: adding c times one row to another, and swapping

@@ -2,8 +2,9 @@
 or class it defines, is used in that module; every public function, class
 and method it defines is named outside its own definition by the code the
 verifier runs, the package and the benchmark; every import sits at
-module level; no function nested in another names itself; and no module
-reads the dense `rows` view of a matrix.
+module level; no function nested in another names itself; no module
+reads the dense `rows` view of a matrix; and `import schurres` loads none
+of the standard modules that the package does not need.
 
 `__init__.py` is left out of the use checks: it imports names only to
 re-export them, and a re-export is not a use.  Names that only tests or
@@ -12,6 +13,9 @@ builders and the dense Smith normal form.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -218,3 +222,25 @@ def test_package_never_reads_the_dense_rows_view():
 def test_a_read_of_the_dense_rows_view_is_reported():
     tree = ast.parse("rows = 2\n\ndef f(mat):\n    return mat.rows[rows]\n")
     assert list(dense_view_reads(tree)) == [4]
+
+
+# dataclasses brings inspect, ast, dis and tokenize with it; json its own
+# submodules.  The package needs none of them, and every process that
+# imports it would pay for loading them.
+UNNEEDED = {"dataclasses", "inspect", "json", "ast", "dis", "tokenize"}
+
+
+def modules_after(code):
+    """The names in sys.modules once a fresh interpreter has run code."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=60)
+    return set(done.stdout.split())
+
+
+def test_importing_the_package_loads_no_unneeded_module():
+    bare = modules_after("")
+    loaded = modules_after("import schurres")
+    assert "schurres.tableaux" in loaded
+    assert sorted((loaded - bare) & UNNEEDED) == []

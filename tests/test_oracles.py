@@ -1,4 +1,3 @@
-import os
 import random
 from itertools import product
 
@@ -20,6 +19,7 @@ from schurres.oracles import (
     endo_of_basis,
     green_convolution,
     monomial_eval,
+    oracle_limit,
     orbit,
     tensor_power_action,
 )
@@ -204,16 +204,14 @@ def test_action_endomorphism_agrees_with_expansion():
             assert decode(tensor_action_endo(g, r)) == tensor_power_action(g, r)
 
 
-def test_size_guard():
+def test_size_guard(set_oracle_limit):
+    set_oracle_limit(None)
     with pytest.raises(ValueError):
         endo_of_basis(diagonal_matrix((13,) + (0,) * 1))
     with pytest.raises(ValueError):
         green_convolution(diagonal_matrix((13, 0)), diagonal_matrix((13, 0)))
-    os.environ["SCHURRES_ORACLE_LIMIT"] = "10000"
-    try:
-        endo_of_basis(diagonal_matrix((13, 0)))
-    finally:
-        del os.environ["SCHURRES_ORACLE_LIMIT"]
+    set_oracle_limit("10000")
+    endo_of_basis(diagonal_matrix((13, 0)))
 
 
 def test_a_cached_basis_endomorphism_refuses_rebinding():
@@ -226,17 +224,33 @@ def test_a_cached_basis_endomorphism_refuses_rebinding():
     assert f.terms == dict.fromkeys(orbit(w), 1) and f.by_first
 
 
-def test_size_guard_runs_on_every_call(monkeypatch):
+def test_size_guard_runs_on_every_call(set_oracle_limit):
     big = diagonal_matrix((13, 0))
-    monkeypatch.setenv("SCHURRES_ORACLE_LIMIT", "10000")
+    set_oracle_limit("10000")
     assert endo_of_basis(big).terms == {((1,) * 13, (1,) * 13): 1}
-    monkeypatch.delenv("SCHURRES_ORACLE_LIMIT")
+    set_oracle_limit(None)
     # the endomorphism is cached by now, and still refused
     with pytest.raises(ValueError, match="size guard"):
         endo_of_basis(big)
     # a pair that does not compose is zero, and still refused
     with pytest.raises(ValueError, match="size guard"):
         green_convolution(big, diagonal_matrix((0, 13)))
+
+
+def test_the_limit_is_read_once_until_the_reader_is_reset(set_oracle_limit, monkeypatch):
+    big = diagonal_matrix((13, 0))
+    set_oracle_limit("10000")
+    endo_of_basis(big)  # the first guard call reads the variable
+    monkeypatch.delenv("SCHURRES_ORACLE_LIMIT")
+    assert oracle_limit() == 10000
+    endo_of_basis(big)  # the change is not seen
+    oracle_limit.cache_clear()
+    assert oracle_limit() == 4096
+    with pytest.raises(ValueError, match=r"size guard \(4096\)"):
+        endo_of_basis(big)
+    monkeypatch.setenv("SCHURRES_ORACLE_LIMIT", "10000")
+    with pytest.raises(ValueError, match="size guard"):
+        green_convolution(big, big)  # nor is a raised limit
 
 
 def test_degenerate_rank_zero():

@@ -1,4 +1,3 @@
-import dataclasses
 from math import factorial
 
 import pytest
@@ -470,7 +469,7 @@ def test_compare_small_cases():
 
 def test_comparison_report_is_immutable():
     report = compare_with_schur_functor((1, 1))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.cokernel_ranks = (0, 0)
     assert report.ok
 
