@@ -20,15 +20,18 @@ No weight tensor or structure constant is involved, so identifying
 monomials with algebra basis elements of the same matrix and comparing with
 left multiplication by the matrix's image in the algebra
 (verify_equivariance) checks two independent routes against each other.
+Both routes are polynomial in the entries of the matrix, so comparing them
+at finitely many weight matrices proves the identity for every square
+matrix, over any commutative ring.
 """
 
 from functools import lru_cache
 from itertools import product as _product
 from math import comb
 
-from .combinatorics import enumerate_compositions, enumerate_weight_matrices
-from .oracles import tensor_power_action
-from .schur import AlgebraElement, basis_element, multiply
+from .combinatorics import enumerate_compositions, enumerate_weight_matrices, margins
+from .oracles import monomial_eval
+from .schur import AlgebraElement, basis_element
 
 
 def divided_basis(lam):
@@ -109,28 +112,47 @@ def gl_action(g, pi):
     return {k: c for k, c in out.items() if c}
 
 
-def matmul(g, h):
-    n = len(g)
-    return tuple(tuple(sum(g[i][k] * h[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # identification with principal modules
 
-def verify_equivariance(lam, g):
-    """Check, on the whole monomial basis, that acting then identifying
-    agrees with identifying then multiplying by the matrix's algebra image.
+@lru_cache(maxsize=4096)
+def _acting_image(g):
+    """The terms g^omega xi_omega of the algebra image of a weight matrix g
+    whose omega has the column sums of g: the only terms that act on a
+    monomial whose row sums are those column sums.  Cached, as every
+    composition with those row sums asks for it again."""
+    n, (mu, _, r) = len(g), margins(g)
+    return AlgebraElement.trusted(n, r, {omega: monomial_eval(omega, g) for omega
+                                         in enumerate_weight_matrices(n, r, col_sums=mu)})
 
-    Returns (ok, failures); a failure records the offending monomial.
+
+def verify_equivariance(lam):
+    """Prove, on the whole monomial basis and for every square matrix g,
+    that acting then identifying agrees with identifying then multiplying
+    by the matrix's algebra image rho(g) = sum over omega of g^omega xi_omega.
+
+    For a monomial pi with row sums mu, xi_omega xi_pi vanishes unless omega
+    has column sums mu, so both sides are polynomials in the entries of g,
+    homogeneous of degree mu[s] in column s of g.  Such a polynomial is
+    fixed by its values at the weight matrices with column sums mu: column
+    by column these are the lattice points of a simplex, which are
+    unisolvent for homogeneous polynomials (Chung-Yao).  So pi is checked
+    at those g alone.  The argument takes gl_action and monomial_eval to be
+    sums of products of the entries of g, with no branch on their values.
+
+    Returns (ok, failures); a failure is an offending (g, pi) pair, in the
+    order of the first monomial of each row sums, then g, then pi.
     """
     lam = tuple(lam)
     n, r = len(lam), sum(lam)
-    rho = tensor_power_action(g, r)
-    failures = []
+    by_row_sums = {}
     for pi in divided_basis(lam):
-        lhs = AlgebraElement(n, r, gl_action(g, pi))
-        rhs = multiply(rho, basis_element(pi))
-        if lhs != rhs:
-            failures.append(pi)
+        by_row_sums.setdefault(margins(pi)[1], []).append(pi)
+    failures = []
+    for mu, pis in by_row_sums.items():
+        for g in enumerate_weight_matrices(n, r, col_sums=mu):
+            rho = _acting_image(g)
+            failures.extend((g, pi) for pi in pis
+                            if AlgebraElement(n, r, gl_action(g, pi))
+                            != rho * basis_element(pi))
     return not failures, tuple(failures)

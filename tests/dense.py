@@ -1,7 +1,8 @@
 """Dense matrix builders, views and the transpose, the Euler characteristic
-of a complex, and the dense Smith normal form that the sparse one is checked
-against, kept for the tests: the package itself builds matrices from
-columns, reduces them sparsely and never needs these.
+of a complex, the dense Smith normal form that the sparse one is checked
+against, and the product of two square matrices given as tuples of rows,
+kept for the tests: the package itself builds matrices from columns,
+reduces them sparsely and never needs these.
 
 The builders and `transpose` hand their columns to `Matrix.from_columns`, as
 the package's own builders do, so their results share equal (row, value)
@@ -46,6 +47,13 @@ def transpose(mat):
         for i, v in col:
             cols[i][j] = v
     return Matrix.from_columns(mat.ncols, cols)
+
+
+def matmul(g, h):
+    """The product gh of two square matrices given as tuples of rows."""
+    n = len(g)
+    return tuple(tuple(sum(g[i][k] * h[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
 
 
 def euler_characteristic(cx):

@@ -365,10 +365,13 @@ def test_verify_divided_fails_on_a_wrong_action(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[-1] == "FAIL divided (n=3, r=3)"
     records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
-    assert len(records) == 15 and all(rec["check"] == "divided" for rec in records)
-    # the records themselves, byte for byte: one per partition and drawn g
+    # one per partition and lattice point g: each partition's monomials
+    # together have every row sums, so every one of the 165 weight matrices
+    # is a g
+    assert len(records) == 3 * 165 and all(rec["check"] == "divided" for rec in records)
+    # the records themselves, byte for byte
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "122c0d342ab0815b2b2d13ef9ee88c2655f9dbf03866293099b2fd9f1fc1d2ec")
+            == "9e16e8e1ee78874cf973d2154dcf4f17dde213122cf559f405da2406d11fee8f")
 
 
 def test_verify_unknown_check(capsys):
@@ -376,6 +379,17 @@ def test_verify_unknown_check(capsys):
                        "--checks", "nonsense")
     assert code == 2
     assert "unknown check" in err
+
+
+def test_verify_has_no_associativity_suite(capsys):
+    # oracle matches every product with composition in End(V^r), which is
+    # associative, so associativity needs no suite of its own
+    assert list(cli.SUITES) == ["exactness", "homotopy", "oracle", "filtration",
+                                "embedding", "boltje", "divided"]
+    code, out, err = run(capsys, "verify", "-n", "2", "-r", "2", "--checks", "associativity")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown check 'associativity'; available: "
+                   "exactness, homotopy, oracle, filtration, embedding, boltje, divided\n")
 
 
 def test_verify_refuses_lambda_with_all_before_any_check(capsys):
@@ -488,14 +502,12 @@ def test_verify_corrupt_fails_the_benchmark_control(capsys):
     assert "FAIL exactness (n=3, r=3)" in out.splitlines()
 
 
-ALL_CHECKS = "exactness,homotopy,oracle,associativity,filtration,embedding,boltje,divided"
+ALL_CHECKS = "exactness,homotopy,oracle,filtration,embedding,boltje,divided"
 
 
 @pytest.mark.parametrize("argv, expected_code, expected_out", [
     (("-n", "3", "-r", "3", "--all", "--checks", ALL_CHECKS, "--mod", "2,3,5"), 0,
-     "".join(f"ok {name} (n=3, r=3)\n" if name != "associativity"
-             else f"skipped associativity ({165 ** 3} triples > 10000)\n"
-             for name in ALL_CHECKS.split(","))),
+     "".join(f"ok {name} (n=3, r=3)\n" for name in ALL_CHECKS.split(","))),
     (("-n", "2", "-r", "3", "--checks", "boltje,exactness,embedding"), 0,
      "skipped boltje (n < r)\nok exactness (n=2, r=3)\nskipped embedding (n < r)\n"),
     (("-n", "3", "-r", "3", "--checks", "boltje", "--lambda", "1,2,0"), 0,
@@ -506,7 +518,8 @@ ALL_CHECKS = "exactness,homotopy,oracle,associativity,filtration,embedding,boltj
      '"failures":["(0, HomologyGroup(free_rank=1, torsion=(2,)))"]}\n'
      "FAIL exactness (n=2, r=2)\n"),
     (("-n", "2", "-r", "2", "--checks", "oracle", "--corrupt", "1,0,0,1"), 2, ""),
-])
+], ids=["all-checks", "skipped-n-below-r", "skipped-no-partition",
+        "corrupt-misses-homotopy", "corrupt-without-complexes"])
 def test_verify_stdout_is_pinned(capsys, argv, expected_code, expected_out):
     code, out, _ = run(capsys, "verify", *argv)
     assert code == expected_code
@@ -521,12 +534,10 @@ def test_verify_records_of_every_corrupted_check_are_pinned(capsys):
     assert [rec["check"] for rec in records] == ["exactness"] * 11 + ["homotopy"] * 18
     summaries = [line for line in out.splitlines() if not line.startswith("{")]
     assert summaries == [f"{'FAIL' if name in ('exactness', 'homotopy') else 'ok'} "
-                         f"{name} (n=3, r=3)" if name != "associativity"
-                         else f"skipped associativity ({165 ** 3} triples > 10000)"
-                         for name in ALL_CHECKS.split(",")]
+                         f"{name} (n=3, r=3)" for name in ALL_CHECKS.split(",")]
     # each record printed before its check's summary line, byte for byte
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "753fdd70735097933906a0c2a4fe55f474f8578edb4790ccba86aff1e6f073fa")
+            == "bd055410fda380a20e306ed4411e9e4b16d4e1cd3bf8d44e2456b2a8a946d1c6")
 
 
 VARIANTS = ("borel", "weyl", "schur-functor", "bh")
@@ -636,13 +647,6 @@ def test_verify_refuses_an_oversized_oracle_before_any_suite(capsys, set_oracle_
     assert err == f"error: {refused.value}\n"
 
 
-def test_associativity_checks_every_triple_or_is_skipped(capsys):
-    code, out, _ = run(capsys, "verify", "-n", "4", "-r", "4", "--checks", "associativity")
-    assert (code, out) == (0, f"skipped associativity ({3876 ** 3} triples > 10000)\n")
-    code, out, _ = run(capsys, "verify", "-n", "2", "-r", "2", "--checks", "associativity")
-    assert (code, out) == (0, "ok associativity (n=2, r=2)\n")
-
-
 def test_filtration_caches_only_the_composable_pairs_it_asks_for(capsys, monkeypatch):
     asked = set()
     ask = cli.multiply_basis
@@ -662,8 +666,9 @@ def test_filtration_caches_only_the_composable_pairs_it_asks_for(capsys, monkeyp
     assert structure_constants.cache_info().currsize == len(composable)
 
 
-# suite -> (verify arguments, None or (name bound in cli, function of the
-# real binding giving its broken stand-in), records the control must print).
+# suite -> (verify arguments, None or (name bound in cli, or in
+# dividedpowers for gl_action, function of the real binding giving its
+# broken stand-in), records the control must print).
 # Every record printed must have the keys of one of the records listed.
 NEGATIVE_CONTROLS = {
     "exactness": (
@@ -683,12 +688,6 @@ NEGATIVE_CONTROLS = {
         ("-n", "2", "-r", "1", "--checks", "oracle"),
         ("green_convolution", lambda real: lambda omega, pi: real(omega, pi) * 2),
         [{"check": "oracle", "omega": [[1, 0], [0, 0]], "pi": [[1, 0], [0, 0]]}]),
-    # all 4^3 triples at (2, 1); (ab + a)c + ab + a and a(bc + b) + a
-    # differ by ac
-    "associativity": (
-        ("-n", "2", "-r", "1", "--checks", "associativity"),
-        ("multiply", lambda real: lambda x, y: real(x, y) + x),
-        [{"check": "associativity", "triple": [[[1, 0], [0, 0]]] * 3}]),
     # a product that keeps its left factor keeps its filtration degree, and
     # never dies out
     "filtration": (
@@ -706,12 +705,15 @@ NEGATIVE_CONTROLS = {
             lam, bh=_maybe_corrupt(build_bh_complex(lam), (1, 0, 0, 1)))),
         [{"check": "boltje", "lambda": [2, 1, 0], "degree_match": True,
           "matrices_equal": {"1": False}, "cokernel_ranks": [2, 2], "expected": 2}]),
-    # the first, equivariance, half of the suite has its control in
-    # test_verify_divided_fails_on_a_wrong_action
+    # an action that is wrong only at entrywise non-negative g, where a
+    # sample of integer matrices with entries in [-3, 3] may never land
     "divided": (
-        ("-n", "2", "-r", "2", "--lambda", "2,0", "--checks", "divided"),
-        ("matmul", lambda real: lambda g, h: real(h, g)),
-        [{"check": "divided", "multiplicative": False}]),
+        ("-n", "3", "-r", "3", "--checks", "divided"),
+        ("gl_action", lambda real: lambda g, pi: (
+            {k: c + 1 for k, c in real(g, pi).items()} if min(map(min, g)) >= 0
+            else real(g, pi))),
+        [{"check": "divided", "lambda": [3, 0, 0], "g": [[3, 0, 0], [0, 0, 0], [0, 0, 0]],
+          "failures": 1}]),
 }
 
 
@@ -725,7 +727,8 @@ def test_every_failure_record_is_printed_by_a_negative_control(capsys, monkeypat
     argv, patch, expected = NEGATIVE_CONTROLS[name]
     if patch:
         binding, broken = patch
-        monkeypatch.setattr(cli, binding, broken(getattr(cli, binding)))
+        owner = dividedpowers if binding == "gl_action" else cli
+        monkeypatch.setattr(owner, binding, broken(getattr(owner, binding)))
     code, out, _ = run(capsys, "verify", *argv)
     lines = out.splitlines()
     assert code == 1

@@ -5,9 +5,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurres import dividedpowers
 from schurres.combinatorics import (
     enumerate_compositions,
     enumerate_weight_matrices,
+    matrix_marginal,
     multinomial,
 )
 from schurres.dividedpowers import (
@@ -15,12 +17,13 @@ from schurres.dividedpowers import (
     divided_power_of_vector,
     divided_product,
     gl_action,
-    matmul,
     verify_equivariance,
 )
+from schurres.homology import smith_normal_form
 from schurres.oracles import monomial_eval, tensor_power_action
 from schurres.schur import AlgebraElement, basis_element, multiply, structure_constants, zero
 
+from dense import from_rows, matmul
 from slow_paths import per_call_gl_action
 
 
@@ -202,9 +205,7 @@ def test_action_coefficients_match_structure_constants_termwise():
 
 
 def test_equivariance_examples():
-    ident3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ok, _ = verify_equivariance((1, 1, 1), ident3)
-    assert ok
+    assert verify_equivariance((1, 1, 1)) == (True, ())
 
     # explicit 3-term comparison: the upper shear spreads the square of the
     # second generator over three monomials
@@ -214,19 +215,51 @@ def test_equivariance_examples():
     rhs = multiply(tensor_power_action(g, 2), basis_element(pi))
     assert len(lhs.terms) == 3 and lhs == rhs
 
-    rng = random.Random(6)
     for lam in enumerate_compositions(3, 2):
-        for _ in range(5):
-            ok, failures = verify_equivariance(lam, random_matrix(rng, 3))
-            assert ok and not failures
+        assert verify_equivariance(lam) == (True, ())
 
 
 def test_equivariance_on_full_bases_small():
-    rng = random.Random(8)
-    for lam in [(2, 2), (2, 1), (1, 1, 1)]:
-        for _ in range(3):
-            ok, _ = verify_equivariance(lam, random_matrix(rng, len(lam)))
-            assert ok
+    for lam in [(2, 2), (2, 1), (1, 1, 1), (0,), (3,), (2, 0, 1, 1)]:
+        assert verify_equivariance(lam) == (True, ())
+
+
+def test_equivariance_acts_on_each_monomial_at_its_lattice_points(monkeypatch):
+    # pi is acted on by exactly the weight matrices whose column sums are
+    # its row sums, each once
+    calls = []
+    real = dividedpowers.gl_action
+    monkeypatch.setattr(dividedpowers, "gl_action",
+                        lambda g, pi: calls.append((g, pi)) or real(g, pi))
+    for lam in [(2, 1, 0), (1, 1, 1), (0, 2)]:
+        calls.clear()
+        assert verify_equivariance(lam) == (True, ())
+        n, r = len(lam), sum(lam)
+        expected = {(g, pi) for pi in divided_basis(lam)
+                    for g in enumerate_weight_matrices(n, r, col_sums=matrix_marginal(pi, 2))}
+        assert len(calls) == len(expected) and set(calls) == expected
+
+
+def test_equivariance_reports_an_action_wrong_at_one_point(monkeypatch):
+    # a fault at one lattice point, which no sample of integer matrices
+    # need ever draw, is reported as its (g, pi) pair
+    g0, pi0 = ((1, 0), (1, 2)), ((2, 0), (0, 2))
+    real = dividedpowers.gl_action
+    monkeypatch.setattr(dividedpowers, "gl_action", lambda g, pi: (
+        {**real(g, pi), pi: real(g, pi).get(pi, 0) + 1} if (g, pi) == (g0, pi0)
+        else real(g, pi)))
+    assert verify_equivariance((2, 2)) == (False, ((g0, pi0),))
+
+
+@pytest.mark.parametrize("n, mu", [(2, (2, 1)), (3, (2, 0, 1)), (3, (1, 1, 1)), (2, (3, 2))])
+def test_the_lattice_points_fix_every_polynomial_of_their_degrees(n, mu):
+    # the values g^omega of the monomials of degree mu[s] in column s of g,
+    # at the weight matrices g with column sums mu, form an invertible
+    # matrix: a polynomial of those degrees that vanishes at every such g
+    # is zero, which is what lets verify_equivariance check only there
+    points = enumerate_weight_matrices(n, sum(mu), col_sums=mu)
+    values = from_rows([[monomial_eval(omega, g) for omega in points] for g in points])
+    assert smith_normal_form(values).rank == len(points)
 
 
 def test_monomials_identify_with_basis_elements_of_the_same_matrix():

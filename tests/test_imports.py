@@ -3,8 +3,9 @@ or class it defines, is used in that module; every public function, class
 and method it defines is named outside its own definition by the code the
 verifier runs, the package and the benchmark; every import sits at
 module level; no function nested in another names itself; no module
-reads the dense `rows` view of a matrix; and `import schurres` loads none
-of the standard modules that the package does not need.
+reads the dense `rows` view of a matrix; no module imports `random`, so no
+verdict rests on a sample; and `import schurres` loads none of the
+standard modules that the package does not need.
 
 `__init__.py` is left out of the use checks: it imports names only to
 re-export them, and a re-export is not a use.  Names that only tests or
@@ -222,6 +223,27 @@ def test_package_never_reads_the_dense_rows_view():
 def test_a_read_of_the_dense_rows_view_is_reported():
     tree = ast.parse("rows = 2\n\ndef f(mat):\n    return mat.rows[rows]\n")
     assert list(dense_view_reads(tree)) == [4]
+
+
+def random_imports(tree):
+    """Line numbers where the tree imports `random` or a name from it."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Import) and any(alias.name.partition(".")[0] == "random"
+                                                 for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "random"):
+            yield node.lineno
+
+
+def test_package_never_imports_random():
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := sorted(random_imports(ast.parse(path.read_text(encoding="utf-8")))))}
+    assert not found, f"modules importing random, at lines: {found}"
+
+
+def test_an_import_of_random_is_reported():
+    tree = ast.parse("import json\nimport random as rnd\n\ndef f():\n"
+                     "    from random import choice\n    return choice\n")
+    assert list(random_imports(tree)) == [2, 5]
 
 
 # dataclasses brings inspect, ast, dis and tokenize with it; json its own
