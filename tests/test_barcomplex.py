@@ -20,7 +20,7 @@ from schurres.combinatorics import (
     matrix_marginal,
     max_chain_length,
 )
-from schurres.complexes import Matrix
+from schurres.complexes import ChainComplex, Matrix
 from schurres.homology import HomologyGroup, homology, homology_groups, verify_exactness
 from schurres.schurfunctor import multilinear_weight
 from schurres.tableaux import semistandard_tableau_count
@@ -173,6 +173,61 @@ def test_weight_block_h0_is_the_kostka_number(lam):
         }, (lam, nu)
         total += kostka
     assert total == semistandard_tableau_count(lam, n)
+
+
+def _relabelled_blocks_equal(block, dominant, order):
+    """Whether the Weyl block equals the block dominant entry for entry,
+    with no signs, once each label's leading matrix has its rows permuted
+    so that row t is its row order[t]."""
+    if block.degrees() != dominant.degrees():
+        return False
+    index = {}
+    for k in block.degrees():
+        moved = [(tuple(lab[0][s] for s in order),) + lab[1:] for lab in block.labels[k]]
+        if sorted(moved) != sorted(dominant.labels[k]):
+            return False
+        position = {lab: i for i, lab in enumerate(dominant.labels[k])}
+        index[k] = [position[lab] for lab in moved]
+    return all({(index[k - 1][i], index[k][j]): v for i, j, v in block.differential(k).entries()}
+               == {(i, j): v for i, j, v in dominant.differential(k).entries()}
+               for k in range(block.lo + 1, block.hi + 1))
+
+
+def _symmetry_cases():
+    """(lam, nu) for every partition lam and composition nu with n <= 3,
+    r <= 5, and three blocks of (2,1,1,1) at n = 4."""
+    for n in (1, 2, 3):
+        for r in range(6):
+            for lam in enumerate_partitions(n, r):
+                for nu in enumerate_compositions(n, r):
+                    yield lam, nu
+    for nu in [(1, 1, 1, 2), (1, 2, 1, 1), (0, 2, 1, 2)]:
+        yield (2, 1, 1, 1), nu
+
+
+def test_weight_blocks_of_one_dominant_weight_are_equal_up_to_row_permutation():
+    # left multiplication by a permutation matrix permutes the rows of the
+    # leading matrix, and the structure constants do not see it, so the nu
+    # block is the block of nu's dominant rearrangement, relabelled
+    dominant_blocks = {}
+    for lam, nu in _symmetry_cases():
+        order = sorted(range(len(nu)), key=lambda s: -nu[s])
+        key = lam, tuple(nu[s] for s in order)
+        if key not in dominant_blocks:
+            dominant_blocks[key] = build_weyl_resolution(*key)
+        assert _relabelled_blocks_equal(build_weyl_resolution(lam, nu),
+                                        dominant_blocks[key], order), (lam, nu)
+
+
+def test_a_changed_entry_breaks_the_relabelled_equality():
+    lam, nu, order = (2, 1, 0), (1, 2, 0), [1, 0, 2]
+    block, dominant = build_weyl_resolution(lam, nu), build_weyl_resolution(lam, (2, 1, 0))
+    assert _relabelled_blocks_equal(block, dominant, order)
+    d1 = block.differential(1)
+    i, j, _ = next(d1.entries())
+    changed = d1 + Matrix.from_entries(d1.nrows, d1.ncols, [(i, j, 1)])
+    broken = ChainComplex(block.labels, {**block.differentials, 1: changed})
+    assert not _relabelled_blocks_equal(broken, dominant, order)
 
 
 def test_direct_sum_shape():

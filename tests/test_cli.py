@@ -158,9 +158,9 @@ def test_resolve_refuses_before_building(capsys, argv):
 
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "-n", "2", "-r", "2", "--all",
-                       "--checks", "exactness,homotopy,oracle", "--mod", "2,3,5")
+                       "--checks", "exactness,oracle", "--mod", "2,3,5")
     assert code == 0
-    assert out.count("ok ") == 3
+    assert out.count("ok ") == 2
 
 
 @pytest.mark.parametrize("lam, n, digest", [
@@ -375,21 +375,23 @@ def test_verify_divided_fails_on_a_wrong_action(capsys, monkeypatch):
 
 
 def test_verify_unknown_check(capsys):
-    code, _, err = run(capsys, "verify", "-n", "2", "-r", "2",
-                       "--checks", "nonsense")
-    assert code == 2
-    assert "unknown check" in err
+    # exactness checks the contracting-homotopy identities as its proof that
+    # each Borel resolution is exact, so they are no suite of their own
+    for name in ("nonsense", "homotopy"):
+        code, _, err = run(capsys, "verify", "-n", "2", "-r", "2", "--checks", name)
+        assert code == 2
+        assert f"unknown check {name!r}" in err
 
 
 def test_verify_has_no_associativity_suite(capsys):
     # oracle matches every product with composition in End(V^r), which is
     # associative, so associativity needs no suite of its own
-    assert list(cli.SUITES) == ["exactness", "homotopy", "oracle", "filtration",
+    assert list(cli.SUITES) == ["exactness", "oracle", "filtration",
                                 "embedding", "boltje", "divided"]
     code, out, err = run(capsys, "verify", "-n", "2", "-r", "2", "--checks", "associativity")
     assert (code, out) == (2, "")
     assert err == ("error: unknown check 'associativity'; available: "
-                   "exactness, homotopy, oracle, filtration, embedding, boltje, divided\n")
+                   "exactness, oracle, filtration, embedding, boltje, divided\n")
 
 
 def test_verify_refuses_lambda_with_all_before_any_check(capsys):
@@ -485,14 +487,13 @@ def test_verify_refuses_a_corruption_that_changed_nothing(capsys, argv):
 
 
 def test_verify_refuses_at_the_first_check_the_corruption_left_unchanged(capsys):
-    # entry (3, 2) exists in the Weyl d_1 of (1,1) (4 x 3), not in its Borel
-    # d_1 (2 x 1): exactness is corrupted, the homotopy check is not
+    # filtration builds no complex and runs; exactness builds complexes with
+    # no degree 9, and is refused
     code, out, err = run(capsys, "verify", "-n", "2", "-r", "2", "--lambda", "1,1",
-                         "--checks", "exactness,homotopy", "--corrupt", "1,3,2,1")
+                         "--checks", "filtration,exactness", "--corrupt", "9,0,0,1")
     assert code == 2
-    assert out.splitlines()[-1] == "FAIL exactness (n=2, r=2)"
-    assert "homotopy" not in out
-    assert err == "error: --corrupt 1,3,2,1 changed no differential\n"
+    assert out == "ok filtration (n=2, r=2)\n"
+    assert err == "error: --corrupt 9,0,0,1 changed no differential\n"
 
 
 def test_verify_corrupt_fails_the_benchmark_control(capsys):
@@ -502,7 +503,7 @@ def test_verify_corrupt_fails_the_benchmark_control(capsys):
     assert "FAIL exactness (n=3, r=3)" in out.splitlines()
 
 
-ALL_CHECKS = "exactness,homotopy,oracle,filtration,embedding,boltje,divided"
+ALL_CHECKS = "exactness,oracle,filtration,embedding,boltje,divided"
 
 
 @pytest.mark.parametrize("argv, expected_code, expected_out", [
@@ -512,14 +513,23 @@ ALL_CHECKS = "exactness,homotopy,oracle,filtration,embedding,boltje,divided"
      "skipped boltje (n < r)\nok exactness (n=2, r=3)\nskipped embedding (n < r)\n"),
     (("-n", "3", "-r", "3", "--checks", "boltje", "--lambda", "1,2,0"), 0,
      "skipped boltje (no partition)\n"),
-    (("-n", "2", "-r", "2", "--lambda", "1,1", "--checks", "exactness,homotopy",
-      "--corrupt", "1,3,2,1"), 2,
+    # entry (3, 2) exists in the Weyl d_1 of (1,1) (4 x 3), not in the d_1
+    # (2 x 1) of the Borel resolution, which carries the homotopy: only the
+    # Weyl resolution fails
+    (("-n", "2", "-r", "2", "--lambda", "1,1", "--checks", "exactness",
+      "--corrupt", "1,3,2,1"), 1,
      '{"check":"exactness","variant":"weyl","lambda":[1,1],"expected_rank":1,'
      '"failures":["(0, HomologyGroup(free_rank=1, torsion=(2,)))"]}\n'
      "FAIL exactness (n=2, r=2)\n"),
     (("-n", "2", "-r", "2", "--checks", "oracle", "--corrupt", "1,0,0,1"), 2, ""),
+    # the augmentation of the diagonal tuple becomes 2, so d_0 h_{-1} = 2 and
+    # the identity fails at degrees -1 and 0; H_{-1} = Z/2 is not computed
+    (("-n", "2", "-r", "2", "--lambda", "2,0", "--checks", "exactness",
+      "--corrupt", "0,0,0,1"), 1,
+     '{"check":"exactness","variant":"borel","lambda":[2,0],"failures":[-1,0]}\n'
+     "FAIL exactness (n=2, r=2)\n"),
 ], ids=["all-checks", "skipped-n-below-r", "skipped-no-partition",
-        "corrupt-misses-homotopy", "corrupt-without-complexes"])
+        "corrupt-misses-homotopy", "corrupt-without-complexes", "corrupt-augmentation"])
 def test_verify_stdout_is_pinned(capsys, argv, expected_code, expected_out):
     code, out, _ = run(capsys, "verify", *argv)
     assert code == expected_code
@@ -531,13 +541,13 @@ def test_verify_records_of_every_corrupted_check_are_pinned(capsys):
                        "--checks", ALL_CHECKS, "--mod", "2,3,5", "--corrupt", "1,0,0,1")
     assert code == 1
     records = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
-    assert [rec["check"] for rec in records] == ["exactness"] * 11 + ["homotopy"] * 18
+    assert [rec["check"] for rec in records] == ["exactness"] * 11
     summaries = [line for line in out.splitlines() if not line.startswith("{")]
-    assert summaries == [f"{'FAIL' if name in ('exactness', 'homotopy') else 'ok'} "
+    assert summaries == [f"{'FAIL' if name == 'exactness' else 'ok'} "
                          f"{name} (n=3, r=3)" for name in ALL_CHECKS.split(",")]
     # each record printed before its check's summary line, byte for byte
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "bd055410fda380a20e306ed4411e9e4b16d4e1cd3bf8d44e2456b2a8a946d1c6")
+            == "ccf1cc9905f7a4af52acae694aa1d431a1f05e2b911ca86c9f892a165562c0d2")
 
 
 VARIANTS = ("borel", "weyl", "schur-functor", "bh")
@@ -560,8 +570,9 @@ def walks(monkeypatch):
 @pytest.mark.parametrize("argv, count", [
     # one walk per Borel and per Weyl complex of the four partitions
     (("verify", "-n", "3", "-r", "4", "--checks", "exactness"), 8),
-    # one walk per Borel complex of the three partitions
-    (("verify", "-n", "3", "-r", "3", "--checks", "homotopy"), 3),
+    # one walk per Borel complex of the two compositions, one per Weyl
+    # complex of the partition
+    (("verify", "-n", "2", "-r", "1", "--all", "--checks", "exactness"), 3),
     # one walk per truncation of the five partitions; the BH complex is not walked
     (("verify", "-n", "4", "-r", "4", "--checks", "boltje"), 5),
     *((("resolve", "-n", "3", "-r", "3", "--lambda", "2,1", "--variant", variant), 1)
@@ -604,9 +615,8 @@ def test_resolve_refuses_a_complex_whose_product_breaks_d_squared(
 
 @pytest.mark.parametrize("check, expected_code, expected_last_line", [
     ("exactness", 1, "FAIL exactness (n=3, r=3)"),
-    # the homotopy identities presume a complex, and the comparison checks
-    # its truncation: both refuse one whose d o d is not zero
-    ("homotopy", 2, None),
+    # the comparison checks the truncation, and refuses one whose d o d is
+    # not zero
     ("boltje", 2, None),
 ])
 def test_verify_judges_a_complex_whose_product_breaks_d_squared(
@@ -675,26 +685,18 @@ NEGATIVE_CONTROLS = {
         ("-n", "2", "-r", "2", "--lambda", "1,1", "--checks", "exactness",
          "--corrupt", "1,0,0,1"), None,
         [{"check": "exactness", "variant": "borel", "lambda": [1, 1],
-          "failures": ["(0, HomologyGroup(free_rank=0, torsion=(2,)))"]},
+          "failures": [0, 1]},
          {"check": "exactness", "variant": "weyl", "lambda": [1, 1], "expected_rank": 1,
           "failures": ["(0, HomologyGroup(free_rank=1, torsion=(2,)))"]}]),
-    # d_0 h_{-1} = 2 once the augmentation of the diagonal tuple is 2
-    "homotopy": (
-        ("-n", "2", "-r", "2", "--lambda", "2,0", "--checks", "homotopy",
-         "--corrupt", "0,0,0,1"), None,
-        [{"check": "homotopy", "lambda": [2, 0], "degree": 0},
-         {"check": "homotopy", "lambda": [2, 0], "degree": -1}]),
     "oracle": (
         ("-n", "2", "-r", "1", "--checks", "oracle"),
         ("green_convolution", lambda real: lambda omega, pi: real(omega, pi) * 2),
         [{"check": "oracle", "omega": [[1, 0], [0, 0]], "pi": [[1, 0], [0, 0]]}]),
-    # a product that keeps its left factor keeps its filtration degree, and
-    # never dies out
+    # a product that keeps its left factor keeps its filtration degree
     "filtration": (
         ("-n", "2", "-r", "2", "--checks", "filtration"),
         ("multiply_basis", lambda real: lambda omega, pi: basis_element(omega)),
-        [{"check": "filtration", "omega": [[2, 0], [0, 0]], "pi": [[1, 1], [0, 0]]},
-         {"check": "filtration", "nilpotency": False, "power": 4}]),
+        [{"check": "filtration", "omega": [[2, 0], [0, 0]], "pi": [[1, 1], [0, 0]]}]),
     "embedding": (
         ("-n", "3", "-r", "3", "--checks", "embedding"),
         ("compose_permutations", lambda real: lambda sigma, tau: real(tau, sigma)),
